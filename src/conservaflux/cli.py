@@ -7,6 +7,7 @@ Exit status is 0 exactly when every enabled check passes its tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,9 +49,7 @@ class RunConfig:
     checks: tuple
     quad_exactness: Optional[int] = None
     tol_lce: float = DEFAULT_TOL_LCE
-    seg_points: Optional[int] = None
     threads: Optional[int] = None
-    write_fields: bool = True
 
     def __post_init__(self):
         if self.example not in (1, 2, 3):
@@ -70,21 +69,10 @@ def default_ladder(example, degree):
     return list(table[degree])
 
 
-def _solve_level(config, problem, n):
-    mesh = build_structured_mesh(n)
-    u_h = solver.solve_problem(mesh, config.degree, problem,
-                               config.quad_exactness)
-    parts = dualmesh.build_partitions(mesh, config.degree)
-    tilde = postprocess.postprocess_all(
-        mesh, u_h.dofmap, parts, u_h, problem, threads=config.threads,
-        exactness=config.quad_exactness, seg_points=config.seg_points)
-    return mesh, u_h, parts, tilde
-
-
-def _check_lce(config, problem, out):
+def _check_lce(config, problem, out, level):
     failures = []
     for n in config.levels:
-        mesh, u_h, parts, tilde = _solve_level(config, problem, n)
+        mesh, u_h, parts, tilde = level(n)
         cv = dualmesh.build_cv_index(mesh, u_h.dofmap, parts)
         scale = max(1.0, verify.f_l1_norm(mesh, config.degree, problem,
                                           config.quad_exactness))
@@ -92,7 +80,7 @@ def _check_lce(config, problem, out):
         for fname, fld in (("uh", u_h), ("tilde", tilde)):
             report = verify.compute_lce(mesh, cv, parts, fld, problem,
                                         config.quad_exactness,
-                                        config.seg_points, field_name=fname)
+                                        field_name=fname)
             path = out / f"lce_{fname}_{config.example}_k{config.degree}_n{n}.csv"
             verify.write_lce_csv(report, path)
             if fname == "tilde":
@@ -106,18 +94,17 @@ def _check_lce(config, problem, out):
                 print(f"check=lce example={config.example} k={config.degree} "
                       f"n={n} max_lce_uh={report.max_abs:.3e} (unprocessed, "
                       "informational)")
-        if config.write_fields:
-            solver.export_solution_csv(
-                u_h, out / f"solution_{config.example}_k{config.degree}_n{n}.csv")
-            postprocess.export_postprocessed_csv(
-                tilde, out / f"tilde_{config.example}_k{config.degree}_n{n}.csv")
+        solver.export_solution_csv(
+            u_h, out / f"solution_{config.example}_k{config.degree}_n{n}.csv")
+        postprocess.export_postprocessed_csv(
+            tilde, out / f"tilde_{config.example}_k{config.degree}_n{n}.csv")
     return failures
 
 
-def _check_conservation(config, problem, out):
+def _check_conservation(config, problem, out, level):
     failures = []
     for n in config.levels:
-        mesh, u_h, parts, tilde = _solve_level(config, problem, n)
+        mesh, _, parts, tilde = level(n)
         report = verify.elemental_conservation_report(
             mesh, parts, tilde, problem, config.quad_exactness)
         path = out / (f"conservation_{config.example}_k{config.degree}"
@@ -138,13 +125,12 @@ def _check_conservation(config, problem, out):
     return failures
 
 
-def _check_convergence(config, problem, out):
+def _check_convergence(config, problem, out, level):
     levels = config.levels
     if len(levels) < 3:
         levels = default_ladder(config.example, config.degree)
-    table = verify.convergence_study(problem, config.degree, levels,
-                                     config.quad_exactness, config.seg_points,
-                                     threads=config.threads)
+    table = verify.convergence_table(problem, config.degree, levels, level,
+                                     config.quad_exactness)
     verify.write_convergence_csv(
         table, out / f"conv_{config.example}_k{config.degree}.csv")
     window = rate_window(config.example, config.degree)
@@ -178,14 +164,21 @@ def run(config):
     checks = config.checks
     if "all" in checks:
         checks = ("lce", "conservation", "convergence")
+
+    # Every distinct level is solved and recovered once, on first use.
+    @functools.cache
+    def level(n):
+        return verify.solve_level(problem, config.degree, n,
+                                  config.quad_exactness, config.threads)
+
     failures = []
     for check in checks:
         if check == "lce":
-            failures += _check_lce(config, problem, out)
+            failures += _check_lce(config, problem, out, level)
         elif check == "conservation":
-            failures += _check_conservation(config, problem, out)
+            failures += _check_conservation(config, problem, out, level)
         elif check == "convergence":
-            failures += _check_convergence(config, problem, out)
+            failures += _check_convergence(config, problem, out, level)
         else:
             raise ValueError(f"unknown check {check!r}")
     if failures:

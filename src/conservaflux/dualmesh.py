@@ -389,23 +389,21 @@ def _check_facet_splits(mesh, geo, tol):
     rel = mids - p0[eids]
     params = np.einsum("tsa,tsa->ts", rel, dvec[eids]) / dlen2[eids]
 
-    by_edge = {}
-    flat_eids = eids.ravel()
-    flat_params = params.ravel()
-    for e, p in zip(flat_eids, flat_params):
-        by_edge.setdefault(int(e), []).append(float(p))
-    interior = set(int(e) for e in np.nonzero(mesh.edge_tris[:, 1] >= 0)[0])
-    for e, plist in by_edge.items():
-        plist.sort()
-        if e in interior:
-            if len(plist) % 2:
-                raise DualMeshError(f"facet {e}: odd subcell segment count")
-            a = np.array(plist[0::2])
-            b = np.array(plist[1::2])
-            if np.any(np.abs(a - b) > tol):
-                raise DualMeshError(
-                    f"facet {e}: subcell splits from the two sides disagree "
-                    f"(max mismatch {np.abs(a - b).max():.3e})")
+    # Sorted by (facet, parameter), the two sides' split points pair up.
+    keep = mesh.edge_tris[eids, 1] >= 0
+    eids, params = eids[keep], params[keep]
+    order = np.lexsort((params, eids))
+    eids, params = eids[order], params[order]
+    odd = np.nonzero(np.bincount(eids, minlength=mesh.n_edges) % 2)[0]
+    if odd.size:
+        raise DualMeshError(f"facet {odd[0]}: odd subcell segment count")
+    gap = np.abs(params[0::2] - params[1::2])
+    bad = np.nonzero(gap > tol)[0]
+    if bad.size:
+        e = eids[2 * bad[0]]
+        raise DualMeshError(
+            f"facet {e}: subcell splits from the two sides disagree "
+            f"(max mismatch {gap[eids[0::2] == e].max():.3e})")
 
 
 def export_dual_csv(partitions, path):

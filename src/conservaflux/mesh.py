@@ -203,6 +203,7 @@ class TriMesh:
             cell = ij[:, 1] * n + ij[:, 0]
             out = 2 * cell + np.where(lower, 0, 1)
             # Points within tol of the diagonal fall to the lower triangle.
+            out[np.any((pts < -tol) | (pts > 1 + tol), axis=1)] = -1
             return out
         for i, p in enumerate(pts):
             r = np.einsum("tab,tb->ta", inv, p - v0)

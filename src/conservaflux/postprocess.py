@@ -21,14 +21,15 @@ rounding level.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis, dualmesh, solver
+from . import basis, dualmesh
+from .dualmesh import _rot
 from .quadrature import segment_rule
+from .solver import default_segment_points, for_field, sample
 
 THREADS_ENV = "CONSERVAFLUX_THREADS"
 _DEFECT_RTOL = 1e-10
@@ -40,137 +41,19 @@ class PostprocessError(Exception):
     """Elemental flux recovery failure (carries the element index)."""
 
 
-def _rot(v):
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 1]
-    out[..., 1] = -v[..., 0]
-    return out
-
-
 def _thread_count(threads):
+    """Worker count: `threads`, else CONSERVAFLUX_THREADS, else 1. Anything
+    but a positive integer is rejected with the name of its source."""
+    name, value = "threads", threads
     if threads is None:
-        env = os.environ.get(THREADS_ENV, "")
-        threads = int(env) if env.strip() else 1
-    return max(1, int(threads))
+        name = THREADS_ENV
+        value = os.environ.get(THREADS_ENV, "").strip() or "1"
+    if not str(value).isdecimal() or int(value) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
-class AssemblyContext:
-    """Precomputed, solution-independent data for elemental assembly.
-
-    Holds the reference dual tabulation, segment quadrature tables, basis
-    evaluations (including evaluations inside facet neighbors), per-element
-    stiffness and load blocks, and subcell source integrals. Everything is
-    read-only, so chunks of elements can be processed concurrently.
-    """
-
-    def __init__(self, mesh, dofmap, problem, exactness=None, seg_points=None):
-        k = dofmap.degree
-        if exactness is None:
-            exactness = solver.default_exactness(k)
-        if seg_points is None:
-            seg_points = solver.default_segment_points(k)
-        self.mesh = mesh
-        self.dofmap = dofmap
-        self.problem = problem
-        self.degree = k
-        self.n = basis.N_NODES[k]
-        self.exactness = int(exactness)
-        self.seg_points = int(seg_points)
-        self.ref = dualmesh._ref_dual(k)
-        self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
-
-        self.k_loc = solver.local_stiffness(mesh, k, problem, self.exactness)
-        self.b_loc = solver.local_load(mesh, k, problem, self.exactness)
-        self.f_sub, f_sub_abs = solver.subcell_source_integrals(
-            mesh, k, problem, self.exactness)
-        self.f_scale = f_sub_abs.sum(axis=1)
-
-        srule = segment_rule(self.seg_points)
-        self.sw = srule.weights
-        tpar = srule.points
-
-        ref = self.ref
-        n = self.n
-        nt = mesh.n_triangles
-
-        # Control-volume segments: gauss points, basis gradients, and the
-        # length-scaled normal direction rot(J d) folded into mm = invJ rot(J d)
-        # so that grad(phi).n dl integrates as refgrad(phi).mm per unit weight.
-        dcv = ref.cv_end - ref.cv_start                        # (S, 2)
-        cv_pts = ref.cv_start[:, None, :] + tpar[None, :, None] * dcv[:, None, :]
-        s, ns = cv_pts.shape[0], cv_pts.shape[1]
-        _, grads = basis.eval_basis(k, cv_pts.reshape(-1, 2))
-        self.g_cv = grads.reshape(s, ns, n, 2)
-        rotd = _rot(np.einsum("tab,sb->tsa", self.jac, dcv))   # (nt, S, 2)
-        self.rotd_cv = rotd
-        self.mm_cv = np.einsum("tab,tsb->tsa", self.inv_jac, rotd)
-        phys = self.v0[:, None, None, :] + np.einsum(
-            "tab,snb->tsna", self.jac, cv_pts)
-        self.xp_cv = phys
-        kap = np.asarray(problem.kappa(phys[..., 0], phys[..., 1]), dtype=float)
-        self.kap_cv = np.broadcast_to(kap, phys.shape[:3])
-        sgn = np.zeros((n, s))
-        sgn[ref.cv_plus, np.arange(s)] = -1.0
-        sgn[ref.cv_minus, np.arange(s)] += 1.0
-        self.sgn_cv = sgn
-
-        # Element-boundary segments: same layout, plus neighbor-side data.
-        dbd = ref.bd_end - ref.bd_start
-        bd_pts = ref.bd_start[:, None, :] + tpar[None, :, None] * dbd[:, None, :]
-        nb, nsb = bd_pts.shape[0], bd_pts.shape[1]
-        vals_b, grads_b = basis.eval_basis(k, bd_pts.reshape(-1, 2))
-        self.phi_bd = vals_b.reshape(nb, nsb, n)
-        self.g_bd = grads_b.reshape(nb, nsb, n, 2)
-        rotd_b = _rot(np.einsum("tab,sb->tsa", self.jac, dbd))  # (nt, B, 2)
-        self.rotd_bd = rotd_b
-        self.mm_bd = np.einsum("tab,tsb->tsa", self.inv_jac, rotd_b)
-        phys_b = self.v0[:, None, None, :] + np.einsum(
-            "tab,snb->tsna", self.jac, bd_pts)
-        self.xp_bd = phys_b
-        kap_b = np.asarray(problem.kappa(phys_b[..., 0], phys_b[..., 1]),
-                           dtype=float)
-        self.kap_bd = np.broadcast_to(kap_b, phys_b.shape[:3])
-        own = np.zeros((n, nb))
-        own[ref.bd_owner, np.arange(nb)] = 1.0
-        self.own_bd = own
-
-        nbr = mesh.tri_neighbors[:, ref.bd_facet]               # (nt, B)
-        self.nbr_bd = nbr
-        valid = nbr >= 0
-        self.valid_bd = valid
-        t_idx, s_idx = np.nonzero(valid)
-        self.pair_t = t_idx
-        self.pair_s = s_idx
-        nbrs = nbr[t_idx, s_idx]
-        self.pair_nbr = nbrs
-        x_pair = phys_b[t_idx, s_idx]                           # (K, nsb, 2)
-        rel = x_pair - self.v0[nbrs][:, None, :]
-        r_pair = np.einsum("kab,kib->kia", self.inv_jac[nbrs], rel)
-        _, grads_n = basis.eval_basis(k, r_pair.reshape(-1, 2))
-        self.g_nbr = grads_n.reshape(len(t_idx), nsb, n, 2)
-        self.mm_nbr = np.einsum("kab,kb->ka", self.inv_jac[nbrs],
-                                rotd_b[t_idx, s_idx])
-
-
-_CTX_LOCK = threading.Lock()
-_CTX_CACHE = {}
-
-
-def get_context(mesh, dofmap, problem, exactness=None, seg_points=None):
-    """Context factory with identity-based caching (meshes are immutable)."""
-    key = (id(mesh), id(dofmap), id(problem), exactness, seg_points)
-    with _CTX_LOCK:
-        ctx = _CTX_CACHE.get(key)
-        if ctx is None or ctx.mesh is not mesh or ctx.dofmap is not dofmap \
-                or ctx.problem is not problem:
-            ctx = AssemblyContext(mesh, dofmap, problem, exactness, seg_points)
-            if len(_CTX_CACHE) > 16:
-                _CTX_CACHE.clear()
-            _CTX_CACHE[key] = ctx
-    return ctx
-
-
-def _boundary_flux_terms(ctx, u_values, t0, t1):
+def _boundary_flux_terms(disc, u_values, t0, t1):
     """Averaged normal-flux data on element-boundary segments.
 
     Returns (q_seg, e_phi): per-segment integrals of {kappa grad u_h}.n dl,
@@ -178,42 +61,44 @@ def _boundary_flux_terms(ctx, u_values, t0, t1):
     phi_xi dl, shape (ct, N).
     """
     sl = slice(t0, t1)
-    cell = ctx.dofmap.cell_dofs
+    seg = disc.segments
+    cell = disc.dofmap.cell_dofs
     u_loc = u_values[cell[sl]]
-    q_own = np.einsum("tn,sinb,tsb->tsi", u_loc, ctx.g_bd, ctx.mm_bd[sl])
+    q_own = np.einsum("tn,sinb,tsb->tsi", u_loc, seg.g_bd, seg.mm_bd[sl])
 
     q_nbr = q_own.copy()
-    sel = (ctx.pair_t >= t0) & (ctx.pair_t < t1)
+    sel = (seg.pair_t >= t0) & (seg.pair_t < t1)
     if np.any(sel):
-        kt = ctx.pair_t[sel] - t0
-        ks = ctx.pair_s[sel]
-        u_n = u_values[cell[ctx.pair_nbr[sel]]]
-        qn = np.einsum("kn,kinb,kb->ki", u_n, ctx.g_nbr[sel], ctx.mm_nbr[sel])
+        kt = seg.pair_t[sel] - t0
+        ks = seg.pair_s[sel]
+        u_n = u_values[cell[seg.pair_nbr[sel]]]
+        qn = np.einsum("kn,kinb,kb->ki", u_n, seg.g_nbr[sel], seg.mm_nbr[sel])
         q_nbr[kt, ks] = qn
-    q_avg = ctx.kap_bd[sl] * 0.5 * (q_own + q_nbr)
+    q_avg = seg.kap_bd[sl] * 0.5 * (q_own + q_nbr)
 
-    q_seg = np.einsum("tsi,i->ts", q_avg, ctx.sw)
-    e_phi = np.einsum("tsi,i,six->tx", q_avg, ctx.sw, ctx.phi_bd)
+    q_seg = np.einsum("tsi,i->ts", q_avg, seg.sw)
+    e_phi = np.einsum("tsi,i,six->tx", q_avg, seg.sw, seg.phi_bd)
     return q_seg, e_phi
 
 
-def _elemental_blocks(ctx, u_values, t0, t1):
+def _elemental_blocks(disc, u_values, t0, t1):
     """Matrices, right-hand sides, defects, and boundary data for a chunk."""
     sl = slice(t0, t1)
-    u_loc = u_values[ctx.dofmap.cell_dofs[sl]]
-    a_term = np.einsum("tij,tj->ti", ctx.k_loc[sl], u_loc)
-    q_seg, e_phi = _boundary_flux_terms(ctx, u_values, t0, t1)
-    e_char = np.einsum("xs,ts->tx", ctx.own_bd, q_seg)
+    seg = disc.segments
+    u_loc = u_values[disc.dofmap.cell_dofs[sl]]
+    a_term = np.einsum("tij,tj->ti", disc.k_loc[sl], u_loc)
+    q_seg, e_phi = _boundary_flux_terms(disc, u_values, t0, t1)
+    e_char = np.einsum("xs,ts->tx", seg.own_bd, q_seg)
     e_term = e_char - e_phi
 
-    beta = ctx.f_sub[sl] - ctx.b_loc[sl] + a_term + e_term
-    bflux = ctx.b_loc[sl] - a_term - e_term
+    beta = disc.f_sub[sl] - disc.b_loc[sl] + a_term + e_term
+    bflux = disc.b_loc[sl] - a_term - e_term
     defect = np.abs(beta.sum(axis=1))
-    scale = np.linalg.norm(beta, axis=1) + ctx.f_scale[sl]
+    scale = np.linalg.norm(beta, axis=1) + disc.f_abs[sl].sum(axis=1)
 
-    c1 = ctx.sw[None, None, :] * ctx.kap_cv[sl]
-    v = np.einsum("tsi,sinb,tsb->tsn", c1, ctx.g_cv, ctx.mm_cv[sl])
-    mats = np.einsum("xs,tsn->txn", ctx.sgn_cv, v)
+    c1 = seg.sw[None, None, :] * seg.kap_cv[sl]
+    v = np.einsum("tsi,sinb,tsb->tsn", c1, seg.g_cv, seg.mm_cv[sl])
+    mats = np.einsum("xs,tsn->txn", seg.sgn_cv, v)
     gauge = u_loc.mean(axis=1)
     return mats, beta, gauge, defect, scale, bflux
 
@@ -279,6 +164,7 @@ class PostprocessedField:
     coeffs: np.ndarray         # (nt, N)
     boundary_flux: np.ndarray  # (nt, N)
     defects: np.ndarray        # (nt,)
+    discretization: object = None   # the blocks it was recovered from
 
     @property
     def degree(self):
@@ -305,13 +191,12 @@ def local_coefficients(field):
     return field.values[field.dofmap.cell_dofs]
 
 
-def assemble_elemental_system(mesh, partition, u_h, problem,
-                              exactness=None, seg_points=None):
+def assemble_elemental_system(mesh, partition, u_h, problem, exactness=None):
     """Auxiliary system of one element (partition carries the element id)."""
-    ctx = get_context(mesh, u_h.dofmap, problem, exactness, seg_points)
+    disc = for_field(u_h, mesh, u_h.dofmap, problem, exactness)
     t = partition.element
     mats, beta, gauge, defect, scale, bflux = _elemental_blocks(
-        ctx, u_h.values, t, t + 1)
+        disc, u_h.values, t, t + 1)
     return ElementalSystem(element=t, matrix=mats[0], rhs=beta[0],
                            gauge_target=float(gauge[0]),
                            defect=float(defect[0]), scale=float(scale[0]),
@@ -338,19 +223,21 @@ def solve_elemental(system, gauge_shift=0.0):
 
 
 def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
-                    gauge_shift=0.0, exactness=None, seg_points=None,
-                    chunk_size=_CHUNK):
+                    gauge_shift=0.0, exactness=None, chunk_size=_CHUNK):
     """Recover the conservative flux field on every element.
 
     Elements are processed in fixed-size chunks; chunks are independent and
     may run on a thread pool (capped by the CONSERVAFLUX_THREADS environment
     variable when `threads` is None). Results are written to disjoint slices,
-    so the output is bit-identical for any thread count.
+    so the output is bit-identical for any thread count. The field's
+    discretization is reused when it matches, and the result carries it.
     """
     dualmesh._as_geometry(mesh, partitions, dofmap.degree)  # validate inputs
-    ctx = get_context(mesh, dofmap, problem, exactness, seg_points)
+    nthreads = _thread_count(threads)
+    disc = for_field(u_h, mesh, dofmap, problem, exactness)
+    disc.segments  # build the shared tables before any worker starts
     nt = mesh.n_triangles
-    n = ctx.n
+    n = disc.n
     coeffs = np.empty((nt, n))
     bflux = np.empty((nt, n))
     defects = np.empty(nt)
@@ -358,14 +245,13 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     def work(t0):
         t1 = min(t0 + chunk_size, nt)
         mats, beta, gauge, defect, scale, bf = _elemental_blocks(
-            ctx, u_h.values, t0, t1)
+            disc, u_h.values, t0, t1)
         coeffs[t0:t1] = _solve_chunk(mats, beta, gauge, defect, scale,
                                      t0, gauge_shift)
         bflux[t0:t1] = bf
         defects[t0:t1] = defect
 
     starts = range(0, nt, chunk_size)
-    nthreads = _thread_count(threads)
     if nthreads == 1:
         for t0 in starts:
             work(t0)
@@ -374,7 +260,8 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
             for fut in [pool.submit(work, t0) for t0 in starts]:
                 fut.result()
     return PostprocessedField(mesh=mesh, dofmap=dofmap, coeffs=coeffs,
-                              boundary_flux=bflux, defects=defects)
+                              boundary_flux=bflux, defects=defects,
+                              discretization=disc)
 
 
 def interp_piecewise_constant(partition, w):
@@ -404,7 +291,7 @@ def edge_average_flux(mesh, problem, u_h, element, start, end, npoints=None):
     is used. Returns (points, values) at the segment Gauss points.
     """
     if npoints is None:
-        npoints = solver.default_segment_points(u_h.degree)
+        npoints = default_segment_points(u_h.degree)
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
     verts = mesh.triangle_vertices(element)
@@ -429,8 +316,7 @@ def edge_average_flux(mesh, problem, u_h, element, start, end, npoints=None):
                          f"boundary of element {element}")
     srule = segment_rule(npoints)
     pts = start[None, :] + srule.points[:, None] * (end - start)[None, :]
-    kap = np.asarray(problem.kappa(pts[:, 0], pts[:, 1]), dtype=float)
-    kap = np.broadcast_to(kap, (len(pts),))
+    kap = sample(problem.kappa, pts)
 
     v0, _, inv, _ = mesh.element_maps()
 
@@ -448,7 +334,7 @@ def edge_average_flux(mesh, problem, u_h, element, start, end, npoints=None):
 
 
 def segment_flux_split(mesh, u_h, problem, element, local_node,
-                       exactness=None, seg_points=None):
+                       exactness=None):
     """Per-segment recovered flux on the element-boundary part of a subcell.
 
     Splits the subcell's boundary-flux datum across its two element-boundary
@@ -456,30 +342,31 @@ def segment_flux_split(mesh, u_h, problem, element, local_node,
     averaged-flux integral. Returns (starts, ends, values). Raises on
     interior-node subcells, whose boundary part is empty.
     """
-    ctx = get_context(mesh, u_h.dofmap, problem, exactness, seg_points)
-    segs = np.nonzero(ctx.ref.bd_owner == local_node)[0]
+    disc = for_field(u_h, mesh, u_h.dofmap, problem, exactness)
+    segs = np.nonzero(disc.ref.bd_owner == local_node)[0]
     if segs.size == 0:
         raise ValueError(f"local node {local_node} has no element-boundary "
                          "segments (interior-node subcell)")
     u_loc = u_h.values[u_h.dofmap.cell_dofs[element]]
-    a_xi = float(ctx.k_loc[element, local_node] @ u_loc)
-    ell_xi = float(ctx.b_loc[element, local_node])
-    q_seg, e_phi = _boundary_flux_terms(ctx, u_h.values, element, element + 1)
+    a_xi = float(disc.k_loc[element, local_node] @ u_loc)
+    ell_xi = float(disc.b_loc[element, local_node])
+    q_seg, e_phi = _boundary_flux_terms(disc, u_h.values, element, element + 1)
     e_phi_xi = float(e_phi[0, local_node])
     values = (ell_xi - a_xi + e_phi_xi) / 2.0 - q_seg[0, segs]
     v0, jac, _, _ = mesh.element_maps()
-    starts = ctx.ref.bd_start[segs] @ jac[element].T + v0[element]
-    ends = ctx.ref.bd_end[segs] @ jac[element].T + v0[element]
+    starts = disc.ref.bd_start[segs] @ jac[element].T + v0[element]
+    ends = disc.ref.bd_end[segs] @ jac[element].T + v0[element]
     return starts, ends, values
 
 
-def control_volume_flux(ctx, coeffs):
+def control_volume_flux(disc, coeffs):
     """Outward flux of -kappa grad(field) through the dual segments of every
     subcell, shape (nt, N). Row (t, xi) integrates over the control-volume
     part of subcell xi's boundary."""
-    c1 = ctx.sw[None, None, :] * ctx.kap_cv
-    q = np.einsum("tsi,sinb,tn,tsb->ts", c1, ctx.g_cv, coeffs, ctx.mm_cv)
-    return np.einsum("xs,ts->tx", ctx.sgn_cv, q)
+    seg = disc.segments
+    c1 = seg.sw[None, None, :] * seg.kap_cv
+    q = np.einsum("tsi,sinb,tn,tsb->ts", c1, seg.g_cv, coeffs, seg.mm_cv)
+    return np.einsum("xs,ts->tx", seg.sgn_cv, q)
 
 
 def flux_along_polyline(mesh, field, problem, points, npoints=None):
@@ -490,7 +377,7 @@ def flux_along_polyline(mesh, field, problem, points, npoints=None):
     The normal is the -90 degree rotation of the walking direction.
     """
     if npoints is None:
-        npoints = solver.default_segment_points(field.degree)
+        npoints = default_segment_points(field.degree)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
         raise ValueError("polyline needs at least two (x, y) points")
@@ -520,9 +407,7 @@ def flux_along_polyline(mesh, field, problem, points, npoints=None):
             _, grads = basis.eval_basis(field.degree, ref)
             g_ref = np.einsum("pnd,n->pd", grads, coeffs[t])
             gphys = g_ref @ inv[t]
-            kap = np.asarray(problem.kappa(gpts[:, 0], gpts[:, 1]), dtype=float)
-            kap = np.broadcast_to(kap, (len(gpts),))
-            vals = -kap * (gphys @ normal)
+            vals = -sample(problem.kappa, gpts) * (gphys @ normal)
             total += seg_len * (b - a) * float(srule.weights @ vals)
         out[i] = total
     return out

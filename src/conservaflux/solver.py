@@ -5,27 +5,30 @@ on C0 Lagrange spaces of degree 1 to 3. Dirichlet conditions are imposed by
 row/column elimination, which keeps the constrained matrix symmetric and
 leaves the interior equations exactly satisfied by the solution.
 
-Source-term integrals are evaluated on the composite subcell quadrature of
-the dual partition rather than on a single element-level rule. The flux
-recovery postprocessor integrates f over subcell polygonals, and using one
-shared rule keeps the elemental compatibility sums at rounding level
-instead of at quadrature-error level.
+Assembly, flux recovery and the conservation checks share the per-element
+blocks of one Discretization, which `solve_problem` leaves on its field.
+Source integrals use the composite subcell quadrature of the dual partition,
+over which the recovery integrates f per subcell: one shared pass over that
+rule keeps the elemental compatibility sums at rounding level instead of at
+quadrature-error level.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import basis, dualmesh
-from .quadrature import triangle_rule
+from .quadrature import segment_rule, triangle_rule
 
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
 DOF_KIND_NAMES = {DOF_VERTEX: "vertex", DOF_EDGE: "edge", DOF_INTERIOR: "interior"}
+_SOURCE_CHUNK = 1024  # elements per pass over the composite subcell rule
 
 
 class SolverError(Exception):
@@ -39,7 +42,8 @@ def default_exactness(degree):
 
 
 def default_segment_points(degree):
-    """Default Gauss point count for boundary-segment integrals."""
+    """Gauss point count for boundary-segment integrals. Recovery and the
+    conservation check must share it, or conservation breaks silently."""
     return degree + 2
 
 
@@ -130,6 +134,7 @@ class FemField:
     dofmap: DofMap
     values: np.ndarray
     solve_residual: float = 0.0
+    discretization: object = None   # per-element blocks, see for_field
 
     @property
     def degree(self):
@@ -150,76 +155,174 @@ class FemField:
         return ref @ inv[t]
 
 
-def local_stiffness(mesh, degree, problem, exactness=None):
-    """Per-element stiffness blocks, shape (nt, N, N).
-
-    kappa is sampled at the physical quadrature points; a nonpositive value
-    anywhere is an error.
-    """
-    if exactness is None:
-        exactness = default_exactness(degree)
-    rule = triangle_rule(exactness)
-    _, grads = basis.eval_basis(degree, rule.points)
-    v0, jac, inv, det = mesh.element_maps()
-    phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
-    kap = np.asarray(problem.kappa(phys[..., 0], phys[..., 1]), dtype=float)
-    kap = np.broadcast_to(kap, phys.shape[:2])
-    if not np.all(kap > 0.0):
-        t, q = np.unravel_index(int(np.argmin(kap)), kap.shape)
-        raise SolverError(
-            f"kappa must be positive; got {kap[t, q]:g} at "
-            f"({phys[t, q, 0]:.6g}, {phys[t, q, 1]:.6g})")
-    g_phys = np.einsum("tba,qib->tqia", inv, grads)
-    c = rule.weights[None, :] * det[:, None] * kap
-    return np.einsum("tq,tqia,tqja->tij", c, g_phys, g_phys)
+def sample(fn, phys):
+    """Evaluate a vectorized coefficient at points (..., 2) as a float array
+    of shape phys.shape[:-1] (constant functions may return a scalar)."""
+    vals = np.asarray(fn(phys[..., 0], phys[..., 1]), dtype=float)
+    return np.broadcast_to(vals, phys.shape[:-1])
 
 
-def local_load(mesh, degree, problem, exactness=None):
-    """Per-element load blocks from the composite subcell rule, shape (nt, N)."""
-    if exactness is None:
-        exactness = default_exactness(degree)
-    pts, w, _ = dualmesh.subcell_quadrature(degree, exactness)
-    vals, _ = basis.eval_basis(degree, pts)
-    v0, jac, _, det = mesh.element_maps()
-    phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, pts)
-    f = np.asarray(problem.source(phys[..., 0], phys[..., 1]), dtype=float)
-    f = np.broadcast_to(f, phys.shape[:2])
-    coef = w[None, :] * det[:, None] * f
-    return np.einsum("tq,qi->ti", coef, vals)
-
-
-def subcell_source_integrals(mesh, degree, problem, exactness=None):
-    """Integral of f over every subcell polygonal, shape (nt, N).
-
-    Uses the same composite rule as local_load, so summing over local nodes
-    reproduces the element load row sums to rounding.
-    """
+def source_blocks(mesh, degree, problem, exactness=None):
+    """Load blocks, subcell integrals of f and subcell integrals of |f|, each
+    (nt, N), from one pass over the composite subcell rule. Summing the
+    subcell integrals over local nodes reproduces the load row sums."""
     if exactness is None:
         exactness = default_exactness(degree)
     pts, w, owner = dualmesh.subcell_quadrature(degree, exactness)
-    v0, jac, _, det = mesh.element_maps()
-    phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, pts)
-    f = np.asarray(problem.source(phys[..., 0], phys[..., 1]), dtype=float)
-    f = np.broadcast_to(f, phys.shape[:2])
-    coef = w[None, :] * det[:, None] * f
+    vals, _ = basis.eval_basis(degree, pts)
     onehot = np.zeros((len(pts), basis.N_NODES[degree]))
     onehot[np.arange(len(pts)), owner] = 1.0
-    sums = np.einsum("tq,qi->ti", coef, onehot)
-    absolute = np.einsum("tq,qi->ti", np.abs(coef), onehot)
-    return sums, absolute
+    v0, jac, _, det = mesh.element_maps()
+    out = np.empty((3, mesh.n_triangles, onehot.shape[1]))
+    # Chunks bound the point and sample arrays, which are (nt, Q) sized.
+    for t0 in range(0, mesh.n_triangles, _SOURCE_CHUNK):
+        sl = slice(t0, t0 + _SOURCE_CHUNK)
+        phys = v0[sl, None, :] + np.einsum("tab,qb->tqa", jac[sl], pts)
+        coef = w[None, :] * det[sl, None] * sample(problem.source, phys)
+        out[0, sl] = np.einsum("tq,qi->ti", coef, vals)
+        out[1, sl] = np.einsum("tq,qi->ti", coef, onehot)
+        out[2, sl] = np.einsum("tq,qi->ti", np.abs(coef), onehot)
+    return out[0], out[1], out[2]
+
+
+class Discretization:
+    """Per-element blocks of one (mesh, dof map, problem, exactness).
+
+    `k_loc` (nt, N, N) holds the stiffness blocks, `b_loc` (nt, N) the load
+    blocks, `f_sub` (nt, N) the source integral over every subcell polygonal
+    and `f_abs` (nt, N) the integral of |f| over it. Everything is
+    read-only, so chunks of elements can be processed concurrently once
+    `segments` has been built.
+    """
+
+    def __init__(self, mesh, dofmap, problem, exactness=None):
+        k = dofmap.degree
+        self.mesh = mesh
+        self.dofmap = dofmap
+        self.problem = problem
+        self.degree = k
+        self.n = basis.N_NODES[k]
+        self.exactness = (default_exactness(k) if exactness is None
+                          else int(exactness))
+        self.ref = dualmesh._ref_dual(k)
+        self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
+        self.k_loc = self._stiffness()
+        self.b_loc, self.f_sub, self.f_abs = source_blocks(
+            mesh, k, problem, self.exactness)
+
+    def _stiffness(self):
+        """Stiffness blocks with kappa sampled at the physical quadrature
+        points; a nonpositive value anywhere is an error."""
+        rule = triangle_rule(self.exactness)
+        _, grads = basis.eval_basis(self.degree, rule.points)
+        phys = self.v0[:, None, :] + np.einsum("tab,qb->tqa", self.jac,
+                                               rule.points)
+        kap = sample(self.problem.kappa, phys)
+        if not np.all(kap > 0.0):
+            t, q = np.unravel_index(int(np.argmin(kap)), kap.shape)
+            raise SolverError(
+                f"kappa must be positive; got {kap[t, q]:g} at "
+                f"({phys[t, q, 0]:.6g}, {phys[t, q, 1]:.6g})")
+        g_phys = np.einsum("tba,qib->tqia", self.inv_jac, grads)
+        c = rule.weights[None, :] * self.det_jac[:, None] * kap
+        return np.einsum("tq,tqia,tqja->tij", c, g_phys, g_phys)
+
+    def segment_geometry(self, ref_pts, ref_dir):
+        """Physical Gauss points (nt, S, ns, 2) of reference segments, and the
+        segments' physical directions rotated by -90 degrees (nt, S, 2): the
+        outward normal scaled by the segment length."""
+        phys = self.v0[:, None, None, :] + np.einsum("tab,snb->tsna", self.jac,
+                                                     ref_pts)
+        rotd = dualmesh._rot(np.einsum("tab,sb->tsa", self.jac, ref_dir))
+        return phys, rotd
+
+    @cached_property
+    def segments(self):
+        """Dual-segment tables of the flux recovery. The first access builds
+        them, so touch this before handing the object to worker threads."""
+        return SegmentTables(self)
+
+
+def for_field(field, mesh, dofmap, problem, exactness=None):
+    """The field's discretization when it was built for these inputs;
+    otherwise a new one, which is stored on the field if it has none."""
+    disc = field.discretization
+    if exactness is None:
+        exactness = default_exactness(dofmap.degree)
+    if (disc is not None and disc.mesh is mesh and disc.dofmap is dofmap
+            and disc.problem is problem and disc.exactness == exactness):
+        return disc
+    new = Discretization(mesh, dofmap, problem, exactness)
+    if disc is None:
+        field.discretization = new
+    return new
+
+
+class SegmentTables:
+    """Recovery tables on the dual and element-boundary segments: basis
+    evaluations (also inside facet neighbors), normal maps, kappa samples."""
+
+    def __init__(self, disc):
+        k, n, ref = disc.degree, disc.n, disc.ref
+        srule = segment_rule(default_segment_points(k))
+        self.sw = srule.weights
+        tpar = srule.points
+
+        # Control-volume segments: gauss points, basis gradients, and the
+        # length-scaled normal direction rot(J d) folded into mm = invJ rot(J d)
+        # so that grad(phi).n dl integrates as refgrad(phi).mm per unit weight.
+        self.cv_dir = ref.cv_end - ref.cv_start                 # (S, 2)
+        self.cv_pts = (ref.cv_start[:, None, :]
+                       + tpar[None, :, None] * self.cv_dir[:, None, :])
+        s, ns = self.cv_pts.shape[:2]
+        _, grads = basis.eval_basis(k, self.cv_pts.reshape(-1, 2))
+        self.g_cv = grads.reshape(s, ns, n, 2)
+        phys, rotd = disc.segment_geometry(self.cv_pts, self.cv_dir)
+        self.mm_cv = np.einsum("tab,tsb->tsa", disc.inv_jac, rotd)
+        self.kap_cv = sample(disc.problem.kappa, phys)
+        self.sgn_cv = sgn = np.zeros((n, s))
+        sgn[ref.cv_plus, np.arange(s)] = -1.0
+        sgn[ref.cv_minus, np.arange(s)] += 1.0
+
+        # Element-boundary segments: same layout, plus neighbor-side data.
+        self.bd_dir = ref.bd_end - ref.bd_start
+        self.bd_pts = (ref.bd_start[:, None, :]
+                       + tpar[None, :, None] * self.bd_dir[:, None, :])
+        nb, nsb = self.bd_pts.shape[:2]
+        vals_b, grads_b = basis.eval_basis(k, self.bd_pts.reshape(-1, 2))
+        self.phi_bd = vals_b.reshape(nb, nsb, n)
+        self.g_bd = grads_b.reshape(nb, nsb, n, 2)
+        phys_b, rotd_b = disc.segment_geometry(self.bd_pts, self.bd_dir)
+        self.mm_bd = np.einsum("tab,tsb->tsa", disc.inv_jac, rotd_b)
+        self.kap_bd = sample(disc.problem.kappa, phys_b)
+        self.own_bd = np.zeros((n, nb))
+        self.own_bd[ref.bd_owner, np.arange(nb)] = 1.0
+
+        nbr = disc.mesh.tri_neighbors[:, ref.bd_facet]          # (nt, B)
+        t_idx, s_idx = self.pair_t, self.pair_s = np.nonzero(nbr >= 0)
+        nbrs = self.pair_nbr = nbr[t_idx, s_idx]
+        rel = phys_b[t_idx, s_idx] - disc.v0[nbrs][:, None, :]  # (K, nsb, 2)
+        r_pair = np.einsum("kab,kib->kia", disc.inv_jac[nbrs], rel)
+        _, grads_n = basis.eval_basis(k, r_pair.reshape(-1, 2))
+        self.g_nbr = grads_n.reshape(len(t_idx), nsb, n, 2)
+        self.mm_nbr = np.einsum("kab,kb->ka", disc.inv_jac[nbrs],
+                                rotd_b[t_idx, s_idx])
 
 
 def assemble(mesh, dofmap, problem, exactness=None):
     """Unconstrained global system (A, b) as (csr matrix, vector)."""
-    k_loc = local_stiffness(mesh, dofmap.degree, problem, exactness)
-    b_loc = local_load(mesh, dofmap.degree, problem, exactness)
-    n = basis.N_NODES[dofmap.degree]
+    return _assemble(Discretization(mesh, dofmap, problem, exactness))
+
+
+def _assemble(disc):
+    dofmap = disc.dofmap
+    n = disc.n
     rows = np.repeat(dofmap.cell_dofs, n, axis=1).ravel()
     cols = np.tile(dofmap.cell_dofs, (1, n)).ravel()
-    a_glob = sp.coo_matrix((k_loc.ravel(), (rows, cols)),
+    a_glob = sp.coo_matrix((disc.k_loc.ravel(), (rows, cols)),
                            shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
     b_glob = np.zeros(dofmap.n_dofs)
-    np.add.at(b_glob, dofmap.cell_dofs.ravel(), b_loc.ravel())
+    np.add.at(b_glob, dofmap.cell_dofs.ravel(), disc.b_loc.ravel())
     return a_glob, b_glob
 
 
@@ -251,9 +354,7 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
     for part in sorted(problem.dirichlet):
         pm = dofmap.on_part[part]
         mask |= pm
-        x, y = dofmap.coords[pm, 0], dofmap.coords[pm, 1]
-        g[pm] = np.broadcast_to(np.asarray(problem.dirichlet[part](x, y),
-                                           dtype=float), x.shape)
+        g[pm] = sample(problem.dirichlet[part], dofmap.coords[pm])
     b_c = b_glob - a_glob @ g
     b_c[mask] = g[mask]
     keep = sp.diags((~mask).astype(float))
@@ -293,11 +394,16 @@ def solve(system, rtol=1e-10):
 
 
 def solve_problem(mesh, degree, problem, exactness=None, rtol=1e-10):
-    """Build the dof map, assemble, constrain, and solve in one call."""
+    """Build the dof map, assemble, constrain, and solve in one call.
+
+    The returned field carries the Discretization it was assembled from.
+    """
     dofmap = build_dof_map(mesh, degree)
-    a_glob, b_glob = assemble(mesh, dofmap, problem, exactness)
-    system = apply_dirichlet(a_glob, b_glob, dofmap, problem)
-    return solve(system, rtol)
+    disc = Discretization(mesh, dofmap, problem, exactness)
+    a_glob, b_glob = _assemble(disc)
+    field = solve(apply_dirichlet(a_glob, b_glob, dofmap, problem), rtol)
+    field.discretization = disc
+    return field
 
 
 def export_solution_csv(field, path):

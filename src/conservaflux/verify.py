@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, dualmesh, solver
-from .postprocess import (control_volume_flux, get_context, local_coefficients,
+from .postprocess import (control_volume_flux, local_coefficients,
                           postprocess_all)
 from .quadrature import triangle_rule
+from .solver import Discretization, for_field, sample, source_blocks
 
 _EXACT_FLOOR = 1e-11
 
@@ -48,7 +49,7 @@ class LceReport:
 
 
 def compute_lce(mesh, cv_index, partitions, field, problem,
-                exactness=None, seg_points=None, field_name=None):
+                exactness=None, field_name=None):
     """Control-volume conservation defects of a discrete field.
 
     The flux on each dual segment is the field's own one-sided gradient in
@@ -56,10 +57,10 @@ def compute_lce(mesh, cv_index, partitions, field, problem,
     integrated with the same segment rule the flux recovery uses.
     """
     dualmesh._as_geometry(mesh, partitions, field.dofmap.degree)  # validate
-    ctx = get_context(mesh, field.dofmap, problem, exactness, seg_points)
+    disc = for_field(field, mesh, field.dofmap, problem, exactness)
     coeffs = local_coefficients(field)
-    s_cv = control_volume_flux(ctx, coeffs)
-    contrib = s_cv - ctx.f_sub
+    s_cv = control_volume_flux(disc, coeffs)
+    contrib = s_cv - disc.f_sub
 
     dm = field.dofmap
     lce = np.zeros(dm.n_dofs)
@@ -144,22 +145,21 @@ def elemental_conservation_report(mesh, partitions, field, problem,
         raise TypeError("elemental conservation is defined for the "
                         "postprocessed field")
     dualmesh._as_geometry(mesh, partitions, field.dofmap.degree)  # validate
-    f_sub, f_abs = solver.subcell_source_integrals(mesh, field.degree, problem,
-                                                   exactness)
-    residuals = np.abs(field.boundary_flux.sum(axis=1) - f_sub.sum(axis=1))
+    disc = for_field(field, mesh, field.dofmap, problem, exactness)
+    residuals = np.abs(field.boundary_flux.sum(axis=1)
+                       - disc.f_sub.sum(axis=1))
     scales = np.maximum(1.0, np.abs(field.boundary_flux).sum(axis=1)
-                        + f_abs.sum(axis=1))
+                        + disc.f_abs.sum(axis=1))
     return ElementalConservationReport(residuals=residuals, scales=scales)
 
 
 def f_l1_norm(mesh, degree, problem, exactness=None):
     """L1 norm of the source over the domain (composite subcell rule)."""
-    _, f_abs = solver.subcell_source_integrals(mesh, degree, problem, exactness)
+    _, _, f_abs = source_blocks(mesh, degree, problem, exactness)
     return float(f_abs.sum())
 
 
-def true_solution_residual(mesh, degree, problem, exactness=None,
-                           seg_points=None):
+def true_solution_residual(mesh, degree, problem, exactness=None):
     """Defect of the exact solution in the elemental recovery equations.
 
     Substitutes the exact gradient for both the unknown and the facet data
@@ -173,7 +173,8 @@ def true_solution_residual(mesh, degree, problem, exactness=None,
     if problem.exact_grad is None:
         raise ValueError("true-solution residual requires the exact gradient")
     dofmap = solver.build_dof_map(mesh, degree)
-    ctx = get_context(mesh, dofmap, problem, exactness, seg_points)
+    disc = Discretization(mesh, dofmap, problem, exactness)
+    seg = disc.segments
 
     def exact_grad_at(phys):
         gx, gy = problem.exact_grad(phys[..., 0], phys[..., 1])
@@ -185,32 +186,31 @@ def true_solution_residual(mesh, degree, problem, exactness=None,
         return g
 
     # Dual-segment flux rows of the exact field.
-    g_cv = exact_grad_at(ctx.xp_cv)                             # (nt, S, ns, 2)
-    q_cv = ctx.kap_cv * np.einsum("tsia,tsa->tsi", g_cv, ctx.rotd_cv)
-    q_seg = np.einsum("tsi,i->ts", q_cv, ctx.sw)
-    b_rows = np.einsum("xs,ts->tx", ctx.sgn_cv, q_seg)
+    phys, rotd = disc.segment_geometry(seg.cv_pts, seg.cv_dir)
+    q_cv = seg.kap_cv * np.einsum("tsia,tsa->tsi", exact_grad_at(phys), rotd)
+    q_seg = np.einsum("tsi,i->ts", q_cv, seg.sw)
+    b_rows = np.einsum("xs,ts->tx", seg.sgn_cv, q_seg)
 
     # Stiffness rows with the exact gradient.
-    rule = triangle_rule(ctx.exactness)
+    rule = triangle_rule(disc.exactness)
     _, grads = basis.eval_basis(degree, rule.points)
     v0, jac, inv, det = mesh.element_maps()
     phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
     g_ex = exact_grad_at(phys)
-    kap = np.asarray(problem.kappa(phys[..., 0], phys[..., 1]), dtype=float)
-    kap = np.broadcast_to(kap, phys.shape[:2])
+    kap = sample(problem.kappa, phys)
     g_phi = np.einsum("tba,qib->tqia", inv, grads)
     c = rule.weights[None, :] * det[:, None] * kap
     a_rows = np.einsum("tq,tqa,tqia->ti", c, g_ex, g_phi)
 
     # Boundary data rows with the exact (one-sided) flux.
-    g_bd = exact_grad_at(ctx.xp_bd)                             # (nt, B, nsb, 2)
-    q_bd = ctx.kap_bd * np.einsum("tsia,tsa->tsi", g_bd, ctx.rotd_bd)
-    q_bseg = np.einsum("tsi,i->ts", q_bd, ctx.sw)
-    e_char = np.einsum("xs,ts->tx", ctx.own_bd, q_bseg)
-    e_phi = np.einsum("tsi,i,six->tx", q_bd, ctx.sw, ctx.phi_bd)
+    phys, rotd = disc.segment_geometry(seg.bd_pts, seg.bd_dir)
+    q_bd = seg.kap_bd * np.einsum("tsia,tsa->tsi", exact_grad_at(phys), rotd)
+    q_bseg = np.einsum("tsi,i->ts", q_bd, seg.sw)
+    e_char = np.einsum("xs,ts->tx", seg.own_bd, q_bseg)
+    e_phi = np.einsum("tsi,i,six->tx", q_bd, seg.sw, seg.phi_bd)
     e_rows = e_char - e_phi
 
-    ell_rows = ctx.f_sub - ctx.b_loc
+    ell_rows = disc.f_sub - disc.b_loc
     return b_rows - (ell_rows + a_rows + e_rows)
 
 
@@ -248,35 +248,48 @@ class ConvergenceTable:
                         self.err_diff.max()) < _EXACT_FLOOR)
 
 
-def convergence_study(problem, degree, levels, exactness=None,
-                      seg_points=None, threads=None):
-    """Solve, recover fluxes, and measure H1 errors over a mesh ladder."""
+def solve_level(problem, degree, n, exactness=None, threads=None):
+    """(mesh, u_h, partitions, recovered field) on the structured n x n
+    mesh; the recovery reuses the solution's discretization."""
     from .mesh import build_structured_mesh
 
+    mesh = build_structured_mesh(n)
+    u_h = solver.solve_problem(mesh, degree, problem, exactness)
+    parts = dualmesh.build_partitions(mesh, degree)
+    tilde = postprocess_all(mesh, u_h.dofmap, parts, u_h, problem,
+                            threads=threads, exactness=exactness)
+    return mesh, u_h, parts, tilde
+
+
+def convergence_table(problem, degree, levels, level, exactness=None):
+    """H1 errors over a mesh ladder, where `level(n)` returns mesh level n
+    solved and recovered as by solve_level."""
     levels = [int(n) for n in levels]
     if len(levels) < 3:
         raise ValueError("a convergence study needs at least 3 mesh levels")
     if problem.exact_grad is None:
         raise ValueError("convergence study requires the exact gradient")
-    ns, hs, err_uh, err_tilde, err_diff = [], [], [], [], []
+    hs, err_uh, err_tilde, err_diff = [], [], [], []
     for n in levels:
-        mesh = build_structured_mesh(n)
-        u_h = solver.solve_problem(mesh, degree, problem, exactness)
-        parts = dualmesh.build_partitions(mesh, degree)
-        tilde = postprocess_all(mesh, u_h.dofmap, parts, u_h, problem,
-                                threads=threads, exactness=exactness,
-                                seg_points=seg_points)
-        ns.append(n)
+        mesh, u_h, _, tilde = level(n)
         hs.append(mesh.h)
         err_uh.append(h1_seminorm_error(mesh, u_h, problem.exact_grad,
                                         exactness))
         err_tilde.append(h1_seminorm_error(mesh, tilde, problem.exact_grad,
                                            exactness))
         err_diff.append(h1_seminorm_diff(mesh, u_h, tilde, exactness))
-    return ConvergenceTable(degree=degree, ns=np.array(ns),
+    return ConvergenceTable(degree=degree, ns=np.array(levels),
                             hs=np.array(hs), err_uh=np.array(err_uh),
                             err_tilde=np.array(err_tilde),
                             err_diff=np.array(err_diff))
+
+
+def convergence_study(problem, degree, levels, exactness=None, threads=None):
+    """Solve, recover fluxes, and measure H1 errors over a mesh ladder."""
+    return convergence_table(
+        problem, degree, levels,
+        lambda n: solve_level(problem, degree, n, exactness, threads),
+        exactness)
 
 
 def write_lce_csv(report, path):

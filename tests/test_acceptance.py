@@ -15,7 +15,7 @@ from conservaflux import (build_cv_index, build_partitions,
                           map_to_element, postprocess_all, solve_problem,
                           true_solution_residual)
 from conservaflux.cli import default_ladder, rate_window
-from conservaflux.postprocess import _elemental_blocks, get_context
+from conservaflux.postprocess import _elemental_blocks
 from conservaflux.problems import ProblemSpec
 
 EXAMPLES = (1, 2, 3)
@@ -94,9 +94,8 @@ def test_criterion_4_compatibility_and_rank(solved):
     worst_sv = np.inf
     ok = True
     for (ex, k), (prob, mesh, u, parts, tilde, cv) in solved.items():
-        ctx = get_context(mesh, u.dofmap, prob)
         mats, beta, gauge, defect, scale, _ = _elemental_blocks(
-            ctx, u.values, 0, mesh.n_triangles)
+            u.discretization, u.values, 0, mesh.n_triangles)
         rel = defect / (scale + 1e-30)
         worst_defect = max(worst_defect, rel.max())
         ok &= bool(np.all(rel <= 1e-10))

@@ -90,3 +90,27 @@ def test_default_ladders_shape():
         ladder = default_ladder(3, k)
         assert all(n % 3 == 0 for n in ladder)
         assert len(ladder) >= 3
+
+
+def test_check_all_solves_each_level_once(tmp_path, monkeypatch):
+    from conservaflux import solver
+    real = solver.solve_problem
+    solved = []
+
+    def counting(mesh, *args, **kwargs):
+        solved.append(mesh.structured_n)
+        return real(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_problem", counting)
+    base = ["solve", "--example", "3", "--degree", "2", "--levels", "6,12,24"]
+    assert main(base + ["--check", "all", "--out", str(tmp_path / "all")]) == 0
+    assert solved == [6, 12, 24]
+    # The shared levels change no artifact: separate runs write the same bytes.
+    for check in ("lce", "conservation", "convergence"):
+        assert main(base + ["--check", check,
+                            "--out", str(tmp_path / "each")]) == 0
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
+    for name in names:
+        assert ((tmp_path / "all" / name).read_bytes()
+                == (tmp_path / "each" / name).read_bytes()), name

@@ -203,6 +203,19 @@ def test_cv_index_rejects_mismatched_degree():
         build_cv_index(mesh, dm, parts)
 
 
+def test_cv_index_names_facet_of_displaced_element():
+    mesh = build_structured_mesh(4)
+    dm = build_dof_map(mesh, 2)
+    parts = build_partitions(mesh, 2)
+    t = 10                                     # interior element
+    parts.v0 = parts.v0.copy()
+    parts.v0[t] += [0.01, 0.02]
+    with pytest.raises(DualMeshError, match="disagree") as err:
+        build_cv_index(mesh, dm, parts)
+    facet = int(str(err.value).split()[1].rstrip(":"))
+    assert facet in mesh.tri_edges[t]
+
+
 def test_partition_out_of_range():
     mesh = build_structured_mesh(2)
     with pytest.raises(IndexError):

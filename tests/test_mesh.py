@@ -180,3 +180,17 @@ def test_locate_structured():
     for p, t in zip(pts, found):
         r = inv[t] @ (p - v0[t])
         assert r[0] >= -1e-9 and r[1] >= -1e-9 and r.sum() <= 1 + 1e-9
+
+
+def test_locate_structured_matches_generic_path():
+    # The structured fast path must agree with the generic search on the
+    # same arrays, including -1 for points off the unit square.
+    mesh = build_structured_mesh(4)
+    plain = TriMesh(mesh.vertices, mesh.triangles)
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-0.5, 1.5, size=(400, 2))
+    pts[:3] = [[1.5, 0.5], [0.5, -0.25], [-1e-3, 1.0]]
+    found = mesh.locate(pts)
+    assert np.array_equal(found, plain.locate(pts))
+    assert found[0] == -1
+    assert np.all((found >= 0) == np.all((pts >= 0) & (pts <= 1), axis=1))

@@ -193,15 +193,15 @@ def test_elemental_rhs_partition_sums():
     prob = load_example(1)
     k = 2
     u = solve_problem(mesh, k, prob)
-    from conservaflux.postprocess import _boundary_flux_terms, get_context
-    ctx = get_context(mesh, u.dofmap, prob)
-    assert np.abs(ctx.b_loc.sum(axis=1)
-                  - ctx.f_sub.sum(axis=1)).max() < 1e-14
+    from conservaflux.postprocess import _boundary_flux_terms
+    disc = u.discretization
+    assert np.abs(disc.b_loc.sum(axis=1)
+                  - disc.f_sub.sum(axis=1)).max() < 1e-14
     u_loc = u.values[u.dofmap.cell_dofs]
-    a_rows = np.einsum("tij,tj->ti", ctx.k_loc, u_loc)
+    a_rows = np.einsum("tij,tj->ti", disc.k_loc, u_loc)
     assert np.abs(a_rows.sum(axis=1)).max() < 1e-13
-    q_seg, e_phi = _boundary_flux_terms(ctx, u.values, 0, mesh.n_triangles)
-    e_char = np.einsum("xs,ts->tx", ctx.own_bd, q_seg)
+    q_seg, e_phi = _boundary_flux_terms(disc, u.values, 0, mesh.n_triangles)
+    e_char = np.einsum("xs,ts->tx", disc.segments.own_bd, q_seg)
     assert np.abs((e_char - e_phi).sum(axis=1)).max() < 1e-13
 
 
@@ -335,6 +335,28 @@ def test_linear_solution_recovers_unit_gradient(k):
         assert np.abs(g - 1.0).max() < 1e-10
 
 
+def test_recovery_attaches_and_reuses_discretization():
+    from conservaflux import apply_dirichlet, assemble, build_dof_map, solve
+    mesh = build_structured_mesh(3)
+    prob = load_example(2)
+    dm = build_dof_map(mesh, 2)
+    u = solve(apply_dirichlet(*assemble(mesh, dm, prob), dm, prob))
+    assert u.discretization is None            # split API: nothing to reuse
+    parts = build_partitions(mesh, 2)
+    tilde = postprocess_all(mesh, dm, parts, u, prob)
+    disc = tilde.discretization
+    assert u.discretization is disc            # attached for later checks
+    again = postprocess_all(mesh, dm, parts, u, prob)
+    assert again.discretization is disc
+    # Another problem or exactness gets its own blocks and keeps the field's.
+    other = postprocess_all(mesh, dm, parts, u, load_example(2))
+    finer = postprocess_all(mesh, dm, parts, u, prob, exactness=8)
+    assert other.discretization is not disc
+    assert finer.discretization not in (disc, other.discretization)
+    assert u.discretization is disc
+    assert np.array_equal(other.coeffs, tilde.coeffs)
+
+
 def test_serial_parallel_bit_identity():
     mesh = build_structured_mesh(6)
     prob = load_example(2)
@@ -355,6 +377,30 @@ def test_threads_env_variable(monkeypatch):
     monkeypatch.delenv("CONSERVAFLUX_THREADS")
     assert _thread_count(None) == 1
     assert _thread_count(8) == 8
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_threads_env_variable_rejects_bad_values(monkeypatch, value):
+    from conservaflux.postprocess import _thread_count
+    monkeypatch.setenv("CONSERVAFLUX_THREADS", value)
+    with pytest.raises(ValueError, match=f"CONSERVAFLUX_THREADS.*{value}"):
+        _thread_count(None)
+
+
+def test_threads_empty_env_defaults_to_one(monkeypatch):
+    from conservaflux.postprocess import _thread_count
+    monkeypatch.setenv("CONSERVAFLUX_THREADS", "  ")
+    assert _thread_count(None) == 1
+    monkeypatch.delenv("CONSERVAFLUX_THREADS")
+    assert _thread_count(None) == 1
+
+
+@pytest.mark.parametrize("value", [0, -2])
+def test_threads_argument_rejects_non_positive(monkeypatch, value):
+    from conservaflux.postprocess import _thread_count
+    monkeypatch.delenv("CONSERVAFLUX_THREADS", raising=False)
+    with pytest.raises(ValueError, match=f"threads.*{value}"):
+        _thread_count(value)
 
 
 # -- boundary flux split ------------------------------------------------------
@@ -505,6 +551,14 @@ def test_polyline_needs_two_points():
     u = solve_problem(mesh, 1, prob)
     with pytest.raises(ValueError):
         flux_along_polyline(mesh, u, prob, [[0.5, 0.5]])
+
+
+def test_polyline_off_structured_mesh_raises():
+    mesh = build_structured_mesh(4)
+    prob = linear_problem()
+    u = solve_problem(mesh, 1, prob)
+    with pytest.raises(ValueError, match="leaves the mesh"):
+        flux_along_polyline(mesh, u, prob, [[0.5, 0.5], [1.5, 0.5]])
 
 
 def test_export_postprocessed_csv(tmp_path):

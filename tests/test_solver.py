@@ -6,7 +6,7 @@ from conservaflux import (apply_dirichlet, assemble, build_dof_map,
                           load_example, solve, solve_problem)
 from conservaflux.mesh import TriMesh
 from conservaflux.problems import ProblemSpec
-from conservaflux.solver import SolverError, local_stiffness
+from conservaflux.solver import Discretization, SolverError
 
 
 def constant_problem(value=1.0, g=None):
@@ -78,7 +78,7 @@ def test_dof_ordering_vertices_edges_interior():
 def test_local_stiffness_unit_right_triangle():
     mesh = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
     prob = constant_problem()
-    k_loc = local_stiffness(mesh, 1, prob)
+    k_loc = Discretization(mesh, build_dof_map(mesh, 1), prob).k_loc
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.abs(k_loc[0] - expected).max() < 1e-14
 

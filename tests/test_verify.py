@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from conservaflux import (build_cv_index, build_dof_map, build_partitions,
                           convergence_study, elemental_conservation_report,
                           f_l1_norm, h1_seminorm_diff, h1_seminorm_error,
                           load_example, postprocess_all, solve_problem,
-                          true_solution_residual, write_convergence_csv,
-                          write_lce_csv)
+                          subcell_quadrature, true_solution_residual,
+                          write_convergence_csv, write_lce_csv)
 from conservaflux.problems import ProblemSpec
 
 
@@ -157,10 +159,29 @@ def test_global_balance_from_elemental_identities():
     # summing the elemental balances telescopes to the global one
     prob = load_example(2)
     mesh, u, parts, tilde, cv = pipeline(prob, 2, 6)
-    from conservaflux.solver import subcell_source_integrals
-    f_sub, _ = subcell_source_integrals(mesh, 2, prob)
+    from conservaflux.solver import Discretization
+    f_sub = Discretization(mesh, u.dofmap, prob).f_sub
     boundary_outflow = tilde.boundary_flux.sum()
     assert abs(boundary_outflow - f_sub.sum()) <= 1e-9 * max(1.0, abs(f_sub.sum()))
+
+
+def test_source_evaluated_once_per_composite_point():
+    # Solve, recovery and every check share one discretization, so f is
+    # sampled at each composite subcell point of each element exactly once.
+    base = load_example(2)
+    points = []
+
+    def source(x, y):
+        points.append(np.size(x))
+        return base.source(x, y)
+
+    prob = dataclasses.replace(base, source=source)
+    mesh, u, parts, tilde, cv = pipeline(prob, 2, 6)
+    compute_lce(mesh, cv, parts, u, prob)
+    compute_lce(mesh, cv, parts, tilde, prob)
+    elemental_conservation_report(mesh, parts, tilde, prob)
+    pts, _, _ = subcell_quadrature(2, 6)
+    assert sum(points) == mesh.n_triangles * len(pts)
 
 
 def test_true_solution_residual_quadrature_limited():
