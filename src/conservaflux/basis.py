@@ -104,6 +104,22 @@ def eval_basis(degree, points):
     return vals, grads
 
 
+def map_points(v0, jac, ref):
+    """Images v0 + J r of reference points r (..., 2) under the affine maps
+    (v0 (T, 2), jac (T, 2, 2)) of T elements, shape (T, ..., 2); v0=None
+    maps vectors by J alone. Each coordinate is two broadcast multiply-adds,
+    bit-identical to the einsum contraction, and its own contiguous plane."""
+    ref = np.asarray(ref, dtype=float)
+    lead = (len(jac),) + (1,) * (ref.ndim - 1)
+    j = jac.reshape(lead + (2, 2))
+    out = np.empty((2, len(jac)) + ref.shape[:-1])
+    for a in range(2):
+        out[a] = j[..., a, 0] * ref[..., 0] + j[..., a, 1] * ref[..., 1]
+        if v0 is not None:
+            out[a] += v0[:, a].reshape(lead)
+    return np.moveaxis(out, 0, -1)
+
+
 def map_to_element(mesh, triangle, ref_points):
     """Affine image of reference points in a physical triangle.
 

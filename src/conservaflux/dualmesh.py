@@ -69,6 +69,7 @@ class _RefDual:
     bd_end: np.ndarray       # (B, 2)
     bd_owner: np.ndarray     # (B,)
     bd_facet: np.ndarray     # (B,)
+    bd_mate: np.ndarray      # (B, 3)
     areas: np.ndarray        # (N,) subcell areas, sum = 1/2
     loops: tuple             # per node, (m, 2) CCW polygon loop
     quad_tris: np.ndarray    # (T, 3, 2) triangulated subcells for quadrature
@@ -153,6 +154,16 @@ def _ref_dual(degree):
                 loop_edges[owner].append((m_prev, p[c]))
 
     loops = tuple(_chain_loop(edges) for edges in loop_edges)
+    bd_start, bd_end = np.array(bd_start), np.array(bd_end)
+    bd_facet = np.array(bd_facet, dtype=np.int64)
+    # bd_mate[s, f']: the segment on facet f' whose position along its facet
+    # mirrors that of s. A neighbour whose facet f' is s's facet runs it the
+    # other way, so that is its copy of s, with the points reversed.
+    mid = 0.5 * (bd_start + bd_end)
+    par = np.choose(bd_facet, [mid[:, 0], mid[:, 1], 1.0 - mid[:, 1]])
+    slot = np.rint(2 * k * par - 0.5).astype(np.int64)
+    at = np.empty((3, 2 * k), dtype=np.int64)
+    at[bd_facet, slot] = np.arange(len(bd_facet))
 
     ref = _RefDual(
         degree=k,
@@ -160,9 +171,10 @@ def _ref_dual(degree):
         cv_start=np.array(cv_start), cv_end=np.array(cv_end),
         cv_plus=np.array(cv_plus, dtype=np.int64),
         cv_minus=np.array(cv_minus, dtype=np.int64),
-        bd_start=np.array(bd_start), bd_end=np.array(bd_end),
+        bd_start=bd_start, bd_end=bd_end,
         bd_owner=np.array(bd_owner, dtype=np.int64),
-        bd_facet=np.array(bd_facet, dtype=np.int64),
+        bd_facet=bd_facet,
+        bd_mate=at[:, 2 * k - 1 - slot].T,
         areas=areas,
         loops=loops,
         quad_tris=np.array(quad_tris),
@@ -208,7 +220,7 @@ def subcell_quadrature(degree, exactness):
     ntri = len(tris)
     b = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=2)
     det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    pts = tris[:, None, 0, :] + np.einsum("tab,qb->tqa", b, base.points)
+    pts = basis.map_points(tris[:, 0], b, base.points)
     w = base.weights[None, :] * det[:, None]  # area ratio vs the reference
     owner = np.repeat(ref.quad_owner, npts)
     pts = pts.reshape(ntri * npts, 2)
@@ -381,7 +393,7 @@ def _as_geometry(mesh, partitions, degree):
 def _check_facet_splits(mesh, geo, tol):
     ref = geo.ref
     mid_ref = 0.5 * (ref.bd_start + ref.bd_end)              # (B, 2)
-    mids = geo.v0[:, None, :] + np.einsum("tab,sb->tsa", geo.jac, mid_ref)
+    mids = basis.map_points(geo.v0, geo.jac, mid_ref)
     eids = mesh.tri_edges[:, ref.bd_facet]                   # (nt, B)
     p0 = mesh.vertices[mesh.edges[:, 0]]
     dvec = mesh.vertices[mesh.edges[:, 1]] - p0

@@ -82,38 +82,30 @@ class TriMesh:
     # -- topology -----------------------------------------------------------
 
     def _build_edges(self):
-        nt = len(self.triangles)
-        edge_ids = {}
-        edges = []
-        edge_tris = []
-        tri_edges = np.empty((nt, 3), dtype=np.int64)
-        for t in range(nt):
-            tri = self.triangles[t]
-            for m in range(3):
-                a, b = int(tri[m]), int(tri[(m + 1) % 3])
-                key = (a, b) if a < b else (b, a)
-                eid = edge_ids.get(key)
-                if eid is None:
-                    eid = len(edges)
-                    edge_ids[key] = eid
-                    edges.append(key)
-                    edge_tris.append([t, -1])
-                else:
-                    if edge_tris[eid][1] != -1:
-                        raise MeshError(f"edge {key} referenced by more than "
-                                        "two triangles")
-                    edge_tris[eid][1] = t
-                tri_edges[t, m] = eid
-        self.edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        self.edge_tris = np.array(edge_tris, dtype=np.int64).reshape(-1, 2)
-        self.tri_edges = tri_edges
+        # Half-edge t*3 + m is facet m of triangle t. Edges are numbered in
+        # order of first appearance and list their triangles in that order.
+        tri = self.triangles
+        lo, hi = np.sort([tri, np.roll(tri, -1, axis=1)], axis=0).reshape(2, -1)
+        _, first, inv = np.unique(lo * len(self.vertices) + hi,
+                                  return_index=True, return_inverse=True)
+        eid = np.argsort(np.argsort(first))[inv.ravel()]
+        count = np.bincount(eid, minlength=len(first))
+        order = np.argsort(eid, kind="stable")     # half-edges grouped by edge
+        start = np.cumsum(count) - count
+        if np.any(count > 2):
+            third = order[start[count > 2] + 2].min()
+            raise MeshError(f"edge {(int(lo[third]), int(hi[third]))} "
+                            "referenced by more than two triangles")
+        head = order[start]
+        second = order[np.minimum(start + 1, len(order) - 1)] // 3
+        self.edges = np.column_stack([lo[head], hi[head]])
+        self.edge_tris = np.column_stack(
+            [head // 3, np.where(count == 2, second, -1)])
+        self.tri_edges = eid.reshape(-1, 3)
 
-        nbr = np.empty((nt, 3), dtype=np.int64)
-        for t in range(nt):
-            for m in range(3):
-                pair = self.edge_tris[self.tri_edges[t, m]]
-                nbr[t, m] = pair[1] if pair[0] == t else pair[0]
-        self.tri_neighbors = nbr
+        pair = self.edge_tris[self.tri_edges]              # (nt, 3, 2)
+        own = pair[..., 0] == np.arange(len(tri))[:, None]
+        self.tri_neighbors = np.where(own, pair[..., 1], pair[..., 0])
         self.boundary_edges = np.nonzero(self.edge_tris[:, 1] == -1)[0]
 
     def _label_boundary(self, labels):
@@ -227,20 +219,13 @@ def build_structured_mesh(n):
     xx, yy = np.meshgrid(coords, coords)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
+    # Cell (i, j) has corners a (lower left), b, c (upper right), d.
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    a = j * (n + 1) + i
+    b, c, d = a + 1, a + n + 2, a + n + 1
     triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            triangles[t] = (a, b, c)
-            triangles[t + 1] = (a, c, d)
-            t += 2
+    triangles[0::2] = np.column_stack([a, b, c])
+    triangles[1::2] = np.column_stack([a, c, d])
     return TriMesh(vertices, triangles, h=math.sqrt(2.0) / n, structured_n=n)
 
 

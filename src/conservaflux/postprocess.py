@@ -53,6 +53,18 @@ def _thread_count(threads):
     return int(value)
 
 
+def _dual_matrices(disc, sl):
+    """Flux of every basis function through the dual segments of every
+    subcell, (T, N, N): per segment, the kappa-weighted normal maps
+    (T, ns*2) times the basis gradients (ns*2, N), summed into subcell rows."""
+    seg = disc.segments
+    s, _, n = seg.g_cv.shape
+    w = (seg.sw * seg.kap_cv[sl])[..., None] * seg.mm_cv[sl, :, None, :]
+    v = np.moveaxis(w, 1, 0).reshape(s, len(w), -1) @ seg.g_cv  # (S, T, N)
+    return np.moveaxis((seg.sgn_cv @ v.reshape(s, -1)).reshape(n, -1, n),
+                       0, 1)
+
+
 def _boundary_flux_terms(disc, u_values, t0, t1):
     """Averaged normal-flux data on element-boundary segments.
 
@@ -60,24 +72,28 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
     shape (ct, B), and the rows e(u_h, phi_xi) = int_bd {kappa grad u_h}.n
     phi_xi dl, shape (ct, N).
     """
-    sl = slice(t0, t1)
     seg = disc.segments
-    cell = disc.dofmap.cell_dofs
-    u_loc = u_values[cell[sl]]
-    q_own = np.einsum("tn,sinb,tsb->tsi", u_loc, seg.g_bd, seg.mm_bd[sl])
-
+    mate = seg.mate[t0:t1]
+    nb = mate.shape[1]
+    paired = mate >= 0
+    # Traces of the chunk and of its facet neighbours in one pass. A
+    # neighbour's mated segment holds the same points in reverse order, and
+    # its normal is the opposite one.
+    elems, row = np.unique(
+        np.concatenate([np.arange(t0, t1), mate[paired] // nb]),
+        return_inverse=True)
+    g = (u_values[disc.dofmap.cell_dofs[elems]] @ seg.g_bd).reshape(
+        len(elems), nb, -1, 2)
+    mm = seg.mm_bd[elems]
+    q = g[..., 0] * mm[:, :, None, 0] + g[..., 1] * mm[:, :, None, 1]
+    q_own = q[row[:t1 - t0]]
     q_nbr = q_own.copy()
-    sel = (seg.pair_t >= t0) & (seg.pair_t < t1)
-    if np.any(sel):
-        kt = seg.pair_t[sel] - t0
-        ks = seg.pair_s[sel]
-        u_n = u_values[cell[seg.pair_nbr[sel]]]
-        qn = np.einsum("kn,kinb,kb->ki", u_n, seg.g_nbr[sel], seg.mm_nbr[sel])
-        q_nbr[kt, ks] = qn
-    q_avg = seg.kap_bd[sl] * 0.5 * (q_own + q_nbr)
+    q_nbr[paired] = -q[row[t1 - t0:], mate[paired] % nb, ::-1]
+    q_avg = seg.kap_bd[t0:t1] * 0.5 * (q_own + q_nbr)
 
-    q_seg = np.einsum("tsi,i->ts", q_avg, seg.sw)
-    e_phi = np.einsum("tsi,i,six->tx", q_avg, seg.sw, seg.phi_bd)
+    q_seg = q_avg @ seg.sw
+    e_phi = ((q_avg * seg.sw).reshape(t1 - t0, -1)
+             @ seg.phi_bd.reshape(-1, disc.n))
     return q_seg, e_phi
 
 
@@ -86,19 +102,16 @@ def _elemental_blocks(disc, u_values, t0, t1):
     sl = slice(t0, t1)
     seg = disc.segments
     u_loc = u_values[disc.dofmap.cell_dofs[sl]]
-    a_term = np.einsum("tij,tj->ti", disc.k_loc[sl], u_loc)
+    a_term = (disc.k_loc[sl] @ u_loc[:, :, None])[:, :, 0]
     q_seg, e_phi = _boundary_flux_terms(disc, u_values, t0, t1)
-    e_char = np.einsum("xs,ts->tx", seg.own_bd, q_seg)
-    e_term = e_char - e_phi
+    e_term = q_seg @ seg.own_bd.T - e_phi
 
     beta = disc.f_sub[sl] - disc.b_loc[sl] + a_term + e_term
     bflux = disc.b_loc[sl] - a_term - e_term
     defect = np.abs(beta.sum(axis=1))
     scale = np.linalg.norm(beta, axis=1) + disc.f_abs[sl].sum(axis=1)
 
-    c1 = seg.sw[None, None, :] * seg.kap_cv[sl]
-    v = np.einsum("tsi,sinb,tsb->tsn", c1, seg.g_cv, seg.mm_cv[sl])
-    mats = np.einsum("xs,tsn->txn", seg.sgn_cv, v)
+    mats = _dual_matrices(disc, sl)
     gauge = u_loc.mean(axis=1)
     return mats, beta, gauge, defect, scale, bflux
 
@@ -363,10 +376,7 @@ def control_volume_flux(disc, coeffs):
     """Outward flux of -kappa grad(field) through the dual segments of every
     subcell, shape (nt, N). Row (t, xi) integrates over the control-volume
     part of subcell xi's boundary."""
-    seg = disc.segments
-    c1 = seg.sw[None, None, :] * seg.kap_cv
-    q = np.einsum("tsi,sinb,tn,tsb->ts", c1, seg.g_cv, coeffs, seg.mm_cv)
-    return np.einsum("xs,ts->tx", seg.sgn_cv, q)
+    return (_dual_matrices(disc, slice(None)) @ coeffs[:, :, None])[:, :, 0]
 
 
 def flux_along_polyline(mesh, field, problem, points, npoints=None):

@@ -162,26 +162,31 @@ def sample(fn, phys):
     return np.broadcast_to(vals, phys.shape[:-1])
 
 
+def _source_chunk(degree, exactness, source, v0, jac, det):
+    """Load blocks, subcell integrals of f and of |f| of a chunk of elements,
+    stacked as (3, T, N): the weighted source samples on the composite
+    subcell rule times [basis values | subcell one-hot]."""
+    pts, w, owner = dualmesh.subcell_quadrature(degree, exactness)
+    vals, _ = basis.eval_basis(degree, pts)
+    onehot = np.eye(vals.shape[1])[owner]
+    coef = w * det[:, None] * sample(source, basis.map_points(v0, jac, pts))
+    load_sub = coef @ np.hstack([vals, onehot])
+    return np.stack(np.hsplit(load_sub, 2) + [np.abs(coef) @ onehot])
+
+
 def source_blocks(mesh, degree, problem, exactness=None):
     """Load blocks, subcell integrals of f and subcell integrals of |f|, each
     (nt, N), from one pass over the composite subcell rule. Summing the
     subcell integrals over local nodes reproduces the load row sums."""
     if exactness is None:
         exactness = default_exactness(degree)
-    pts, w, owner = dualmesh.subcell_quadrature(degree, exactness)
-    vals, _ = basis.eval_basis(degree, pts)
-    onehot = np.zeros((len(pts), basis.N_NODES[degree]))
-    onehot[np.arange(len(pts)), owner] = 1.0
     v0, jac, _, det = mesh.element_maps()
-    out = np.empty((3, mesh.n_triangles, onehot.shape[1]))
+    out = np.empty((3, mesh.n_triangles, basis.N_NODES[degree]))
     # Chunks bound the point and sample arrays, which are (nt, Q) sized.
     for t0 in range(0, mesh.n_triangles, _SOURCE_CHUNK):
         sl = slice(t0, t0 + _SOURCE_CHUNK)
-        phys = v0[sl, None, :] + np.einsum("tab,qb->tqa", jac[sl], pts)
-        coef = w[None, :] * det[sl, None] * sample(problem.source, phys)
-        out[0, sl] = np.einsum("tq,qi->ti", coef, vals)
-        out[1, sl] = np.einsum("tq,qi->ti", coef, onehot)
-        out[2, sl] = np.einsum("tq,qi->ti", np.abs(coef), onehot)
+        out[:, sl] = _source_chunk(degree, exactness, problem.source, v0[sl],
+                                   jac[sl], det[sl])
     return out[0], out[1], out[2]
 
 
@@ -206,34 +211,42 @@ class Discretization:
                           else int(exactness))
         self.ref = dualmesh._ref_dual(k)
         self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
-        self.k_loc = self._stiffness()
-        self.b_loc, self.f_sub, self.f_abs = source_blocks(
-            mesh, k, problem, self.exactness)
+        nt = mesh.n_triangles
+        self.k_loc = np.empty((nt, self.n, self.n))
+        src = np.empty((3, nt, self.n))
+        # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
+        for t0 in range(0, nt, _SOURCE_CHUNK):
+            sl = slice(t0, t0 + _SOURCE_CHUNK)
+            self.k_loc[sl] = self._stiffness(sl)
+            src[:, sl] = _source_chunk(k, self.exactness, problem.source,
+                                       self.v0[sl], self.jac[sl],
+                                       self.det_jac[sl])
+        self.b_loc, self.f_sub, self.f_abs = src
 
-    def _stiffness(self):
-        """Stiffness blocks with kappa sampled at the physical quadrature
-        points; a nonpositive value anywhere is an error."""
+    def _stiffness(self, sl):
+        """Stiffness blocks of a chunk, (G c) G^T with G the physical basis
+        gradients and c the weighted kappa samples at the quadrature points;
+        a nonpositive kappa is an error."""
         rule = triangle_rule(self.exactness)
         _, grads = basis.eval_basis(self.degree, rule.points)
-        phys = self.v0[:, None, :] + np.einsum("tab,qb->tqa", self.jac,
-                                               rule.points)
+        phys = basis.map_points(self.v0[sl], self.jac[sl], rule.points)
         kap = sample(self.problem.kappa, phys)
         if not np.all(kap > 0.0):
             t, q = np.unravel_index(int(np.argmin(kap)), kap.shape)
             raise SolverError(
                 f"kappa must be positive; got {kap[t, q]:g} at "
                 f"({phys[t, q, 0]:.6g}, {phys[t, q, 1]:.6g})")
-        g_phys = np.einsum("tba,qib->tqia", self.inv_jac, grads)
-        c = rule.weights[None, :] * self.det_jac[:, None] * kap
-        return np.einsum("tq,tqia,tqja->tij", c, g_phys, g_phys)
+        g = basis.map_points(None, self.inv_jac[sl].transpose(0, 2, 1), grads)
+        c = rule.weights[None, :] * self.det_jac[sl, None] * kap
+        g = np.moveaxis(g, -1, 1).reshape(len(c), -1, self.n)   # (T, 2Q, N)
+        return np.swapaxes(g, 1, 2) @ (np.tile(c, 2)[:, :, None] * g)
 
     def segment_geometry(self, ref_pts, ref_dir):
         """Physical Gauss points (nt, S, ns, 2) of reference segments, and the
         segments' physical directions rotated by -90 degrees (nt, S, 2): the
         outward normal scaled by the segment length."""
-        phys = self.v0[:, None, None, :] + np.einsum("tab,snb->tsna", self.jac,
-                                                     ref_pts)
-        rotd = dualmesh._rot(np.einsum("tab,sb->tsa", self.jac, ref_dir))
+        phys = basis.map_points(self.v0, self.jac, ref_pts)
+        rotd = dualmesh._rot(basis.map_points(None, self.jac, ref_dir))
         return phys, rotd
 
     @cached_property
@@ -260,7 +273,7 @@ def for_field(field, mesh, dofmap, problem, exactness=None):
 
 class SegmentTables:
     """Recovery tables on the dual and element-boundary segments: basis
-    evaluations (also inside facet neighbors), normal maps, kappa samples."""
+    evaluations, normal maps, kappa samples and the facet pairing."""
 
     def __init__(self, disc):
         k, n, ref = disc.degree, disc.n, disc.ref
@@ -268,15 +281,16 @@ class SegmentTables:
         self.sw = srule.weights
         tpar = srule.points
 
-        # Control-volume segments: gauss points, basis gradients, and the
-        # length-scaled normal direction rot(J d) folded into mm = invJ rot(J d)
-        # so that grad(phi).n dl integrates as refgrad(phi).mm per unit weight.
+        # Control-volume segments: gauss points, (S, ns*2, N) basis gradients,
+        # and the length-scaled normal direction rot(J d) folded into mm =
+        # invJ rot(J d) so grad(phi).n dl is refgrad(phi).mm per unit weight.
         self.cv_dir = ref.cv_end - ref.cv_start                 # (S, 2)
         self.cv_pts = (ref.cv_start[:, None, :]
                        + tpar[None, :, None] * self.cv_dir[:, None, :])
         s, ns = self.cv_pts.shape[:2]
         _, grads = basis.eval_basis(k, self.cv_pts.reshape(-1, 2))
-        self.g_cv = grads.reshape(s, ns, n, 2)
+        self.g_cv = np.moveaxis(grads.reshape(s, ns, n, 2), 2, 3).reshape(
+            s, -1, n)
         phys, rotd = disc.segment_geometry(self.cv_pts, self.cv_dir)
         self.mm_cv = np.einsum("tab,tsb->tsa", disc.inv_jac, rotd)
         self.kap_cv = sample(disc.problem.kappa, phys)
@@ -284,29 +298,29 @@ class SegmentTables:
         sgn[ref.cv_plus, np.arange(s)] = -1.0
         sgn[ref.cv_minus, np.arange(s)] += 1.0
 
-        # Element-boundary segments: same layout, plus neighbor-side data.
+        # Element-boundary segments: as above, gradients as (N, B*ns*2).
         self.bd_dir = ref.bd_end - ref.bd_start
         self.bd_pts = (ref.bd_start[:, None, :]
                        + tpar[None, :, None] * self.bd_dir[:, None, :])
         nb, nsb = self.bd_pts.shape[:2]
         vals_b, grads_b = basis.eval_basis(k, self.bd_pts.reshape(-1, 2))
         self.phi_bd = vals_b.reshape(nb, nsb, n)
-        self.g_bd = grads_b.reshape(nb, nsb, n, 2)
+        self.g_bd = np.moveaxis(grads_b, 1, 0).reshape(n, -1)
         phys_b, rotd_b = disc.segment_geometry(self.bd_pts, self.bd_dir)
         self.mm_bd = np.einsum("tab,tsb->tsa", disc.inv_jac, rotd_b)
         self.kap_bd = sample(disc.problem.kappa, phys_b)
         self.own_bd = np.zeros((n, nb))
         self.own_bd[ref.bd_owner, np.arange(nb)] = 1.0
 
-        nbr = disc.mesh.tri_neighbors[:, ref.bd_facet]          # (nt, B)
-        t_idx, s_idx = self.pair_t, self.pair_s = np.nonzero(nbr >= 0)
-        nbrs = self.pair_nbr = nbr[t_idx, s_idx]
-        rel = phys_b[t_idx, s_idx] - disc.v0[nbrs][:, None, :]  # (K, nsb, 2)
-        r_pair = np.einsum("kab,kib->kia", disc.inv_jac[nbrs], rel)
-        _, grads_n = basis.eval_basis(k, r_pair.reshape(-1, 2))
-        self.g_nbr = grads_n.reshape(len(t_idx), nsb, n, 2)
-        self.mm_nbr = np.einsum("kab,kb->ka", disc.inv_jac[nbrs],
-                                rotd_b[t_idx, s_idx])
+        # Facet pairing: mate[t, s] = m * B + s' where segment s' of the
+        # neighbour m holds segment s's points in reverse order; -1 on the
+        # domain boundary. TriMesh is counterclockwise and manifold, so the
+        # neighbour always has such a segment.
+        nbr, edges = disc.mesh.tri_neighbors, disc.mesh.tri_edges
+        f_nbr = np.argmax(edges[np.maximum(nbr, 0)] == edges[:, :, None], 2)
+        m, f = nbr[:, ref.bd_facet], f_nbr[:, ref.bd_facet]
+        self.mate = np.where(m >= 0, m * nb + ref.bd_mate[np.arange(nb), f],
+                             -1)
 
 
 def assemble(mesh, dofmap, problem, exactness=None):
@@ -365,7 +379,8 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
 
 
 def solve(system, rtol=1e-10):
-    """Direct sparse solve with a conjugate-gradient fallback.
+    """Direct sparse solve with a conjugate-gradient fallback of at most n
+    iterations (CG's exact-arithmetic bound), so a singular system fails fast.
 
     The relative residual of the returned solution is at most `rtol`;
     otherwise a SolverError reports the residual that was attained.
@@ -378,11 +393,12 @@ def solve(system, rtol=1e-10):
     def residual(x):
         return float(np.linalg.norm(a @ x - b) / scale)
 
-    x = spla.spsolve(a, b)
+    # Symmetric elimination leaves A structurally symmetric: order A^T + A.
+    x = spla.spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
     res = residual(x)
     if not np.isfinite(res) or res > rtol:
         x_cg, info = spla.cg(a, b, x0=None, rtol=min(rtol, 1e-12), atol=0.0,
-                             maxiter=20 * a.shape[0])
+                             maxiter=a.shape[0])
         res_cg = residual(x_cg)
         if info == 0 and (not np.isfinite(res) or res_cg < res):
             x, res = x_cg, res_cg

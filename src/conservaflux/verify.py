@@ -87,7 +87,7 @@ def h1_seminorm_error(mesh, field, exact_grad, exactness=None):
     coeffs = local_coefficients(field)
     g_ref = np.einsum("tn,qnd->tqd", coeffs, grads)
     g_phys = np.einsum("tqd,tda->tqa", g_ref, inv)
-    phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+    phys = basis.map_points(v0, jac, rule.points)
     gx, gy = exact_grad(phys[..., 0], phys[..., 1])
     gx = np.broadcast_to(np.asarray(gx, dtype=float), phys.shape[:2])
     gy = np.broadcast_to(np.asarray(gy, dtype=float), phys.shape[:2])
@@ -195,10 +195,10 @@ def true_solution_residual(mesh, degree, problem, exactness=None):
     rule = triangle_rule(disc.exactness)
     _, grads = basis.eval_basis(degree, rule.points)
     v0, jac, inv, det = mesh.element_maps()
-    phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+    phys = basis.map_points(v0, jac, rule.points)
     g_ex = exact_grad_at(phys)
     kap = sample(problem.kappa, phys)
-    g_phi = np.einsum("tba,qib->tqia", inv, grads)
+    g_phi = basis.map_points(None, inv.transpose(0, 2, 1), grads)
     c = rule.weights[None, :] * det[:, None] * kap
     a_rows = np.einsum("tq,tqa,tqia->ti", c, g_ex, g_phi)
 

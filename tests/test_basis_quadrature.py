@@ -176,3 +176,22 @@ def test_basis_quadrature_of_unity_gives_area(k):
     for t in (0, 5, 10):
         total = (rule.weights[:, None] * vals).sum() * 2 * areas[t]
         assert abs(total - areas[t]) < 1e-13
+
+
+def test_map_points_bit_identical_to_einsum():
+    from conservaflux.basis import map_points
+    rng = np.random.default_rng(3)
+    v0 = rng.normal(size=(50, 2))
+    jac = rng.normal(size=(50, 2, 2))
+    pts = random_ref_points(rng, 40)
+    segs = rng.random((7, 4, 2))
+    _, grads = eval_basis(3, pts)
+    assert np.array_equal(map_points(v0, jac, pts),
+                          v0[:, None, :] + np.einsum("tab,qb->tqa", jac, pts))
+    assert np.array_equal(
+        map_points(v0, jac, segs),
+        v0[:, None, None, :] + np.einsum("tab,snb->tsna", jac, segs))
+    assert np.array_equal(map_points(None, jac, segs[:, 0]),
+                          np.einsum("tab,sb->tsa", jac, segs[:, 0]))
+    assert np.array_equal(map_points(None, jac.transpose(0, 2, 1), grads),
+                          np.einsum("tba,qib->tqia", jac, grads))

@@ -114,3 +114,28 @@ def test_check_all_solves_each_level_once(tmp_path, monkeypatch):
     for name in names:
         assert ((tmp_path / "all" / name).read_bytes()
                 == (tmp_path / "each" / name).read_bytes()), name
+
+
+def test_lce_check_samples_the_source_once_per_level(tmp_path, monkeypatch):
+    # The lce tolerance's ||f||_1 comes from the level's own source pass,
+    # not from a second pass over the composite rule.
+    import dataclasses
+
+    from conservaflux import cli, load_example, solver, subcell_quadrature
+    points = []
+
+    def counted(ex):
+        prob = load_example(ex)
+
+        def source(x, y):
+            points.append(np.size(x))
+            return prob.source(x, y)
+        return dataclasses.replace(prob, source=source)
+
+    monkeypatch.setattr(cli, "load_example", counted)
+    levels = (3, 6)
+    assert main(["solve", "--example", "2", "--degree", "2", "--levels",
+                 ",".join(map(str, levels)), "--check", "lce",
+                 "--out", str(tmp_path)]) == 0
+    pts, _, _ = subcell_quadrature(2, solver.default_exactness(2))
+    assert sum(points) == len(pts) * sum(2 * n * n for n in levels)

@@ -14,6 +14,75 @@ def brute_force_edges(mesh):
     return edges
 
 
+def loop_topology(triangles):
+    """Reference edge topology from one scan over the facets in triangle
+    order: edges numbered by first appearance, triangles listed in the order
+    they reference the edge."""
+    ids, edges, edge_tris = {}, [], []
+    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
+    for t, tri in enumerate(triangles):
+        for m in range(3):
+            a, b = int(tri[m]), int(tri[(m + 1) % 3])
+            key = (min(a, b), max(a, b))
+            if key in ids:
+                edge_tris[ids[key]][1] = t
+            else:
+                ids[key] = len(edges)
+                edges.append(key)
+                edge_tris.append([t, -1])
+            tri_edges[t, m] = ids[key]
+    nbr = np.array([[edge_tris[e][1] if edge_tris[e][0] == t
+                     else edge_tris[e][0] for e in row]
+                    for t, row in enumerate(tri_edges)])
+    edge_tris = np.array(edge_tris)
+    return {"edges": np.array(edges), "edge_tris": edge_tris,
+            "tri_edges": tri_edges, "tri_neighbors": nbr,
+            "boundary_edges": np.nonzero(edge_tris[:, 1] == -1)[0]}
+
+
+def shuffled(mesh, seed):
+    """The same triangulation with its triangles permuted and each one's
+    vertex list rotated, which keeps it counterclockwise."""
+    rng = np.random.default_rng(seed)
+    tris = mesh.triangles[rng.permutation(mesh.n_triangles)]
+    shift = rng.integers(0, 3, size=len(tris))
+    tris = np.array([np.roll(t, -s) for t, s in zip(tris, shift)])
+    return TriMesh(mesh.vertices, tris)
+
+
+@pytest.mark.parametrize("case", [f"structured-{n}" for n in range(1, 9)]
+                         + ["jittered-7", "shuffled-5"])
+def test_topology_matches_loop_oracle(case, jittered_mesh):
+    kind, n = case.split("-")
+    mesh = {"structured": lambda: build_structured_mesh(int(n)),
+            "jittered": lambda: jittered_mesh(int(n), seed=3),
+            "shuffled": lambda: shuffled(build_structured_mesh(int(n)), 4),
+            }[kind]()
+    for name, expected in loop_topology(mesh.triangles).items():
+        got = getattr(mesh, name)
+        assert got.dtype == np.int64, name
+        assert np.array_equal(got, expected.reshape(got.shape)), name
+
+
+def test_rejects_edge_shared_by_three_triangles():
+    vertices = [[0, 0], [1, 0], [0, 1], [0.5, -1], [0.5, 2]]
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) referenced by more "
+                                        "than two triangles"):
+        TriMesh(vertices, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+
+
+def test_structured_triangles_match_cell_loop():
+    n = 5
+    mesh = build_structured_mesh(n)
+    expected = []
+    for j in range(n):
+        for i in range(n):
+            a, b = j * (n + 1) + i, j * (n + 1) + i + 1
+            c, d = b + n + 1, a + n + 1
+            expected += [(a, b, c), (a, c, d)]
+    assert np.array_equal(mesh.triangles, expected)
+
+
 def test_smallest_mesh_counts():
     mesh = build_structured_mesh(1)
     assert mesh.n_vertices == 4

@@ -572,3 +572,63 @@ def test_export_postprocessed_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "element,local_dof,x,y,alpha"
     assert len(lines) == 1 + mesh.n_triangles * 6
+
+
+# -- facet pairing ---------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_facet_mates_pair_reversed_gauss_points(k, jittered_mesh):
+    mesh = jittered_mesh(6, seed=5)
+    u = solve_problem(mesh, k, load_example(2))
+    disc = u.discretization
+    seg = disc.segments
+    nt, nb = seg.mate.shape
+    mate = seg.mate.ravel()
+    paired = mate >= 0
+    nbr = mesh.tri_neighbors[:, disc.ref.bd_facet]
+    assert np.array_equal(seg.mate < 0, nbr < 0)          # boundary facets
+    assert np.all(mate[~paired] == -1)
+    assert np.array_equal(mate[mate[paired]], np.nonzero(paired)[0])
+    assert np.array_equal(mate[paired] // nb, nbr.ravel()[paired])
+    phys, _ = disc.segment_geometry(seg.bd_pts, seg.bd_dir)
+    phys = phys.reshape(nt * nb, -1, 2)
+    gap = np.abs(phys[paired] - phys[mate[paired]][:, ::-1]).max()
+    assert gap <= 1e-12 * mesh.h
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_neighbour_trace_matches_mapped_point_reference(k, jittered_mesh):
+    # Reference: the neighbour's gradient evaluated at this element's own
+    # Gauss points, mapped into the neighbour's reference element.
+    from conservaflux.postprocess import _boundary_flux_terms
+    mesh = jittered_mesh(6, seed=6)
+    u = solve_problem(mesh, k, load_example(2))
+    disc = u.discretization
+    seg = disc.segments
+    v0, _, inv, _ = mesh.element_maps()
+    coeffs = u.values[u.dofmap.cell_dofs]
+    phys, rotd = disc.segment_geometry(seg.bd_pts, seg.bd_dir)
+
+    def flux(t, pts, rot):
+        _, grads = eval_basis(k, (pts - v0[t]) @ inv[t].T)
+        return (np.einsum("pnd,n->pd", grads, coeffs[t]) @ inv[t]) @ rot
+
+    nt, nb = seg.mate.shape
+    q_avg = np.empty(seg.kap_bd.shape)
+    for t in range(nt):
+        for s in range(nb):
+            own = flux(t, phys[t, s], rotd[t, s])
+            m = mesh.tri_neighbors[t, disc.ref.bd_facet[s]]
+            other = own if m < 0 else flux(m, phys[t, s], rotd[t, s])
+            q_avg[t, s] = seg.kap_bd[t, s] * 0.5 * (own + other)
+    q_ref = q_avg @ seg.sw
+    e_ref = np.einsum("tsi,i,six->tx", q_avg, seg.sw, seg.phi_bd)
+
+    # The whole mesh at once and in chunks that cut through neighbour pairs.
+    for bounds in ((0, nt), (0, 13, 40, nt)):
+        parts = [_boundary_flux_terms(disc, u.values, a, b)
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+        q_seg = np.concatenate([p[0] for p in parts])
+        e_phi = np.concatenate([p[1] for p in parts])
+        assert np.abs(q_seg - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
+        assert np.abs(e_phi - e_ref).max() <= 1e-12 * np.abs(e_ref).max()

@@ -233,3 +233,81 @@ def test_solution_csv_export(tmp_path):
     assert len(lines) == 1 + u.dofmap.n_dofs
     idx, x, y, v = lines[1].split(",")
     assert float(v) == pytest.approx(float(x) + float(y), abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
+    # A small chunk size makes the 72 elements span several chunks, the last
+    # one partial.
+    from conservaflux import solver
+    from conservaflux.basis import eval_basis
+    from conservaflux.dualmesh import subcell_quadrature
+    from conservaflux.quadrature import triangle_rule
+    monkeypatch.setattr(solver, "_SOURCE_CHUNK", 7)
+    mesh = jittered_mesh(6, seed=11)
+    prob = load_example(2)
+    disc = Discretization(mesh, build_dof_map(mesh, k), prob)
+    v0, jac, inv, det = mesh.element_maps()
+
+    rule = triangle_rule(disc.exactness)
+    _, grads = eval_basis(k, rule.points)
+    phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, rule.points)
+    g = np.einsum("tba,qib->tqia", inv, grads)
+    c = rule.weights * det[:, None] * prob.kappa(phys[..., 0], phys[..., 1])
+    pts, w, owner = subcell_quadrature(k, disc.exactness)
+    vals, _ = eval_basis(k, pts)
+    onehot = np.eye(vals.shape[1])[owner]
+    phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, pts)
+    coef = w * det[:, None] * prob.source(phys[..., 0], phys[..., 1])
+    expected = {
+        "k_loc": np.einsum("tq,tqia,tqja->tij", c, g, g),
+        "b_loc": np.einsum("tq,qi->ti", coef, vals),
+        "f_sub": np.einsum("tq,qi->ti", coef, onehot),
+        "f_abs": np.einsum("tq,qi->ti", np.abs(coef), onehot),
+    }
+    for name, ref in expected.items():
+        got = getattr(disc, name)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+    # The library source pass is the same computation.
+    for got, name in zip(solver.source_blocks(mesh, k, prob),
+                         ("b_loc", "f_sub", "f_abs")):
+        assert np.array_equal(got, getattr(disc, name)), name
+
+
+def pure_neumann_system(n):
+    prob = load_example(2)
+    mesh = build_structured_mesh(n)
+    dm = build_dof_map(mesh, 1)
+    a, b = assemble(mesh, dm, prob)
+    return apply_dirichlet(a, b, dm, ProblemSpec(
+        kappa=prob.kappa, source=prob.source, dirichlet={}))
+
+
+def test_cg_fallback_iterations_capped_at_system_size(monkeypatch):
+    import warnings
+
+    import scipy.sparse.linalg as spla
+    system = pure_neumann_system(8)
+    n = system.matrix.shape[0]
+    seen = []
+
+    def cg(*args, **kwargs):
+        seen.append(kwargs["maxiter"])
+        return real(*args, **kwargs)
+
+    real = spla.cg
+    monkeypatch.setattr(spla, "cg", cg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SolverError, match="residual"):
+            solve(system)
+    assert seen and all(m <= n for m in seen)
+
+
+def test_singular_pure_neumann_fails_with_residual():
+    import warnings
+    system = pure_neumann_system(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SolverError, match="relative residual"):
+            solve(system)
