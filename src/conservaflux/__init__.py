@@ -21,8 +21,8 @@ from .solver import (ConstrainedSystem, DofMap, FemField, apply_dirichlet,
 from .verify import (ConvergenceTable, LceReport, compute_lce,
                      convergence_study, elemental_conservation_report,
                      f_l1_norm, h1_seminorm_diff, h1_seminorm_error,
-                     true_solution_residual, write_convergence_csv,
-                     write_lce_csv)
+                     true_solution_residual, write_conservation_csv,
+                     write_convergence_csv, write_lce_csv)
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,6 @@ __all__ = [
     "build_dof_map", "export_solution_csv", "solve", "solve_problem",
     "ConvergenceTable", "LceReport", "compute_lce", "convergence_study",
     "elemental_conservation_report", "f_l1_norm", "h1_seminorm_diff",
-    "h1_seminorm_error", "true_solution_residual", "write_convergence_csv",
-    "write_lce_csv",
+    "h1_seminorm_error", "true_solution_residual", "write_conservation_csv",
+    "write_convergence_csv", "write_lce_csv",
 ]

@@ -109,11 +109,7 @@ def _check_conservation(config, problem, out, level):
             mesh, parts, tilde, problem, config.quad_exactness)
         path = out / (f"conservation_{config.example}_k{config.degree}"
                       f"_n{n}.csv")
-        with open(path, "w", newline="") as f:
-            f.write("element,residual,scale\n")
-            for t in range(len(report.residuals)):
-                f.write(f"{t},{float(report.residuals[t])!r},"
-                        f"{float(report.scales[t])!r}\n")
+        verify.write_conservation_csv(report, path)
         ok = report.max_relative <= CONSERVATION_RTOL
         print(f"check=conservation example={config.example} k={config.degree} "
               f"n={n} max_residual={report.max_residual:.3e} "

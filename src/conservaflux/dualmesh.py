@@ -21,13 +21,13 @@ reference triangle and mapped through each element's jacobian.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import basis
+from ._table import coords, labels, numbers, write_table
 from .quadrature import triangle_rule
 
 CLASS_CONTROL_VOLUME = "cv"
@@ -295,15 +295,9 @@ class DualGeometry:
         J = self.jac[t]
         v0 = self.v0[t]
 
-        ns, nb = len(ref.cv_start), len(ref.bd_start)
-        start = np.vstack([ref.cv_start, ref.cv_start, ref.bd_start]) @ J.T + v0
-        end = np.vstack([ref.cv_end, ref.cv_end, ref.bd_end]) @ J.T + v0
-        # Second cv block: the minus-owner side, with swapped endpoints.
-        start[ns:2 * ns], end[ns:2 * ns] = end[ns:2 * ns].copy(), start[ns:2 * ns].copy()
-        owner = np.concatenate([ref.cv_plus, ref.cv_minus, ref.bd_owner])
-        facet = np.concatenate([np.full(2 * ns, -1, dtype=np.int64), ref.bd_facet])
-        cls = np.array([CLASS_CONTROL_VOLUME] * (2 * ns)
-                       + [CLASS_ELEMENT_BOUNDARY] * nb)
+        start, end, owner, cls = self._segments(t)
+        facet = np.concatenate([np.full(2 * len(ref.cv_start), -1,
+                                        dtype=np.int64), ref.bd_facet])
         d = end - start
         length = np.hypot(d[:, 0], d[:, 1])
         normal = _rot(d) / length[:, None]
@@ -317,6 +311,24 @@ class DualGeometry:
             seg_length=length, seg_normal=normal,
             loops=tuple(lp @ J.T + v0 for lp in ref.loops),
         )
+
+    def _segments(self, t):
+        """Start and end points (..., M, 2) of the subcell segments of
+        element t, or of the elements t selects, and the owner and class of
+        each of the M rows, in SubcellPartition row order."""
+        ref = self.ref
+        ns, nb = len(ref.cv_start), len(ref.bd_start)
+        jt = self.jac[t].swapaxes(-1, -2)
+        v0 = self.v0[t][..., None, :]
+        start = np.vstack([ref.cv_start, ref.cv_start, ref.bd_start]) @ jt + v0
+        end = np.vstack([ref.cv_end, ref.cv_end, ref.bd_end]) @ jt + v0
+        # Second cv block: the minus-owner side, with swapped endpoints.
+        minus = (..., slice(ns, 2 * ns), slice(None))
+        start[minus], end[minus] = end[minus].copy(), start[minus].copy()
+        owner = np.concatenate([ref.cv_plus, ref.cv_minus, ref.bd_owner])
+        cls = np.array([CLASS_CONTROL_VOLUME] * (2 * ns)
+                       + [CLASS_ELEMENT_BOUNDARY] * nb)
+        return start, end, owner, cls
 
 
 def build_partitions(mesh, degree):
@@ -421,17 +433,13 @@ def _check_facet_splits(mesh, geo, tol):
 def export_dual_csv(partitions, path):
     """Write all subcell boundary segments as
     "x0,y0,x1,y1,class,element,local_dof" rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x0", "y0", "x1", "y1", "class", "element", "local_dof"])
-        for part in partitions:
-            for i in range(len(part.seg_owner)):
-                writer.writerow([
-                    repr(float(part.seg_start[i, 0])),
-                    repr(float(part.seg_start[i, 1])),
-                    repr(float(part.seg_end[i, 0])),
-                    repr(float(part.seg_end[i, 1])),
-                    part.seg_class[i],
-                    part.element,
-                    int(part.seg_owner[i]),
-                ])
+    tiny = np.abs(partitions.det_jac) < 1e-14 * partitions.mesh.h ** 2
+    if tiny.any():
+        partitions[int(np.argmax(tiny))]  # raises: triangle is degenerate
+    start, end, owner, cls = partitions._segments(slice(None))
+    nt, m = start.shape[:2]
+    ends = [coords(p[..., a].ravel()) for p in (start, end) for a in (0, 1)]
+    write_table(path, "x0,y0,x1,y1,class,element,local_dof", nt * m,
+                ends + [labels(cls, np.tile(np.arange(m), nt)),
+                        numbers(np.repeat(np.arange(nt), m)),
+                        numbers(np.tile(owner, nt))])

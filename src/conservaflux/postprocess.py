@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, dualmesh
+from ._table import coords, numbers, write_table
 from .dualmesh import _rot
 from .quadrature import segment_rule
-from .solver import default_segment_points, for_field, sample
+from .solver import FemField, default_segment_points, for_field, sample
 
 THREADS_ENV = "CONSERVAFLUX_THREADS"
 _DEFECT_RTOL = 1e-10
@@ -186,15 +187,7 @@ class PostprocessedField:
     def local_coeffs(self, t):
         return self.coeffs[t]
 
-    def value_on(self, t, ref_points):
-        vals, _ = basis.eval_basis(self.degree, ref_points)
-        return vals @ self.coeffs[t]
-
-    def grad_on(self, t, ref_points):
-        _, grads = basis.eval_basis(self.degree, ref_points)
-        _, _, inv, _ = self.mesh.element_maps()
-        ref = np.einsum("pnd,n->pd", grads, self.coeffs[t])
-        return ref @ inv[t]
+    grad_on = FemField.grad_on
 
 
 def local_coefficients(field):
@@ -439,16 +432,11 @@ def _edge_crossings(p, d, e0, e1):
 
 def export_postprocessed_csv(field, path):
     """Write the corrected coefficients as "element,local_dof,x,y,alpha"."""
-    import csv as _csv
-    geo = dualmesh.DualGeometry(field.mesh, field.degree)
-    nodes_ref = geo.ref.nodes
     v0, jac, _, _ = field.mesh.element_maps()
-    with open(path, "w", newline="") as f:
-        writer = _csv.writer(f)
-        writer.writerow(["element", "local_dof", "x", "y", "alpha"])
-        for t in range(field.mesh.n_triangles):
-            pts = nodes_ref @ jac[t].T + v0[t]
-            for i in range(len(nodes_ref)):
-                writer.writerow([t, i, repr(float(pts[i, 0])),
-                                 repr(float(pts[i, 1])),
-                                 repr(float(field.coeffs[t, i]))])
+    pts = basis.ref_nodes(field.degree) @ jac.transpose(0, 2, 1) + v0[:, None]
+    nt, n = field.coeffs.shape
+    write_table(path, "element,local_dof,x,y,alpha", nt * n,
+                [numbers(np.repeat(np.arange(nt), n)),
+                 numbers(np.tile(np.arange(n), nt)),
+                 coords(pts[..., 0].ravel()), coords(pts[..., 1].ravel()),
+                 numbers(field.coeffs.ravel())])

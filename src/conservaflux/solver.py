@@ -15,7 +15,6 @@ quadrature-error level.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import basis, dualmesh
+from ._table import coords, numbers, write_table
 from .quadrature import segment_rule, triangle_rule
 
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
@@ -68,9 +68,6 @@ class DofMap:
     @property
     def boundary_parts(self):
         return set(self.on_part)
-
-    def interior_dofs(self):
-        return np.nonzero(~self.on_boundary)[0]
 
 
 def build_dof_map(mesh, degree):
@@ -142,10 +139,6 @@ class FemField:
 
     def local_coeffs(self, t):
         return self.values[self.dofmap.cell_dofs[t]]
-
-    def value_on(self, t, ref_points):
-        vals, _ = basis.eval_basis(self.degree, ref_points)
-        return vals @ self.local_coeffs(t)
 
     def grad_on(self, t, ref_points):
         """Physical gradient at reference points of element t, shape (P, 2)."""
@@ -425,10 +418,6 @@ def solve_problem(mesh, degree, problem, exactness=None, rtol=1e-10):
 def export_solution_csv(field, path):
     """Write the solution as "dof_index,x,y,value" rows."""
     dm = field.dofmap
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["dof_index", "x", "y", "value"])
-        for i in range(dm.n_dofs):
-            writer.writerow([i, repr(float(dm.coords[i, 0])),
-                             repr(float(dm.coords[i, 1])),
-                             repr(float(field.values[i]))])
+    write_table(path, "dof_index,x,y,value", dm.n_dofs,
+                [numbers(np.arange(dm.n_dofs)), coords(dm.coords[:, 0]),
+                 coords(dm.coords[:, 1]), numbers(field.values)])

@@ -12,12 +12,12 @@ and convergence rates are least-squares slopes of log error against log h.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis, dualmesh, solver
+from ._table import coords, labels, numbers, write_table
 from .postprocess import (control_volume_flux, local_coefficients,
                           postprocess_all)
 from .quadrature import triangle_rule
@@ -42,10 +42,6 @@ class LceReport:
     @property
     def max_abs(self):
         return float(np.abs(self.values).max()) if len(self.values) else 0.0
-
-    @property
-    def mean_abs(self):
-        return float(np.abs(self.values).mean()) if len(self.values) else 0.0
 
 
 def compute_lce(mesh, cv_index, partitions, field, problem,
@@ -76,25 +72,28 @@ def compute_lce(mesh, cv_index, partitions, field, problem,
                      values=lce[interior])
 
 
+def _h1_distance(mesh, coeffs, degree, exactness, exact_grad=None):
+    """H1 semi-norm of the elementwise polynomials with nodal coefficients
+    `coeffs` (nt, N), minus `exact_grad` when one is given."""
+    if exactness is None:
+        exactness = solver.default_exactness(degree)
+    rule = triangle_rule(exactness)
+    _, grads = basis.eval_basis(degree, rule.points)
+    v0, jac, inv, det = mesh.element_maps()
+    g = (coeffs @ np.hstack(grads)).reshape(len(coeffs), -1, 2)  # (nt, Q, 2)
+    dx, dy = (g[..., 0] * inv[:, 0, a, None] + g[..., 1] * inv[:, 1, a, None]
+              for a in (0, 1))
+    if exact_grad is not None:
+        phys = basis.map_points(v0, jac, rule.points)
+        gx, gy = exact_grad(phys[..., 0], phys[..., 1])
+        dx, dy = gx - dx, gy - dy
+    return float(np.sqrt(det @ ((dx * dx + dy * dy) @ rule.weights)))
+
+
 def h1_seminorm_error(mesh, field, exact_grad, exactness=None):
     """H1 semi-norm distance to a known gradient, by elementwise quadrature."""
-    k = field.degree
-    if exactness is None:
-        exactness = solver.default_exactness(k)
-    rule = triangle_rule(exactness)
-    _, grads = basis.eval_basis(k, rule.points)
-    v0, jac, inv, det = mesh.element_maps()
-    coeffs = local_coefficients(field)
-    g_ref = np.einsum("tn,qnd->tqd", coeffs, grads)
-    g_phys = np.einsum("tqd,tda->tqa", g_ref, inv)
-    phys = basis.map_points(v0, jac, rule.points)
-    gx, gy = exact_grad(phys[..., 0], phys[..., 1])
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), phys.shape[:2])
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), phys.shape[:2])
-    dx = gx - g_phys[..., 0]
-    dy = gy - g_phys[..., 1]
-    cell = np.einsum("q,t,tq->", rule.weights, det, dx * dx + dy * dy)
-    return float(np.sqrt(cell))
+    return _h1_distance(mesh, local_coefficients(field), field.degree,
+                        exactness, exact_grad)
 
 
 def h1_seminorm_diff(mesh, field_a, field_b, exactness=None):
@@ -104,17 +103,9 @@ def h1_seminorm_diff(mesh, field_a, field_b, exactness=None):
     """
     if field_a.degree != field_b.degree:
         raise ValueError("fields have different degrees")
-    k = field_a.degree
-    if exactness is None:
-        exactness = solver.default_exactness(k)
-    rule = triangle_rule(exactness)
-    _, grads = basis.eval_basis(k, rule.points)
-    _, _, inv, det = mesh.element_maps()
-    d_loc = local_coefficients(field_a) - local_coefficients(field_b)
-    g_ref = np.einsum("tn,qnd->tqd", d_loc, grads)
-    g_phys = np.einsum("tqd,tda->tqa", g_ref, inv)
-    cell = np.einsum("q,t,tqa->", rule.weights, det, g_phys * g_phys)
-    return float(np.sqrt(cell))
+    return _h1_distance(
+        mesh, local_coefficients(field_a) - local_coefficients(field_b),
+        field_a.degree, exactness)
 
 
 @dataclass
@@ -177,12 +168,8 @@ def true_solution_residual(mesh, degree, problem, exactness=None):
     seg = disc.segments
 
     def exact_grad_at(phys):
-        gx, gy = problem.exact_grad(phys[..., 0], phys[..., 1])
         g = np.empty(phys.shape)
-        g[..., 0] = np.broadcast_to(np.asarray(gx, dtype=float),
-                                    phys.shape[:-1])
-        g[..., 1] = np.broadcast_to(np.asarray(gy, dtype=float),
-                                    phys.shape[:-1])
+        g[..., 0], g[..., 1] = problem.exact_grad(phys[..., 0], phys[..., 1])
         return g
 
     # Dual-segment flux rows of the exact field.
@@ -294,30 +281,24 @@ def convergence_study(problem, degree, levels, exactness=None, threads=None):
 
 def write_lce_csv(report, path):
     """Rows "dof_index,class,x,y,lce"."""
-    kind_names = {0: "vertex", 1: "edge", 2: "interior"}
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["dof_index", "class", "x", "y", "lce"])
-        for i in range(len(report.dof_ids)):
-            writer.writerow([
-                int(report.dof_ids[i]),
-                kind_names[int(report.kinds[i])],
-                repr(float(report.coords[i, 0])),
-                repr(float(report.coords[i, 1])),
-                repr(float(report.values[i])),
-            ])
+    names = [solver.DOF_KIND_NAMES[c] for c in range(3)]
+    write_table(path, "dof_index,class,x,y,lce", len(report.dof_ids),
+                [numbers(report.dof_ids), labels(names, report.kinds),
+                 coords(report.coords[:, 0]), coords(report.coords[:, 1]),
+                 numbers(report.values)])
+
+
+def write_conservation_csv(report, path):
+    """Rows "element,residual,scale", with LF line endings."""
+    n = len(report.residuals)
+    write_table(path, "element,residual,scale", n,
+                [numbers(np.arange(n)), numbers(report.residuals),
+                 numbers(report.scales)], term="\n")
 
 
 def write_convergence_csv(table, path):
     """Rows "n,h,err_uh,err_tilde,err_diff"."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["n", "h", "err_uh", "err_tilde", "err_diff"])
-        for i in range(len(table.ns)):
-            writer.writerow([
-                int(table.ns[i]),
-                repr(float(table.hs[i])),
-                repr(float(table.err_uh[i])),
-                repr(float(table.err_tilde[i])),
-                repr(float(table.err_diff[i])),
-            ])
+    write_table(path, "n,h,err_uh,err_tilde,err_diff", len(table.ns),
+                [numbers(np.asarray(table.ns, dtype=np.int64))]
+                + [numbers(e) for e in (table.hs, table.err_uh,
+                                        table.err_tilde, table.err_diff)])

@@ -12,8 +12,9 @@ from conservaflux import (build_cv_index, build_partitions,
                           build_structured_mesh, compute_lce,
                           convergence_study, elemental_conservation_report,
                           f_l1_norm, h1_seminorm_error, load_example,
-                          map_to_element, postprocess_all, solve_problem,
-                          true_solution_residual)
+                          map_to_element, postprocess_all, read_mesh_file,
+                          solve_problem, true_solution_residual,
+                          write_mesh_file)
 from conservaflux.cli import default_ladder, rate_window
 from conservaflux.postprocess import _elemental_blocks
 from conservaflux.problems import ProblemSpec
@@ -87,6 +88,36 @@ def test_criterion_3_elemental_conservation(solved):
         ok &= rep.max_relative <= 1e-10
     assert report(3, f"elemental conservation residual / scale, worst of 9 "
                      f"cases: {worst:.2e} <= 1e-10", ok)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k", DEGREES)
+@pytest.mark.parametrize("ex", EXAMPLES)
+def test_criteria_1_to_3_on_jittered_meshes(ex, k, seed, jittered_mesh,
+                                            tmp_path):
+    # The mesh reaches the solver through the mesh file format.
+    built = jittered_mesh(12, seed)
+    write_mesh_file(built, tmp_path / "mesh.txt")
+    mesh = read_mesh_file(tmp_path / "mesh.txt")
+    assert np.array_equal(mesh.vertices.view(np.int64),
+                          built.vertices.view(np.int64))
+    assert np.array_equal(mesh.triangles, built.triangles)
+    assert mesh.boundary_labels == built.boundary_labels
+
+    prob = load_example(ex)
+    u = solve_problem(mesh, k, prob)
+    parts = build_partitions(mesh, k)
+    tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
+    cv = build_cv_index(mesh, u.dofmap, parts)
+    tol = 1e-10 * max(1.0, f_l1_norm(mesh, k, prob))
+    lce_tilde = compute_lce(mesh, cv, parts, tilde, prob).max_abs
+    lce_uh = compute_lce(mesh, cv, parts, u, prob).max_abs
+    cons = elemental_conservation_report(mesh, parts, tilde,
+                                         prob).max_relative
+    ok = lce_tilde <= tol < lce_uh and cons <= 1e-10
+    assert report("1-3", f"jittered 12x12 seed {seed} example {ex} k={k}: "
+                         f"LCE(tilde) {lce_tilde:.1e} <= {tol:.1e} < LCE(uh) "
+                         f"{lce_uh:.1e}; elemental {cons:.1e} <= 1e-10", ok)
 
 
 def test_criterion_4_compatibility_and_rank(solved):

@@ -96,6 +96,42 @@ def test_h1_diff_ignores_elementwise_constants():
     assert h1_seminorm_diff(mesh, tilde, shifted) < 1e-11
 
 
+def einsum_h1(mesh, coeffs, degree, exact_grad=None):
+    """The einsum formulation of the H1 kernels, kept as their reference."""
+    from conservaflux import basis, solver, triangle_rule
+    rule = triangle_rule(solver.default_exactness(degree))
+    _, grads = basis.eval_basis(degree, rule.points)
+    v0, jac, inv, det = mesh.element_maps()
+    g_ref = np.einsum("tn,qnd->tqd", coeffs, grads)
+    g_phys = np.einsum("tqd,tda->tqa", g_ref, inv)
+    if exact_grad is not None:
+        phys = basis.map_points(v0, jac, rule.points)
+        gx, gy = exact_grad(phys[..., 0], phys[..., 1])
+        g_phys = np.stack([gx - g_phys[..., 0], gy - g_phys[..., 1]], -1)
+    return float(np.sqrt(np.einsum("q,t,tqa->", rule.weights, det,
+                                   g_phys * g_phys)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("jittered", [False, True])
+def test_h1_kernels_match_einsum_reference(k, jittered, jittered_mesh):
+    from conservaflux.postprocess import local_coefficients
+    prob = load_example(2)
+    mesh = jittered_mesh(6, seed=k) if jittered else build_structured_mesh(6)
+    u = solve_problem(mesh, k, prob)
+    parts = build_partitions(mesh, k)
+    tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
+    # Matmul and einsum sum in different orders; the errors are ~1e-3 to
+    # 1e-6, so rounding moves them by far less than 1e-9 relative.
+    for fld in (u, tilde):
+        ref = einsum_h1(mesh, local_coefficients(fld), k, prob.exact_grad)
+        assert h1_seminorm_error(mesh, fld, prob.exact_grad) == \
+            pytest.approx(ref, rel=1e-9)
+    diff = local_coefficients(u) - local_coefficients(tilde)
+    assert h1_seminorm_diff(mesh, u, tilde) == \
+        pytest.approx(einsum_h1(mesh, diff, k), rel=1e-9)
+
+
 def test_h1_error_first_order_for_k1():
     prob = load_example(1)
     errs = []
