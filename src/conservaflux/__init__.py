@@ -1,18 +1,13 @@
 """Continuous Galerkin solver on triangular meshes with element-local
 recovery of fluxes that are conservative on nodal control volumes."""
 
-from .basis import N_NODES, eval_basis, map_to_element, ref_nodes
-from .dualmesh import (ControlVolumeIndex, DualGeometry, SubcellPartition,
-                       build_cv_index, build_partitions,
-                       build_subcell_partition, export_dual_csv,
-                       subcell_quadrature)
-from .mesh import (TriMesh, build_structured_mesh, edge_neighbors,
-                   read_mesh_file, write_mesh_file)
-from .postprocess import (ElementalSystem, PostprocessedField,
-                          assemble_elemental_system, edge_average_flux,
-                          export_postprocessed_csv, flux_along_polyline,
-                          interp_piecewise_constant, postprocess_all,
-                          segment_flux_split, solve_elemental)
+from .basis import N_NODES, eval_basis, ref_nodes
+from .dualmesh import (ControlVolumeIndex, DualGeometry, build_cv_index,
+                       build_partitions, export_dual_csv, subcell_quadrature)
+from .mesh import (TriMesh, build_structured_mesh, read_mesh_file,
+                   write_mesh_file)
+from .postprocess import (PostprocessedField, export_postprocessed_csv,
+                          flux_along_polyline, postprocess_all)
 from .problems import ProblemSpec, load_example
 from .quadrature import QuadratureRule, segment_rule, triangle_rule
 from .solver import (ConstrainedSystem, DofMap, FemField, apply_dirichlet,
@@ -27,16 +22,12 @@ from .verify import (ConvergenceTable, LceReport, compute_lce,
 __version__ = "0.1.0"
 
 __all__ = [
-    "N_NODES", "eval_basis", "map_to_element", "ref_nodes",
-    "ControlVolumeIndex", "DualGeometry", "SubcellPartition",
-    "build_cv_index", "build_partitions", "build_subcell_partition",
-    "export_dual_csv", "subcell_quadrature",
-    "TriMesh", "build_structured_mesh", "edge_neighbors",
-    "read_mesh_file", "write_mesh_file",
-    "ElementalSystem", "PostprocessedField", "assemble_elemental_system",
-    "edge_average_flux", "export_postprocessed_csv", "flux_along_polyline",
-    "interp_piecewise_constant", "postprocess_all", "segment_flux_split",
-    "solve_elemental",
+    "N_NODES", "eval_basis", "ref_nodes",
+    "ControlVolumeIndex", "DualGeometry", "build_cv_index",
+    "build_partitions", "export_dual_csv", "subcell_quadrature",
+    "TriMesh", "build_structured_mesh", "read_mesh_file", "write_mesh_file",
+    "PostprocessedField", "export_postprocessed_csv", "flux_along_polyline",
+    "postprocess_all",
     "ProblemSpec", "load_example",
     "QuadratureRule", "segment_rule", "triangle_rule",
     "ConstrainedSystem", "DofMap", "FemField", "apply_dirichlet", "assemble",

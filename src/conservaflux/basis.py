@@ -119,20 +119,3 @@ def map_points(v0, jac, ref):
             out[a] += v0[:, a].reshape(lead)
     return np.moveaxis(out, 0, -1)
 
-
-def map_to_element(mesh, triangle, ref_points):
-    """Affine image of reference points in a physical triangle.
-
-    Returns (physical points, jacobian, det) where det equals twice the
-    element area. Physical gradients are inv(J).T @ reference gradients.
-    """
-    nt = mesh.n_triangles
-    if not 0 <= triangle < nt:
-        raise IndexError(f"triangle index {triangle} out of range [0, {nt})")
-    v0, jac, _, det = mesh.element_maps()
-    d = float(det[triangle])
-    if abs(d) < 1e-14 * mesh.h ** 2:
-        raise ValueError(f"triangle {triangle} is degenerate (|det J| = {d:g})")
-    pts = np.atleast_2d(np.asarray(ref_points, dtype=float))
-    phys = v0[triangle] + pts @ jac[triangle].T
-    return phys, jac[triangle], d

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +59,10 @@ class RunConfig:
             raise ValueError(f"degree must be 1, 2, or 3, got {self.degree}")
         if not self.levels or any(n < 1 for n in self.levels):
             raise ValueError(f"mesh levels must be >= 1, got {self.levels}")
+        if not (math.isfinite(self.tol_lce) and self.tol_lce > 0):
+            raise ValueError(f"tol_lce must be finite and > 0, got "
+                             f"{self.tol_lce!r}")
+        postprocess._thread_count(self.threads)
 
 
 def rate_window(example, degree):
@@ -251,16 +256,19 @@ def main(argv=None):
         return 0
 
     check = args.check if args.command == "solve" else "convergence"
-    config = RunConfig(
-        example=args.example,
-        degree=args.degree,
-        levels=_levels_from_args(args, check),
-        out_dir=args.out,
-        checks=(check,),
-        quad_exactness=args.quad_exactness,
-        tol_lce=args.tol_lce,
-        threads=args.threads,
-    )
+    try:
+        config = RunConfig(
+            example=args.example,
+            degree=args.degree,
+            levels=_levels_from_args(args, check),
+            out_dir=args.out,
+            checks=(check,),
+            quad_exactness=args.quad_exactness,
+            tol_lce=args.tol_lce,
+            threads=args.threads,
+        )
+    except ValueError as err:
+        parser.error(str(err))
     return run(config)
 
 

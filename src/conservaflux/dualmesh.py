@@ -231,46 +231,11 @@ def subcell_quadrature(degree, exactness):
     return pts, w, owner
 
 
-@dataclass
-class SubcellPartition:
-    """Physical subcell geometry of one element.
-
-    Segment arrays hold one row per (owner, segment) pair: control-volume
-    segments appear twice with opposite normals (once per adjacent subcell),
-    element-boundary segments once. Normals are unit outward with respect
-    to the owning subcell. `loops` are CCW vertex loops of the polygonals.
-    """
-    element: int
-    degree: int
-    node_coords: np.ndarray   # (N, 2)
-    areas: np.ndarray         # (N,)
-    seg_start: np.ndarray     # (M, 2)
-    seg_end: np.ndarray       # (M, 2)
-    seg_owner: np.ndarray     # (M,)
-    seg_class: np.ndarray     # (M,) "cv" | "element"
-    seg_facet: np.ndarray     # (M,) facet id, -1 for cv segments
-    seg_length: np.ndarray    # (M,)
-    seg_normal: np.ndarray    # (M, 2)
-    loops: tuple
-
-    @property
-    def n_nodes(self):
-        return len(self.areas)
-
-    def segments_of(self, local_node, seg_class=None):
-        """Indices of the boundary segments of one subcell polygonal."""
-        mask = self.seg_owner == local_node
-        if seg_class is not None:
-            mask &= self.seg_class == seg_class
-        return np.nonzero(mask)[0]
-
-
 class DualGeometry:
-    """Subcell partitions of every element of a mesh, for one degree.
-
-    Behaves as a read-only sequence of SubcellPartition objects while
-    keeping the shared reference tabulation and the element jacobians
-    available to vectorized assembly loops.
+    """Subcell partitions of every element of a mesh, for one degree: the
+    shared reference tabulation `ref` and the element maps. Element t's
+    subcell areas are `ref.areas * det_jac[t]`; its segments come from
+    `_segments(t)`.
     """
 
     def __init__(self, mesh, degree):
@@ -281,41 +246,13 @@ class DualGeometry:
         self.ref = _ref_dual(degree)
         self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
 
-    def __len__(self):
-        return self.mesh.n_triangles
-
-    def __getitem__(self, t):
-        nt = self.mesh.n_triangles
-        if not 0 <= t < nt:
-            raise IndexError(f"triangle index {t} out of range [0, {nt})")
-        ref = self.ref
-        det = float(self.det_jac[t])
-        if abs(det) < 1e-14 * self.mesh.h ** 2:
-            raise ValueError(f"triangle {t} is degenerate (|det J| = {det:g})")
-        J = self.jac[t]
-        v0 = self.v0[t]
-
-        start, end, owner, cls = self._segments(t)
-        facet = np.concatenate([np.full(2 * len(ref.cv_start), -1,
-                                        dtype=np.int64), ref.bd_facet])
-        d = end - start
-        length = np.hypot(d[:, 0], d[:, 1])
-        normal = _rot(d) / length[:, None]
-        return SubcellPartition(
-            element=t,
-            degree=self.degree,
-            node_coords=ref.nodes @ J.T + v0,
-            areas=ref.areas * det,
-            seg_start=start, seg_end=end,
-            seg_owner=owner, seg_class=cls, seg_facet=facet,
-            seg_length=length, seg_normal=normal,
-            loops=tuple(lp @ J.T + v0 for lp in ref.loops),
-        )
-
     def _segments(self, t):
         """Start and end points (..., M, 2) of the subcell segments of
         element t, or of the elements t selects, and the owner and class of
-        each of the M rows, in SubcellPartition row order."""
+        each of the M rows. Control-volume segments appear twice, once per
+        adjacent subcell and oriented counterclockwise for that owner, so
+        the -90 degree rotation of end - start is its outward normal times
+        the length; element-boundary segments follow, once each."""
         ref = self.ref
         ns, nb = len(ref.cv_start), len(ref.bd_start)
         jt = self.jac[t].swapaxes(-1, -2)
@@ -334,11 +271,6 @@ class DualGeometry:
 def build_partitions(mesh, degree):
     """Subcell partitions for all elements (shared reference tabulation)."""
     return DualGeometry(mesh, degree)
-
-
-def build_subcell_partition(mesh, triangle, degree):
-    """Subcell partition of a single element."""
-    return DualGeometry(mesh, degree)[triangle]
 
 
 @dataclass
@@ -373,7 +305,7 @@ def build_cv_index(mesh, dofmap, partitions, tol=1e-12):
     interior facet must split the facet at the same points; a mismatch
     beyond `tol` (relative to the mesh size) raises DualMeshError.
     """
-    geo = _as_geometry(mesh, partitions, dofmap.degree)
+    geo = _check_partitions(mesh, partitions, dofmap.degree)
     ref = geo.ref
     nt = mesh.n_triangles
     cell_dofs = dofmap.cell_dofs
@@ -394,12 +326,15 @@ def build_cv_index(mesh, dofmap, partitions, tol=1e-12):
                               local_nodes=local_nodes, areas=areas)
 
 
-def _as_geometry(mesh, partitions, degree):
-    if isinstance(partitions, DualGeometry):
-        if partitions.mesh is not mesh or partitions.degree != degree:
-            raise DualMeshError("partitions built for a different mesh or degree")
-        return partitions
-    return DualGeometry(mesh, degree)
+def _check_partitions(mesh, partitions, degree):
+    """`partitions` itself when it is the DualGeometry that build_partitions
+    returns for this mesh and degree; anything else is an error."""
+    if not isinstance(partitions, DualGeometry):
+        raise DualMeshError("partitions must come from build_partitions, got "
+                            f"{type(partitions).__name__}")
+    if partitions.mesh is not mesh or partitions.degree != degree:
+        raise DualMeshError("partitions built for a different mesh or degree")
+    return partitions
 
 
 def _check_facet_splits(mesh, geo, tol):
@@ -433,9 +368,11 @@ def _check_facet_splits(mesh, geo, tol):
 def export_dual_csv(partitions, path):
     """Write all subcell boundary segments as
     "x0,y0,x1,y1,class,element,local_dof" rows."""
-    tiny = np.abs(partitions.det_jac) < 1e-14 * partitions.mesh.h ** 2
-    if tiny.any():
-        partitions[int(np.argmax(tiny))]  # raises: triangle is degenerate
+    det = partitions.det_jac
+    tiny = np.nonzero(np.abs(det) < 1e-14 * partitions.mesh.h ** 2)[0]
+    if tiny.size:
+        t = int(tiny[0])
+        raise ValueError(f"triangle {t} is degenerate (|det J| = {det[t]:g})")
     start, end, owner, cls = partitions._segments(slice(None))
     nt, m = start.shape[:2]
     ends = [coords(p[..., a].ravel()) for p in (start, end) for a in (0, 1)]

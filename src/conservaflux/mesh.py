@@ -229,19 +229,6 @@ def build_structured_mesh(n):
     return TriMesh(vertices, triangles, h=math.sqrt(2.0) / n, structured_n=n)
 
 
-def edge_neighbors(mesh, triangle):
-    """Neighbors of a triangle across its three facets.
-
-    Returns a tuple with one entry per facet: the index of the triangle
-    sharing that facet, or None when the facet lies on the boundary.
-    """
-    nt = mesh.n_triangles
-    if not -nt <= triangle < nt:
-        raise IndexError(f"triangle index {triangle} out of range [0, {nt})")
-    row = mesh.tri_neighbors[triangle]
-    return tuple(int(x) if x >= 0 else None for x in row)
-
-
 def write_mesh_file(mesh, path):
     """Plain-text export: header "nv nt ne", vertex lines, triangle lines,
     then one "v0 v1 label" line per boundary edge. Indices are 0-based."""

@@ -152,19 +152,6 @@ def _solve_chunk(mats, beta, gauge, defect, scale, t0, gauge_shift):
 
 
 @dataclass
-class ElementalSystem:
-    """Auxiliary system of one element: matrix, right-hand side, and the
-    compatibility defect |sum(rhs)| with its tolerance scale."""
-    element: int
-    matrix: np.ndarray        # (N, N)
-    rhs: np.ndarray           # (N,)
-    gauge_target: float       # mean of the global solution's local coefficients
-    defect: float
-    scale: float
-    boundary_flux: np.ndarray  # (N,) recovered flux datum per subcell on d(tau)
-
-
-@dataclass
 class PostprocessedField:
     """Elementwise corrected field; its gradient is the recovered flux.
 
@@ -197,37 +184,6 @@ def local_coefficients(field):
     return field.values[field.dofmap.cell_dofs]
 
 
-def assemble_elemental_system(mesh, partition, u_h, problem, exactness=None):
-    """Auxiliary system of one element (partition carries the element id)."""
-    disc = for_field(u_h, mesh, u_h.dofmap, problem, exactness)
-    t = partition.element
-    mats, beta, gauge, defect, scale, bflux = _elemental_blocks(
-        disc, u_h.values, t, t + 1)
-    return ElementalSystem(element=t, matrix=mats[0], rhs=beta[0],
-                           gauge_target=float(gauge[0]),
-                           defect=float(defect[0]), scale=float(scale[0]),
-                           boundary_flux=bflux[0])
-
-
-def solve_elemental(system, gauge_shift=0.0):
-    """Nodal coefficients from one elemental system.
-
-    The matrix has the constants as its nullspace, so the system is solved
-    with the mean-value constraint appended; `gauge_shift` moves the target
-    mean and must not change the gradient.
-    """
-    alpha = _solve_chunk(
-        mats=system.matrix[None, :, :],
-        beta=system.rhs[None, :],
-        gauge=np.array([system.gauge_target]),
-        defect=np.array([system.defect]),
-        scale=np.array([system.scale]),
-        t0=system.element,
-        gauge_shift=gauge_shift,
-    )
-    return alpha[0]
-
-
 def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
                     gauge_shift=0.0, exactness=None, chunk_size=_CHUNK):
     """Recover the conservative flux field on every element.
@@ -238,7 +194,7 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     so the output is bit-identical for any thread count. The field's
     discretization is reused when it matches, and the result carries it.
     """
-    dualmesh._as_geometry(mesh, partitions, dofmap.degree)  # validate inputs
+    dualmesh._check_partitions(mesh, partitions, dofmap.degree)
     nthreads = _thread_count(threads)
     disc = for_field(u_h, mesh, dofmap, problem, exactness)
     disc.segments  # build the shared tables before any worker starts
@@ -268,101 +224,6 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     return PostprocessedField(mesh=mesh, dofmap=dofmap, coeffs=coeffs,
                               boundary_flux=bflux, defects=defects,
                               discretization=disc)
-
-
-def interp_piecewise_constant(partition, w):
-    """Nodal values of w as a piecewise-constant field on the subcells.
-
-    `w` may be a FemField (its nodal coefficients on this element are used),
-    a length-N coefficient vector, or a callable evaluated at the nodes.
-    Entry xi is the constant on subcell polygonal xi.
-    """
-    if hasattr(w, "local_coeffs"):
-        return np.asarray(w.local_coeffs(partition.element), dtype=float)
-    if callable(w):
-        pts = partition.node_coords
-        return np.asarray(w(pts[:, 0], pts[:, 1]), dtype=float)
-    vals = np.asarray(w, dtype=float)
-    if vals.shape != (partition.n_nodes,):
-        raise ValueError(f"expected {partition.n_nodes} nodal values, "
-                         f"got shape {vals.shape}")
-    return vals
-
-
-def edge_average_flux(mesh, problem, u_h, element, start, end, npoints=None):
-    """Averaged normal flux {kappa grad u_h}.n on a segment of d(tau).
-
-    The normal is the outward one of `element`; on interior facets the two
-    one-sided traces are averaged, on the domain boundary the single trace
-    is used. Returns (points, values) at the segment Gauss points.
-    """
-    if npoints is None:
-        npoints = default_segment_points(u_h.degree)
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    verts = mesh.triangle_vertices(element)
-    facet = -1
-    for m in range(3):
-        a = verts[m]
-        d = verts[(m + 1) % 3] - a
-        dlen2 = d @ d
-        ta = (start - a) @ d / dlen2
-        tb = (end - a) @ d / dlen2
-        tol = 1e-10
-        cross_a = d[0] * (start - a)[1] - d[1] * (start - a)[0]
-        cross_b = d[0] * (end - a)[1] - d[1] * (end - a)[0]
-        if abs(cross_a) > tol * dlen2 or abs(cross_b) > tol * dlen2:
-            continue
-        if -tol <= ta <= 1 + tol and -tol <= tb <= 1 + tol:
-            facet = m
-            normal = _rot(d) / np.linalg.norm(d)
-            break
-    if facet < 0:
-        raise ValueError(f"segment {start}..{end} does not lie on the "
-                         f"boundary of element {element}")
-    srule = segment_rule(npoints)
-    pts = start[None, :] + srule.points[:, None] * (end - start)[None, :]
-    kap = sample(problem.kappa, pts)
-
-    v0, _, inv, _ = mesh.element_maps()
-
-    def one_sided(t):
-        ref = (pts - v0[t]) @ inv[t].T
-        _, grads = basis.eval_basis(u_h.degree, ref)
-        g_ref = np.einsum("pnd,n->pd", grads, u_h.values[u_h.dofmap.cell_dofs[t]])
-        return (g_ref @ inv[t]) @ normal
-
-    flux = one_sided(element)
-    nbr = mesh.tri_neighbors[element, facet]
-    if nbr >= 0:
-        flux = 0.5 * (flux + one_sided(int(nbr)))
-    return pts, kap * flux
-
-
-def segment_flux_split(mesh, u_h, problem, element, local_node,
-                       exactness=None):
-    """Per-segment recovered flux on the element-boundary part of a subcell.
-
-    Splits the subcell's boundary-flux datum across its two element-boundary
-    segments: each gets half of the jump-corrected balance minus its own
-    averaged-flux integral. Returns (starts, ends, values). Raises on
-    interior-node subcells, whose boundary part is empty.
-    """
-    disc = for_field(u_h, mesh, u_h.dofmap, problem, exactness)
-    segs = np.nonzero(disc.ref.bd_owner == local_node)[0]
-    if segs.size == 0:
-        raise ValueError(f"local node {local_node} has no element-boundary "
-                         "segments (interior-node subcell)")
-    u_loc = u_h.values[u_h.dofmap.cell_dofs[element]]
-    a_xi = float(disc.k_loc[element, local_node] @ u_loc)
-    ell_xi = float(disc.b_loc[element, local_node])
-    q_seg, e_phi = _boundary_flux_terms(disc, u_h.values, element, element + 1)
-    e_phi_xi = float(e_phi[0, local_node])
-    values = (ell_xi - a_xi + e_phi_xi) / 2.0 - q_seg[0, segs]
-    v0, jac, _, _ = mesh.element_maps()
-    starts = disc.ref.bd_start[segs] @ jac[element].T + v0[element]
-    ends = disc.ref.bd_end[segs] @ jac[element].T + v0[element]
-    return starts, ends, values
 
 
 def control_volume_flux(disc, coeffs):

@@ -52,17 +52,17 @@ def compute_lce(mesh, cv_index, partitions, field, problem,
     the element that owns the segment (dual segments never cross facets),
     integrated with the same segment rule the flux recovery uses.
     """
-    dualmesh._as_geometry(mesh, partitions, field.dofmap.degree)  # validate
-    disc = for_field(field, mesh, field.dofmap, problem, exactness)
+    dm = field.dofmap
+    dualmesh._check_partitions(mesh, partitions, dm.degree)
+    if cv_index.n_dofs != dm.n_dofs:
+        raise ValueError("control-volume index does not match the dof map")
+    disc = for_field(field, mesh, dm, problem, exactness)
     coeffs = local_coefficients(field)
     s_cv = control_volume_flux(disc, coeffs)
     contrib = s_cv - disc.f_sub
 
-    dm = field.dofmap
     lce = np.zeros(dm.n_dofs)
     np.add.at(lce, dm.cell_dofs.ravel(), contrib.ravel())
-    if cv_index.n_dofs != dm.n_dofs:
-        raise ValueError("control-volume index does not match the dof map")
 
     interior = np.nonzero(~dm.on_boundary)[0]
     if field_name is None:
@@ -135,7 +135,7 @@ def elemental_conservation_report(mesh, partitions, field, problem,
     if not hasattr(field, "boundary_flux"):
         raise TypeError("elemental conservation is defined for the "
                         "postprocessed field")
-    dualmesh._as_geometry(mesh, partitions, field.dofmap.degree)  # validate
+    dualmesh._check_partitions(mesh, partitions, field.dofmap.degree)
     disc = for_field(field, mesh, field.dofmap, problem, exactness)
     residuals = np.abs(field.boundary_flux.sum(axis=1)
                        - disc.f_sub.sum(axis=1))

@@ -12,12 +12,13 @@ from conservaflux import (build_cv_index, build_partitions,
                           build_structured_mesh, compute_lce,
                           convergence_study, elemental_conservation_report,
                           f_l1_norm, h1_seminorm_error, load_example,
-                          map_to_element, postprocess_all, read_mesh_file,
-                          solve_problem, true_solution_residual,
-                          write_mesh_file)
+                          postprocess_all, read_mesh_file, solve_problem,
+                          true_solution_residual, write_mesh_file)
+from conservaflux.basis import map_points
 from conservaflux.cli import default_ladder, rate_window
 from conservaflux.postprocess import _elemental_blocks
 from conservaflux.problems import ProblemSpec
+from conservaflux.verify import convergence_table
 
 EXAMPLES = (1, 2, 3)
 DEGREES = (1, 2, 3)
@@ -152,6 +153,32 @@ def test_criterion_5_optimal_convergence(ladders):
     assert report(5, "H1 slopes " + "; ".join(lines), ok)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_5_convergence_on_jittered_ladders(seed, jittered_mesh):
+    # Every level of the default ladder is jittered independently by up to
+    # 0.1 h per coordinate; the levels are not nested refinements.
+    ok = True
+    lines = []
+    for ex in EXAMPLES:
+        prob = load_example(ex)
+        for k in DEGREES:
+            def level(n):
+                mesh = jittered_mesh(n, seed, amplitude=0.1)
+                u = solve_problem(mesh, k, prob)
+                parts = build_partitions(mesh, k)
+                return (mesh, u, parts,
+                        postprocess_all(mesh, u.dofmap, parts, u, prob))
+
+            table = convergence_table(prob, k, default_ladder(ex, k), level)
+            w = rate_window(ex, k)
+            ok &= (abs(table.slope_uh - k) <= w
+                   and abs(table.slope_tilde - k) <= w)
+            lines.append(f"ex{ex} k{k}: uh {table.slope_uh:.2f} "
+                         f"tilde {table.slope_tilde:.2f} (+-{w})")
+    assert report(5, f"H1 slopes on jittered ladders, seed {seed}: "
+                     + "; ".join(lines), ok)
+
+
 def test_criterion_6_error_indicator_order(ladders):
     table = ladders[1, 1]
     ok = table.slope_diff >= 1.8
@@ -204,12 +231,13 @@ def test_criterion_8_polynomial_exactness():
         ok &= err <= 1e-9
         parts = build_partitions(mesh, k)
         tilde = postprocess_all(mesh, u_h.dofmap, parts, u_h, prob)
+        v0, jac, _, _ = mesh.element_maps()
         for t in range(mesh.n_triangles):
             pts = rng.random((4, 2))
             flip = pts.sum(axis=1) > 1
             pts[flip] = 1 - pts[flip]
             g = tilde.grad_on(t, pts)
-            phys, _, _ = map_to_element(mesh, t, pts)
+            phys = map_points(v0[t:t + 1], jac[t:t + 1], pts)[0]
             gx, gy = gu(phys[:, 0], phys[:, 1])
             diff = np.abs(g - np.stack([gx, gy], axis=1)).max()
             worst_grad = max(worst_grad, diff)
@@ -227,10 +255,9 @@ def test_criterion_9_geometry_suite(solved):
     worst_sub = -1.0
     for k in DEGREES:
         parts = build_partitions(mesh, k)
-        for t in range(mesh.n_triangles):
-            part = parts[t]
-            rel = abs(part.areas.sum() - areas[t]) / areas[t]
-            worst_sub = max(worst_sub, rel)
+        sub = parts.ref.areas[None, :] * parts.det_jac[:, None]
+        rel = np.abs(sub.sum(axis=1) - areas) / areas
+        worst_sub = max(worst_sub, rel.max())
     ok &= worst_sub <= 1e-13
 
     # control-volume areas partition the domain

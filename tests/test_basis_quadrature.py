@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conservaflux import (N_NODES, build_structured_mesh, eval_basis,
-                          map_to_element, ref_nodes, segment_rule,
-                          triangle_rule)
+                          ref_nodes, segment_rule, triangle_rule)
+from conservaflux.basis import map_points
 from conservaflux.mesh import TriMesh
 
 
@@ -140,25 +140,26 @@ def test_segment_rule_rejects_zero_points():
         segment_rule(0)
 
 
-def test_map_to_element_identity_triangle():
+def test_element_map_identity_triangle():
     mesh = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-    phys, jac, det = map_to_element(mesh, 0, [[0.0, 0.0]])
+    v0, jac, _, det = mesh.element_maps()
+    phys = map_points(v0, jac, [[0.0, 0.0]])[0]
     assert np.allclose(phys[0], [0, 0])
-    assert np.allclose(jac, np.eye(2))
-    assert abs(det - 1.0) < 1e-15
+    assert np.allclose(jac[0], np.eye(2))
+    assert abs(det[0] - 1.0) < 1e-15
 
 
-def test_map_to_element_vertices_and_barycenter():
+def test_element_map_vertices_and_barycenter():
     mesh = build_structured_mesh(3)
+    v0, jac, _, det = mesh.element_maps()
+    phys = map_points(v0, jac, [[0, 0], [1, 0], [0, 1], [1 / 3, 1 / 3]])
     for t in (0, 7, 11):
         verts = mesh.triangle_vertices(t)
-        phys, _, det = map_to_element(mesh, t, [[0, 0], [1, 0], [0, 1],
-                                                [1 / 3, 1 / 3]])
-        assert np.allclose(phys[:3], verts, atol=1e-15)
-        assert np.allclose(phys[3], verts.mean(axis=0), atol=1e-15)
+        assert np.allclose(phys[t, :3], verts, atol=1e-15)
+        assert np.allclose(phys[t, 3], verts.mean(axis=0), atol=1e-15)
         area = 0.5 * abs(np.linalg.det(np.stack([verts[1] - verts[0],
                                                  verts[2] - verts[0]])))
-        assert abs(det - 2 * area) < 1e-14
+        assert abs(det[t] - 2 * area) < 1e-14
 
 
 def test_degenerate_triangle_rejected_at_construction():
@@ -179,7 +180,6 @@ def test_basis_quadrature_of_unity_gives_area(k):
 
 
 def test_map_points_bit_identical_to_einsum():
-    from conservaflux.basis import map_points
     rng = np.random.default_rng(3)
     v0 = rng.normal(size=(50, 2))
     jac = rng.normal(size=(50, 2, 2))

@@ -139,3 +139,32 @@ def test_lce_check_samples_the_source_once_per_level(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 0
     pts, _, _ = subcell_quadrature(2, solver.default_exactness(2))
     assert sum(points) == len(pts) * sum(2 * n * n for n in levels)
+
+
+@pytest.mark.parametrize("args, env, message", [
+    (["--threads", "0"], None, "threads must be a positive integer, got 0"),
+    (["--threads", "-2"], None, "threads must be a positive integer, got -2"),
+    ([], "abc", "CONSERVAFLUX_THREADS must be a positive integer, got 'abc'"),
+    (["--tol-lce", "nan"], None, "tol_lce must be finite and > 0, got nan"),
+    (["--tol-lce", "-1"], None, "tol_lce must be finite and > 0, got -1.0"),
+    (["--tol-lce", "0"], None, "tol_lce must be finite and > 0, got 0.0"),
+    (["--tol-lce", "inf"], None, "tol_lce must be finite and > 0, got inf"),
+    (["--levels", "0,4"], None, "mesh levels must be >= 1, got [0, 4]"),
+])
+def test_malformed_values_fail_before_solving(args, env, message, tmp_path,
+                                              monkeypatch, capsys):
+    from conservaflux import solver
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve_problem called")
+
+    monkeypatch.setattr(solver, "solve_problem", never)
+    if env is None:
+        monkeypatch.delenv("CONSERVAFLUX_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CONSERVAFLUX_THREADS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--example", "2", "--degree", "3", "--n", "96",
+              "--out", str(tmp_path)] + args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)

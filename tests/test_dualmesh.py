@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conservaflux import (build_cv_index, build_dof_map,
-                          build_partitions, build_structured_mesh,
-                          build_subcell_partition, export_dual_csv)
+from conservaflux import (build_cv_index, build_dof_map, build_partitions,
+                          build_structured_mesh, export_dual_csv)
+from conservaflux.basis import map_points
 from conservaflux.dualmesh import (CLASS_CONTROL_VOLUME,
                                    CLASS_ELEMENT_BOUNDARY, DualMeshError)
 from conservaflux.mesh import TriMesh
@@ -18,31 +18,51 @@ def unit_right_triangle():
     return TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
 
 
+def subcells(mesh, t, k):
+    """Element t's subcell areas, nodes, loops and segments, from the
+    partition arrays: (areas, nodes, loops, start, end, owner, cls)."""
+    parts = build_partitions(mesh, k)
+    ref = parts.ref
+    areas = ref.areas * parts.det_jac[t]
+
+    def to_element(pts):
+        return map_points(parts.v0[t:t + 1], parts.jac[t:t + 1], pts)[0]
+
+    loops = [to_element(loop) for loop in ref.loops]
+    return (areas, to_element(ref.nodes), loops) + parts._segments(t)
+
+
+def scaled_normals(start, end):
+    """Outward normals of counterclockwise segments, times their lengths."""
+    d = end - start
+    return np.stack([d[..., 1], -d[..., 0]], axis=-1)
+
+
 def test_k1_three_quadrilaterals_of_equal_area():
-    part = build_subcell_partition(unit_right_triangle(), 0, 1)
-    assert part.n_nodes == 3
+    areas, _, loops, *_ = subcells(unit_right_triangle(), 0, 1)
+    assert len(areas) == 3
     # barycentric dual splits any triangle into three equal areas
-    assert np.abs(part.areas - 1.0 / 6.0).max() < 1e-14
-    for loop in part.loops:
+    assert np.abs(areas - 1.0 / 6.0).max() < 1e-14
+    for loop in loops:
         assert len(loop) == 4
         assert abs(shoelace(loop) - 1.0 / 6.0) < 1e-14
 
 
 def test_k2_six_polygonals_partition():
-    part = build_subcell_partition(unit_right_triangle(), 0, 2)
-    assert part.n_nodes == 6
-    assert abs(part.areas.sum() - 0.5) < 1e-13
+    areas = subcells(unit_right_triangle(), 0, 2)[0]
+    assert len(areas) == 6
+    assert abs(areas.sum() - 0.5) < 1e-13
     # vertices keep one quad of the quarter-subtriangle, edge nodes three
-    assert np.abs(part.areas[:3] - 1.0 / 24.0).max() < 1e-14
-    assert np.abs(part.areas[3:] - 1.0 / 8.0).max() < 1e-14
+    assert np.abs(areas[:3] - 1.0 / 24.0).max() < 1e-14
+    assert np.abs(areas[3:] - 1.0 / 8.0).max() < 1e-14
 
 
 def test_k3_interior_node_has_no_element_boundary():
-    part = build_subcell_partition(unit_right_triangle(), 0, 3)
-    assert part.n_nodes == 10
-    assert len(part.segments_of(9, CLASS_ELEMENT_BOUNDARY)) == 0
-    assert len(part.segments_of(9, CLASS_CONTROL_VOLUME)) == 12
-    assert abs(part.areas.sum() - 0.5) < 1e-13
+    areas, _, _, _, _, owner, cls = subcells(unit_right_triangle(), 0, 3)
+    assert len(areas) == 10
+    assert np.sum((owner == 9) & (cls == CLASS_ELEMENT_BOUNDARY)) == 0
+    assert np.sum((owner == 9) & (cls == CLASS_CONTROL_VOLUME)) == 12
+    assert abs(areas.sum() - 0.5) < 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -50,18 +70,17 @@ def test_subcell_areas_partition_random_elements(k):
     mesh = build_structured_mesh(5)
     areas = mesh.signed_areas()
     for t in (0, 17, 31, 49):
-        part = build_subcell_partition(mesh, t, k)
-        assert abs(part.areas.sum() - areas[t]) < 1e-13 * areas[t]
+        sub, _, loops, *_ = subcells(mesh, t, k)
+        assert abs(sub.sum() - areas[t]) < 1e-13 * areas[t]
         # loops agree with tabulated areas
-        for i, loop in enumerate(part.loops):
-            assert abs(shoelace(loop) - part.areas[i]) < 1e-13
+        for i, loop in enumerate(loops):
+            assert abs(shoelace(loop) - sub[i]) < 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_loops_contain_their_nodes(k):
-    part = build_subcell_partition(build_structured_mesh(2), 3, k)
-    for i, loop in enumerate(part.loops):
-        node = part.node_coords[i]
+    _, nodes, loops, *_ = subcells(build_structured_mesh(2), 3, k)
+    for node, loop in zip(nodes, loops):
         on_vertex = np.linalg.norm(loop - node, axis=1).min() < 1e-13
         if not on_vertex:
             # interior node: winding test
@@ -76,31 +95,33 @@ def test_loops_contain_their_nodes(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_every_segment_has_exactly_one_class(k):
-    part = build_subcell_partition(build_structured_mesh(3), 4, k)
-    classes = set(part.seg_class)
-    assert classes <= {CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY}
-    # element-boundary segments carry a facet id, dual segments do not
-    bd = part.seg_class == CLASS_ELEMENT_BOUNDARY
-    assert np.all(part.seg_facet[bd] >= 0)
-    assert np.all(part.seg_facet[~bd] == -1)
+    parts = build_partitions(build_structured_mesh(3), k)
+    *_, cls = parts._segments(4)
+    assert set(cls) <= {CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY}
+    # element-boundary rows are the facet-tagged reference segments
+    bd = cls == CLASS_ELEMENT_BOUNDARY
+    assert bd.sum() == len(parts.ref.bd_facet)
+    assert np.all(np.isin(parts.ref.bd_facet, (0, 1, 2)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_interior_cv_segments_paired_with_opposite_normals(k):
-    part = build_subcell_partition(build_structured_mesh(2), 1, k)
-    cv = np.nonzero(part.seg_class == CLASS_CONTROL_VOLUME)[0]
+    *_, start, end, owner, cls = subcells(build_structured_mesh(2), 1, k)
+    n_len = scaled_normals(start, end)
+    cv = np.nonzero(cls == CLASS_CONTROL_VOLUME)[0]
     # group by unordered endpoints
     seen = {}
     for i in cv:
-        key = tuple(sorted([tuple(np.round(part.seg_start[i], 12)),
-                            tuple(np.round(part.seg_end[i], 12))]))
+        key = tuple(sorted([tuple(np.round(start[i], 12)),
+                            tuple(np.round(end[i], 12))]))
         seen.setdefault(key, []).append(i)
     for key, pair in seen.items():
         assert len(pair) == 2
         i, j = pair
-        assert part.seg_owner[i] != part.seg_owner[j]
-        assert np.abs(part.seg_normal[i] + part.seg_normal[j]).max() < 1e-12
-        assert abs(part.seg_length[i] - part.seg_length[j]) < 1e-14
+        assert owner[i] != owner[j]
+        assert np.abs(n_len[i] + n_len[j]).max() < 1e-12
+        assert abs(np.linalg.norm(n_len[i])
+                   - np.linalg.norm(n_len[j])) < 1e-14
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -109,17 +130,17 @@ def test_constant_field_flux_closes(k):
     # segments vanishes: closed interior interfaces cancel pairwise
     rng = np.random.default_rng(5)
     const = rng.standard_normal(2)
-    part = build_subcell_partition(build_structured_mesh(3), 7, k)
-    cv = part.seg_class == CLASS_CONTROL_VOLUME
-    flux = (part.seg_normal[cv] @ const) * part.seg_length[cv]
+    *_, start, end, _, cls = subcells(build_structured_mesh(3), 7, k)
+    cv = cls == CLASS_CONTROL_VOLUME
+    flux = scaled_normals(start[cv], end[cv]) @ const
     assert abs(flux.sum()) < 1e-13
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_element_boundary_segments_tile_the_boundary(k):
-    part = build_subcell_partition(unit_right_triangle(), 0, k)
-    bd = part.seg_class == CLASS_ELEMENT_BOUNDARY
-    total = part.seg_length[bd].sum()
+    *_, start, end, _, cls = subcells(unit_right_triangle(), 0, k)
+    bd = cls == CLASS_ELEMENT_BOUNDARY
+    total = np.linalg.norm(end[bd] - start[bd], axis=1).sum()
     assert abs(total - (2.0 + np.sqrt(2.0))) < 1e-12
     # 2k segments per facet
     assert bd.sum() == 6 * k
@@ -127,9 +148,9 @@ def test_element_boundary_segments_tile_the_boundary(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_noninterior_subcells_have_two_boundary_segments(k):
-    part = build_subcell_partition(unit_right_triangle(), 0, k)
-    for i in range(part.n_nodes):
-        nb = len(part.segments_of(i, CLASS_ELEMENT_BOUNDARY))
+    areas, *_, owner, cls = subcells(unit_right_triangle(), 0, k)
+    for i in range(len(areas)):
+        nb = np.sum((owner == i) & (cls == CLASS_ELEMENT_BOUNDARY))
         assert nb in (0, 2)
         if nb == 0:
             assert k == 3 and i == 9
@@ -170,8 +191,8 @@ def test_cv_member_counts():
     assert np.all(cv3.counts[interior_dofs] == 1)
     for g in interior_dofs:
         elems, locs = cv3.members(g)
-        part = parts3[int(elems[0])]
-        assert abs(cv3.areas[g] - part.areas[int(locs[0])]) < 1e-15
+        area = parts3.ref.areas[locs[0]] * parts3.det_jac[elems[0]]
+        assert abs(cv3.areas[g] - area) < 1e-15
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -184,14 +205,13 @@ def test_cv_boundaries_close_across_elements(k):
     cv = build_cv_index(mesh, dm, parts)
     rng = np.random.default_rng(11)
     const = rng.standard_normal(2)
-    cache = [parts[t] for t in range(mesh.n_triangles)]
+    start, end, owner, cls = parts._segments(slice(None))
+    flux = scaled_normals(start, end) @ const                  # (nt, M)
     for g in np.nonzero(~dm.on_boundary)[0]:
         total = 0.0
         for t, loc in zip(*cv.members(g)):
-            part = cache[int(t)]
-            segs = part.segments_of(int(loc), CLASS_CONTROL_VOLUME)
-            total += ((part.seg_normal[segs] @ const)
-                      * part.seg_length[segs]).sum()
+            segs = (owner == loc) & (cls == CLASS_CONTROL_VOLUME)
+            total += flux[t, segs].sum()
         assert abs(total) < 1e-12
 
 
@@ -216,12 +236,6 @@ def test_cv_index_names_facet_of_displaced_element():
     assert facet in mesh.tri_edges[t]
 
 
-def test_partition_out_of_range():
-    mesh = build_structured_mesh(2)
-    with pytest.raises(IndexError):
-        build_subcell_partition(mesh, 50, 1)
-
-
 def test_export_dual_csv(tmp_path):
     mesh = build_structured_mesh(2)
     parts = build_partitions(mesh, 2)
@@ -229,8 +243,37 @@ def test_export_dual_csv(tmp_path):
     export_dual_csv(parts, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x0,y0,x1,y1,class,element,local_dof"
-    part0 = parts[0]
-    per_element = len(part0.seg_owner)
+    per_element = len(parts._segments(0)[2])
     assert len(lines) == 1 + per_element * mesh.n_triangles
     fields = lines[1].split(",")
     assert fields[4] in ("cv", "element")
+
+
+def test_export_dual_csv_rejects_degenerate_triangle(tmp_path):
+    parts = build_partitions(build_structured_mesh(2), 1)
+    parts.det_jac = parts.det_jac.copy()
+    parts.det_jac[5] = 0.0
+    with pytest.raises(ValueError, match=r"triangle 5 is degenerate"):
+        export_dual_csv(parts, tmp_path / "dual.csv")
+    assert not (tmp_path / "dual.csv").exists()
+
+
+def test_partitions_must_come_from_build_partitions():
+    from conservaflux import (compute_lce, elemental_conservation_report,
+                              load_example, postprocess_all, solve_problem)
+    mesh = build_structured_mesh(2)
+    prob = load_example(1)
+    u = solve_problem(mesh, 1, prob)
+    parts = build_partitions(mesh, 1)
+    cv = build_cv_index(mesh, u.dofmap, parts)
+    tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
+    for bad in (None, [parts]):
+        calls = (
+            lambda: postprocess_all(mesh, u.dofmap, bad, u, prob),
+            lambda: compute_lce(mesh, cv, bad, tilde, prob),
+            lambda: elemental_conservation_report(mesh, bad, tilde, prob),
+            lambda: build_cv_index(mesh, u.dofmap, bad),
+        )
+        for call in calls:
+            with pytest.raises(DualMeshError, match="build_partitions"):
+                call()

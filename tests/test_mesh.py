@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conservaflux import build_structured_mesh, edge_neighbors
+from conservaflux import build_structured_mesh
 from conservaflux.mesh import MeshError, TriMesh, read_mesh_file, write_mesh_file
 
 
@@ -145,9 +145,9 @@ def test_edge_reference_counts():
 
 def test_two_triangle_neighbors():
     mesh = build_structured_mesh(1)
-    nbrs = edge_neighbors(mesh, 0)
-    assert sorted(x for x in nbrs if x is not None) == [1]
-    assert nbrs.count(None) == 2
+    nbrs = mesh.tri_neighbors[0]
+    assert sorted(nbrs[nbrs >= 0]) == [1]
+    assert np.sum(nbrs == -1) == 2
 
 
 def test_boundary_triangle_has_missing_neighbor():
@@ -156,7 +156,7 @@ def test_boundary_triangle_has_missing_neighbor():
     for eid in mesh.boundary_edges:
         boundary_tris.add(int(mesh.edge_tris[eid, 0]))
     for t in boundary_tris:
-        assert None in edge_neighbors(mesh, t)
+        assert -1 in mesh.tri_neighbors[t]
 
 
 def test_neighbor_symmetry_against_all_pairs_scan():
@@ -167,22 +167,16 @@ def test_neighbor_symmetry_against_all_pairs_scan():
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             shared.setdefault((min(a, b), max(a, b)), []).append(t)
     for t in range(mesh.n_triangles):
-        nbrs = edge_neighbors(mesh, t)
+        nbrs = mesh.tri_neighbors[t]
         tri = mesh.triangles[t]
         for m, nb in enumerate(nbrs):
             a, b = tri[m], tri[(m + 1) % 3]
             owners = shared[(min(a, b), max(a, b))]
-            if nb is None:
+            if nb == -1:
                 assert owners == [t]
             else:
                 assert sorted(owners) == sorted([t, nb])
-                assert t in edge_neighbors(mesh, nb)
-
-
-def test_neighbor_index_out_of_range():
-    mesh = build_structured_mesh(2)
-    with pytest.raises(IndexError):
-        edge_neighbors(mesh, 99)
+                assert t in mesh.tri_neighbors[nb]
 
 
 def test_boundary_labels_geometric():

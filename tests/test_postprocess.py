@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from conservaflux import (N_NODES, assemble_elemental_system,
-                          build_partitions, build_structured_mesh,
-                          build_subcell_partition, edge_average_flux,
+from conservaflux import (N_NODES, build_partitions, build_structured_mesh,
                           eval_basis, export_postprocessed_csv,
-                          flux_along_polyline, interp_piecewise_constant,
-                          load_example, map_to_element, postprocess_all,
-                          segment_flux_split, solve_elemental,
+                          flux_along_polyline, load_example, postprocess_all,
                           solve_problem, subcell_quadrature)
-from conservaflux.dualmesh import CLASS_CONTROL_VOLUME
-from conservaflux.postprocess import PostprocessError
+from conservaflux.basis import map_points
+from conservaflux.dualmesh import CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY
+from conservaflux.postprocess import (PostprocessError, _boundary_flux_terms,
+                                      _elemental_blocks, _solve_chunk)
 from conservaflux.problems import ProblemSpec
 from conservaflux.quadrature import segment_rule, triangle_rule
+from conservaflux.solver import default_segment_points
 
 
 def linear_problem():
@@ -56,49 +55,26 @@ def random_ref_points(rng, count):
     return p
 
 
-# -- piecewise-constant interpolation ---------------------------------------
 
-def test_interp_fixes_constants():
-    part = build_subcell_partition(build_structured_mesh(2), 1, 2)
-    vals = interp_piecewise_constant(
-        part, lambda x, y: 3.5 * np.ones_like(x))
-    assert np.all(vals == 3.5)
+def elemental_blocks(u, t0, t1):
+    """Matrices, right-hand sides, gauge targets, defects and scales of the
+    auxiliary systems of elements t0..t1-1, from the solution's blocks."""
+    return _elemental_blocks(u.discretization, u.values, t0, t1)[:5]
 
 
-def test_interp_of_basis_is_characteristic():
-    part = build_subcell_partition(build_structured_mesh(2), 1, 3)
-    e = np.zeros(10)
-    e[4] = 1.0
-    vals = interp_piecewise_constant(part, e)
-    assert np.array_equal(vals, e)
+def bd_segments(mesh, k, t):
+    """Start and end points and owner of the element-boundary subcell
+    segments of element t (or of the elements t selects), in the column
+    order of the recovery's per-segment data."""
+    start, end, owner, cls = build_partitions(mesh, k)._segments(t)
+    bd = cls == CLASS_ELEMENT_BOUNDARY
+    return start[..., bd, :], end[..., bd, :], owner[bd]
 
 
-def test_interp_l2_distance_first_order():
-    # the nodal-value projection onto subcell constants is first order in L2
-    def w(x, y):
-        return np.sin(2.3 * x + 0.7) * np.cos(1.9 * y)
-
-    k = 2
-    pts, wq, owner = subcell_quadrature(k, 6)
-    errs = []
-    for n in (2, 4, 8, 16):
-        mesh = build_structured_mesh(n)
-        total = 0.0
-        for t in range(mesh.n_triangles):
-            part = build_subcell_partition(mesh, t, k)
-            phys, _, det = map_to_element(mesh, t, pts)
-            nodal = interp_piecewise_constant(part, w)
-            diff = w(phys[:, 0], phys[:, 1]) - nodal[owner]
-            total += (wq * det * diff ** 2).sum()
-        errs.append(np.sqrt(total))
-    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(np.abs(rates - 1.0) < 0.25)
-
-
-def test_interp_rejects_bad_length():
-    part = build_subcell_partition(build_structured_mesh(2), 0, 1)
-    with pytest.raises(ValueError):
-        interp_piecewise_constant(part, np.ones(5))
+def scaled_normals(start, end):
+    """Outward normals of counterclockwise segments, times their lengths."""
+    d = end - start
+    return np.stack([d[..., 1], -d[..., 0]], axis=-1)
 
 
 # -- facet flux averaging -----------------------------------------------------
@@ -107,14 +83,27 @@ def test_average_flux_of_linear_field_has_no_jump():
     mesh = build_structured_mesh(4)
     prob = linear_problem()
     u = solve_problem(mesh, 1, prob)
-    # interior facet of element 5: compare against the continuous gradient
-    for t, facet in ((5, 0), (10, 1)):
-        verts = mesh.triangle_vertices(t)
-        a, b = verts[facet], verts[(facet + 1) % 3]
-        d = b - a
-        n = np.array([d[1], -d[0]]) / np.linalg.norm(d)
-        pts, vals = edge_average_flux(mesh, prob, u, t, a, b)
-        assert np.abs(vals - (n[0] + n[1])).max() < 1e-12
+    # every element-boundary segment, against the continuous gradient (1, 1)
+    start, end, _ = bd_segments(mesh, 1, slice(None))
+    q_seg, _ = _boundary_flux_terms(u.discretization, u.values, 0,
+                                    mesh.n_triangles)
+    assert np.abs(q_seg - scaled_normals(start, end).sum(axis=-1)).max() \
+        < 1e-12
+
+
+def facet_oracle(mesh, prob, u, t, elems, s):
+    """Mean over `elems` of the one-sided integrals of kappa grad(u).n dl on
+    element-boundary segment s of element t, each trace evaluated at
+    physical points mapped into that element; also the traces themselves."""
+    start, end, _ = bd_segments(mesh, u.degree, t)
+    srule = segment_rule(default_segment_points(u.degree))
+    pts = start[s] + srule.points[:, None] * (end[s] - start[s])
+    n_len = scaled_normals(start[s], end[s])
+    kap = prob.kappa(pts[:, 0], pts[:, 1])
+    v0, _, inv, _ = mesh.element_maps()
+    sides = [kap * (u.grad_on(e, (pts - v0[e]) @ inv[e].T) @ n_len)
+             for e in elems]
+    return srule.weights @ np.mean(sides, axis=0), sides
 
 
 def test_average_flux_interior_jump_is_mean_of_traces():
@@ -124,23 +113,12 @@ def test_average_flux_interior_jump_is_mean_of_traces():
     t = 1
     facet = 0
     nbr = int(mesh.tri_neighbors[t, facet])
-    verts = mesh.triangle_vertices(t)
-    a, b = verts[facet], verts[(facet + 1) % 3]
-    d = b - a
-    n = np.array([d[1], -d[0]]) / np.linalg.norm(d)
-    pts, vals = edge_average_flux(mesh, prob, u, t, a, b)
-    # oracle: evaluate the two one-sided gradients independently
-    v0, _, inv, _ = mesh.element_maps()
-    kap = prob.kappa(pts[:, 0], pts[:, 1])
-    sides = []
-    for elem in (t, nbr):
-        ref = (pts - v0[elem]) @ inv[elem].T
-        g = u.grad_on(elem, ref)
-        sides.append(kap * (g @ n))
-    expected = 0.5 * (sides[0] + sides[1])
-    assert np.abs(vals - expected).max() < 1e-13
-    # and the two traces genuinely differ here
-    assert np.abs(sides[0] - sides[1]).max() > 1e-6
+    q_seg, _ = _boundary_flux_terms(u.discretization, u.values, t, t + 1)
+    for s in np.nonzero(u.discretization.ref.bd_facet == facet)[0]:
+        expected, sides = facet_oracle(mesh, prob, u, t, (t, nbr), s)
+        assert abs(q_seg[0, s] - expected) < 1e-13
+        # and the two traces genuinely differ here
+        assert np.abs(sides[0] - sides[1]).max() > 1e-6
 
 
 def test_average_flux_boundary_is_one_sided():
@@ -148,23 +126,11 @@ def test_average_flux_boundary_is_one_sided():
     prob = load_example(1)
     u = solve_problem(mesh, 2, prob)
     # element 0 facet 0 lies on the bottom boundary
-    verts = mesh.triangle_vertices(0)
-    a, b = verts[0], verts[1]
-    pts, vals = edge_average_flux(mesh, prob, u, 0, a, b)
-    v0, _, inv, _ = mesh.element_maps()
-    ref = (pts - v0[0]) @ inv[0].T
-    g = u.grad_on(0, ref)
-    n = np.array([0.0, -1.0])
-    expected = prob.kappa(pts[:, 0], pts[:, 1]) * (g @ n)
-    assert np.abs(vals - expected).max() < 1e-14
-
-
-def test_average_flux_rejects_off_boundary_segment():
-    mesh = build_structured_mesh(2)
-    prob = load_example(1)
-    u = solve_problem(mesh, 1, prob)
-    with pytest.raises(ValueError):
-        edge_average_flux(mesh, prob, u, 0, [0.1, 0.1], [0.3, 0.2])
+    assert mesh.tri_neighbors[0, 0] < 0
+    q_seg, _ = _boundary_flux_terms(u.discretization, u.values, 0, 1)
+    for s in np.nonzero(u.discretization.ref.bd_facet == 0)[0]:
+        expected, _ = facet_oracle(mesh, prob, u, 0, (0,), s)
+        assert abs(q_seg[0, s] - expected) < 1e-14
 
 
 # -- elemental systems --------------------------------------------------------
@@ -174,16 +140,15 @@ def test_elemental_matrix_nullspace_and_rank(k):
     mesh = build_structured_mesh(4)
     prob = load_example(2)
     u = solve_problem(mesh, k, prob)
-    parts = build_partitions(mesh, k)
+    mats, _, _, defect, scale = elemental_blocks(u, 0, mesh.n_triangles)
     for t in (0, 9, 20):
-        sys_t = assemble_elemental_system(mesh, parts[t], u, prob)
-        a = sys_t.matrix
+        a = mats[t]
         norm = np.linalg.norm(a)
         assert np.abs(a @ np.ones(N_NODES[k])).max() < 1e-12 * norm
         sv = np.linalg.svd(a, compute_uv=False)
         assert sv[-1] < 1e-12 * sv[0]          # constants are exactly flat
         assert sv[-2] > 1e-8 * sv[0]           # and nothing else is
-        assert sys_t.defect <= 1e-10 * (sys_t.scale + 1e-30)
+        assert defect[t] <= 1e-10 * (scale[t] + 1e-30)
 
 
 def test_elemental_rhs_partition_sums():
@@ -193,7 +158,6 @@ def test_elemental_rhs_partition_sums():
     prob = load_example(1)
     k = 2
     u = solve_problem(mesh, k, prob)
-    from conservaflux.postprocess import _boundary_flux_terms
     disc = u.discretization
     assert np.abs(disc.b_loc.sum(axis=1)
                   - disc.f_sub.sum(axis=1)).max() < 1e-14
@@ -212,18 +176,19 @@ def test_k1_matrix_against_segment_oracle():
     prob = linear_problem()
     u = solve_problem(mesh, 1, prob)
     parts = build_partitions(mesh, 1)
+    mats = elemental_blocks(u, 0, mesh.n_triangles)[0]
     v0, _, inv, _ = mesh.element_maps()
+    _, grads = eval_basis(1, [[1 / 3, 1 / 3]])
     for t in (0, 3, 6):
-        part = parts[t]
-        sys_t = assemble_elemental_system(mesh, part, u, prob)
-        _, grads = eval_basis(1, [[1 / 3, 1 / 3]])
         g_phys = grads[0] @ inv[t]                        # (3, 2) constant
+        start, end, owner, cls = parts._segments(t)
+        n_len = scaled_normals(start, end)
         expected = np.zeros((3, 3))
         for xi in range(3):
-            for i in part.segments_of(xi, CLASS_CONTROL_VOLUME):
-                n_len = part.seg_normal[i] * part.seg_length[i]
-                expected[xi] -= g_phys @ n_len
-        assert np.abs(sys_t.matrix - expected).max() < 1e-13
+            for i in np.nonzero((owner == xi)
+                                & (cls == CLASS_CONTROL_VOLUME))[0]:
+                expected[xi] -= g_phys @ n_len[i]
+        assert np.abs(mats[t] - expected).max() < 1e-13
 
 
 def test_unit_right_triangle_dual_matrix_equals_stiffness():
@@ -235,14 +200,13 @@ def test_unit_right_triangle_dual_matrix_equals_stiffness():
                        source=lambda x, y: np.zeros_like(x),
                        dirichlet={"other": lambda x, y: np.zeros_like(x)})
     u = solve_problem(mesh, 1, prob)
-    parts = build_partitions(mesh, 1)
-    sys_t = assemble_elemental_system(mesh, parts[0], u, prob)
+    mats = elemental_blocks(u, 0, 1)[0]
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0],
                          [-0.5, 0.0, 0.5]])
-    assert np.abs(sys_t.matrix - expected).max() < 1e-14
+    assert np.abs(mats[0] - expected).max() < 1e-14
 
 
-def test_solve_elemental_zero_rhs_gives_gauge_constant():
+def test_zero_rhs_recovers_the_gauge_constant():
     mesh = build_structured_mesh(2)
     prob = ProblemSpec(kappa=lambda x, y: np.ones_like(x),
                        source=lambda x, y: np.zeros_like(x),
@@ -250,11 +214,11 @@ def test_solve_elemental_zero_rhs_gives_gauge_constant():
                                   for p in ("left", "right", "bottom", "top")})
     u = solve_problem(mesh, 2, prob)
     assert np.abs(u.values).max() < 1e-14
-    parts = build_partitions(mesh, 2)
-    sys_t = assemble_elemental_system(mesh, parts[0], u, prob)
-    assert np.abs(sys_t.rhs).max() < 1e-15
-    alpha = solve_elemental(sys_t, gauge_shift=2.5)
-    assert np.abs(alpha - 2.5).max() < 1e-12
+    beta = elemental_blocks(u, 0, mesh.n_triangles)[1]
+    assert np.abs(beta).max() < 1e-15
+    tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, 2), u,
+                            prob, gauge_shift=2.5)
+    assert np.abs(tilde.coeffs - 2.5).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -263,13 +227,13 @@ def test_gauge_independence_of_gradient(k):
     prob = load_example(1)
     u = solve_problem(mesh, k, prob)
     parts = build_partitions(mesh, k)
-    sys_t = assemble_elemental_system(mesh, parts[7], u, prob)
-    a0 = solve_elemental(sys_t)
-    a1 = solve_elemental(sys_t, gauge_shift=10.0)
+    a0 = postprocess_all(mesh, u.dofmap, parts, u, prob).coeffs
+    a1 = postprocess_all(mesh, u.dofmap, parts, u, prob,
+                         gauge_shift=10.0).coeffs
     rng = np.random.default_rng(2)
     pts = random_ref_points(rng, 10)
     _, grads = eval_basis(k, pts)
-    d = np.einsum("pnd,n->pd", grads, a1 - a0)
+    d = np.einsum("pnd,tn->tpd", grads, a1 - a0)
     assert np.abs(d).max() < 1e-12
 
 
@@ -280,13 +244,10 @@ def test_manufactured_polynomial_recovers_nodal_values(k):
     mesh = build_structured_mesh(3)
     prob = manufactured_problem(k)
     u = solve_problem(mesh, k, prob)
-    parts = build_partitions(mesh, k)
-    for t in (0, 5, 11):
-        sys_t = assemble_elemental_system(mesh, parts[t], u, prob)
-        alpha = solve_elemental(sys_t)
-        u_loc = u.values[u.dofmap.cell_dofs[t]]
-        shift = alpha - u_loc
-        assert np.abs(shift - shift.mean()).max() < 1e-9
+    tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, k), u,
+                            prob)
+    shift = tilde.coeffs - u.values[u.dofmap.cell_dofs]
+    assert np.abs(shift - shift.mean(axis=1, keepdims=True)).max() < 1e-9
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -295,28 +256,26 @@ def test_dual_form_coercive_for_low_degrees(k):
     mesh = build_structured_mesh(4)
     prob = load_example(2)
     u = solve_problem(mesh, k, prob)
-    parts = build_partitions(mesh, k)
+    mats = elemental_blocks(u, 0, mesh.n_triangles)[0]
     rng = np.random.default_rng(31)
     for t in (0, 11, 25):
-        sys_t = assemble_elemental_system(mesh, parts[t], u, prob)
         for _ in range(100):
             v = rng.standard_normal(N_NODES[k])
             v -= v.mean()
             if np.abs(v).max() < 1e-12:
                 continue
-            assert v @ sys_t.matrix @ v > 0.0
+            assert v @ mats[t] @ v > 0.0
 
 
-def test_solve_elemental_reports_incompatible_system():
+def test_incompatible_elemental_system_is_reported():
     mesh = build_structured_mesh(2)
     prob = load_example(1)
     u = solve_problem(mesh, 1, prob)
-    parts = build_partitions(mesh, 1)
-    sys_t = assemble_elemental_system(mesh, parts[0], u, prob)
-    sys_t.rhs[0] += 1.0  # break compatibility
-    sys_t.defect = abs(sys_t.rhs.sum())
-    with pytest.raises(PostprocessError):
-        solve_elemental(sys_t)
+    mats, beta, gauge, _, scale = elemental_blocks(u, 3, 4)
+    beta[0, 0] += 1.0  # break compatibility
+    with pytest.raises(PostprocessError, match="element 3"):
+        _solve_chunk(mats, beta, gauge, np.abs(beta.sum(axis=1)), scale, 3,
+                     0.0)
 
 
 # -- whole-field recovery -----------------------------------------------------
@@ -403,62 +362,39 @@ def test_threads_argument_rejects_non_positive(monkeypatch, value):
         _thread_count(value)
 
 
-# -- boundary flux split ------------------------------------------------------
-
-def test_split_sums_to_boundary_datum():
-    mesh = build_structured_mesh(4)
-    prob = load_example(1)
-    k = 2
-    u = solve_problem(mesh, k, prob)
-    parts = build_partitions(mesh, k)
-    tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
-    for t in (0, 13):
-        for xi in range(N_NODES[k]):
-            starts, ends, vals = segment_flux_split(mesh, u, prob, t, xi)
-            assert len(vals) == 2
-            assert abs(vals.sum() - tilde.boundary_flux[t, xi]) < 1e-13
-
+# -- recovered boundary flux --------------------------------------------------
 
 def test_split_element_sum_balances_source():
-    # summing the split fluxes over all subcells reproduces the element
-    # source integral
+    # summing the recovered boundary flux over all subcells reproduces the
+    # element source integral
     mesh = build_structured_mesh(4)
     prob = load_example(2)
     k = 3
     u = solve_problem(mesh, k, prob)
+    tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, k), u,
+                            prob)
     pts, w, _ = subcell_quadrature(k, 2 * k + 2)
+    v0, jac, _, det = mesh.element_maps()
     for t in (3, 17):
-        total = 0.0
-        for xi in range(N_NODES[k]):
-            if xi == 9:
-                continue
-            _, _, vals = segment_flux_split(mesh, u, prob, t, xi)
-            total += vals.sum()
-        phys, _, det = map_to_element(mesh, t, pts)
-        f_int = (w * det * prob.source(phys[:, 0], phys[:, 1])).sum()
+        total = tilde.boundary_flux[t].sum()
+        phys = map_points(v0[t:t + 1], jac[t:t + 1], pts)[0]
+        f_int = (w * det[t] * prob.source(phys[:, 0], phys[:, 1])).sum()
         assert abs(total - f_int) < 1e-12 * max(1.0, abs(f_int))
 
 
 def test_split_of_linear_field_is_exact_one_sided_flux():
+    # boundary_flux[t, xi] is -grad(u).n dl summed over the element-boundary
+    # segments of subcell xi; for u = x + y that is exact on every segment
     mesh = build_structured_mesh(2)
     prob = linear_problem()
-    u = solve_problem(mesh, 1, prob)
-    for t in (0, 5):
-        for xi in range(3):
-            starts, ends, vals = segment_flux_split(mesh, u, prob, t, xi)
-            for s, e, v in zip(starts, ends, vals):
-                d = e - s
-                n_len = np.array([d[1], -d[0]])
-                exact = -(n_len[0] + n_len[1])  # -grad(u).n dl for u = x + y
-                assert abs(v - exact) < 1e-13
-
-
-def test_split_rejects_interior_node():
-    mesh = build_structured_mesh(2)
-    prob = load_example(1)
-    u = solve_problem(mesh, 3, prob)
-    with pytest.raises(ValueError):
-        segment_flux_split(mesh, u, prob, 0, 9)
+    for k in (1, 2, 3):
+        u = solve_problem(mesh, k, prob)
+        tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, k), u,
+                                prob)
+        start, end, owner = bd_segments(mesh, k, slice(None))
+        exact = -scaled_normals(start, end).sum(axis=-1)      # (nt, B)
+        expected = exact @ (owner[:, None] == np.arange(N_NODES[k]))
+        assert np.abs(tilde.boundary_flux - expected).max() < 1e-13
 
 
 def test_split_against_independent_recomputation():
@@ -468,12 +404,17 @@ def test_split_against_independent_recomputation():
     k = 2
     u = solve_problem(mesh, k, prob)
     t, xi = 13, 4
-    starts, ends, vals = segment_flux_split(mesh, u, prob, t, xi)
+    tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, k), u,
+                            prob)
+    starts, ends, owner = bd_segments(mesh, k, t)
+    starts, ends = starts[owner == xi], ends[owner == xi]
+    assert len(starts) == 2
 
     rule = triangle_rule(8)
-    phys, _, det = map_to_element(mesh, t, rule.points)
+    v0, jac, inv, det_all = mesh.element_maps()
+    phys = map_points(v0[t:t + 1], jac[t:t + 1], rule.points)[0]
+    det = det_all[t]
     vals_b, grads_b = eval_basis(k, rule.points)
-    _, _, inv, _ = mesh.element_maps()
     u_loc = u.values[u.dofmap.cell_dofs[t]]
 
     ell = (rule.weights * det * prob.source(phys[:, 0], phys[:, 1])
@@ -485,7 +426,6 @@ def test_split_against_independent_recomputation():
 
     srule = segment_rule(k + 4)
     verts = mesh.triangle_vertices(t)
-    v0 = mesh.element_maps()[0]
 
     def avg_flux_dot_nlen(a, b, qpts):
         d = b - a
@@ -522,11 +462,14 @@ def test_split_against_independent_recomputation():
         e_phi += (srule.weights * avg_flux_dot_nlen(a, b, qpts)
                   * phi_vals[:, xi]).sum()
 
-    for s, e, v in zip(starts, ends, vals):
+    # the subcell's datum is the sum over its two segments of half the
+    # jump-corrected balance minus the segment's averaged-flux integral
+    expected = 0.0
+    for s, e in zip(starts, ends):
         qpts = s + srule.points[:, None] * (e - s)
         q_gamma = (srule.weights * avg_flux_dot_nlen(s, e, qpts)).sum()
-        expected = (ell - a_term + e_phi) / 2.0 - q_gamma
-        assert abs(v - expected) < 1e-12
+        expected += (ell - a_term + e_phi) / 2.0 - q_gamma
+    assert abs(tilde.boundary_flux[t, xi] - expected) < 1e-12
 
 
 # -- flux sampling ------------------------------------------------------------
@@ -600,7 +543,6 @@ def test_facet_mates_pair_reversed_gauss_points(k, jittered_mesh):
 def test_neighbour_trace_matches_mapped_point_reference(k, jittered_mesh):
     # Reference: the neighbour's gradient evaluated at this element's own
     # Gauss points, mapped into the neighbour's reference element.
-    from conservaflux.postprocess import _boundary_flux_terms
     mesh = jittered_mesh(6, seed=6)
     u = solve_problem(mesh, k, load_example(2))
     disc = u.discretization

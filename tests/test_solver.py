@@ -50,17 +50,19 @@ def test_dof_count_formula(n, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_conformity_shared_dof_coordinates(k):
     # a shared dof index must mean the same physical point from both sides
-    from conservaflux import map_to_element, ref_nodes
+    from conservaflux import ref_nodes
+    from conservaflux.basis import map_points
     mesh = build_structured_mesh(3)
     dm = build_dof_map(mesh, k)
+    v0, jac, _, _ = mesh.element_maps()
+    phys = map_points(v0, jac, ref_nodes(k))
     seen = {}
     for t in range(mesh.n_triangles):
-        phys, _, _ = map_to_element(mesh, t, ref_nodes(k))
         for local, g in enumerate(dm.cell_dofs[t]):
             if g in seen:
-                assert np.linalg.norm(seen[g] - phys[local]) < 1e-12
+                assert np.linalg.norm(seen[g] - phys[t, local]) < 1e-12
             else:
-                seen[g] = phys[local]
+                seen[g] = phys[t, local]
     assert len(seen) == dm.n_dofs
     for g, p in seen.items():
         assert np.linalg.norm(dm.coords[g] - p) < 1e-12
