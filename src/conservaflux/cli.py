@@ -17,6 +17,7 @@ from typing import Optional
 from . import dualmesh, postprocess, solver, verify
 from .mesh import build_structured_mesh
 from .problems import load_example
+from .quadrature import triangle_rule
 
 CHECKS = ("lce", "conservation", "convergence", "all")
 
@@ -63,6 +64,8 @@ class RunConfig:
             raise ValueError(f"tol_lce must be finite and > 0, got "
                              f"{self.tol_lce!r}")
         postprocess._thread_count(self.threads)
+        if self.quad_exactness is not None:
+            triangle_rule(self.quad_exactness)
 
 
 def rate_window(example, degree):
@@ -246,6 +249,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "export-dual":
+        if args.n < 1:
+            p_dual.error(f"--n must be >= 1, got {args.n}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         mesh = build_structured_mesh(args.n)

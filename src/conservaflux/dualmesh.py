@@ -275,55 +275,22 @@ def build_partitions(mesh, degree):
 
 @dataclass
 class ControlVolumeIndex:
-    """Assembly of control volumes from per-element subcells.
-
-    For global dof g, members(g) lists the (element, local node) pairs whose
-    subcells tile the control volume; `areas[g]` is its area.
-    """
-    offsets: np.ndarray      # (ndofs + 1,)
-    elements: np.ndarray     # flat element ids
-    local_nodes: np.ndarray  # flat local node ids
+    """Control volumes assembled from per-element subcells: `areas[g]` is
+    the area of the control volume of global dof g."""
     areas: np.ndarray        # (ndofs,)
 
     @property
     def n_dofs(self):
         return len(self.areas)
 
-    @property
-    def counts(self):
-        return np.diff(self.offsets)
 
-    def members(self, dof):
-        sl = slice(self.offsets[dof], self.offsets[dof + 1])
-        return self.elements[sl], self.local_nodes[sl]
-
-
-def build_cv_index(mesh, dofmap, partitions, tol=1e-12):
-    """Group subcells by global dof and validate shared-facet geometry.
-
-    The element-boundary segments contributed by the two elements of an
-    interior facet must split the facet at the same points; a mismatch
-    beyond `tol` (relative to the mesh size) raises DualMeshError.
-    """
+def build_cv_index(mesh, dofmap, partitions):
+    """Control-volume areas, summed over the subcells of each global dof."""
     geo = _check_partitions(mesh, partitions, dofmap.degree)
-    ref = geo.ref
-    nt = mesh.n_triangles
-    cell_dofs = dofmap.cell_dofs
-
-    order = np.argsort(cell_dofs.ravel(), kind="stable")
-    elements = (order // cell_dofs.shape[1]).astype(np.int64)
-    local_nodes = (order % cell_dofs.shape[1]).astype(np.int64)
-    counts = np.bincount(cell_dofs.ravel(), minlength=dofmap.n_dofs)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-
     areas = np.zeros(dofmap.n_dofs)
-    np.add.at(areas, cell_dofs.ravel(),
-              (ref.areas[None, :] * geo.det_jac[:, None]).ravel())
-
-    _check_facet_splits(mesh, geo, tol)
-
-    return ControlVolumeIndex(offsets=offsets, elements=elements,
-                              local_nodes=local_nodes, areas=areas)
+    np.add.at(areas, dofmap.cell_dofs.ravel(),
+              (geo.ref.areas[None, :] * geo.det_jac[:, None]).ravel())
+    return ControlVolumeIndex(areas=areas)
 
 
 def _check_partitions(mesh, partitions, degree):
@@ -335,34 +302,6 @@ def _check_partitions(mesh, partitions, degree):
     if partitions.mesh is not mesh or partitions.degree != degree:
         raise DualMeshError("partitions built for a different mesh or degree")
     return partitions
-
-
-def _check_facet_splits(mesh, geo, tol):
-    ref = geo.ref
-    mid_ref = 0.5 * (ref.bd_start + ref.bd_end)              # (B, 2)
-    mids = basis.map_points(geo.v0, geo.jac, mid_ref)
-    eids = mesh.tri_edges[:, ref.bd_facet]                   # (nt, B)
-    p0 = mesh.vertices[mesh.edges[:, 0]]
-    dvec = mesh.vertices[mesh.edges[:, 1]] - p0
-    dlen2 = np.einsum("ea,ea->e", dvec, dvec)
-    rel = mids - p0[eids]
-    params = np.einsum("tsa,tsa->ts", rel, dvec[eids]) / dlen2[eids]
-
-    # Sorted by (facet, parameter), the two sides' split points pair up.
-    keep = mesh.edge_tris[eids, 1] >= 0
-    eids, params = eids[keep], params[keep]
-    order = np.lexsort((params, eids))
-    eids, params = eids[order], params[order]
-    odd = np.nonzero(np.bincount(eids, minlength=mesh.n_edges) % 2)[0]
-    if odd.size:
-        raise DualMeshError(f"facet {odd[0]}: odd subcell segment count")
-    gap = np.abs(params[0::2] - params[1::2])
-    bad = np.nonzero(gap > tol)[0]
-    if bad.size:
-        e = eids[2 * bad[0]]
-        raise DualMeshError(
-            f"facet {e}: subcell splits from the two sides disagree "
-            f"(max mismatch {gap[eids[0::2] == e].max():.3e})")
 
 
 def export_dual_csv(partitions, path):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis, dualmesh
+from . import basis, dualmesh, solver
 from ._table import coords, numbers, write_table
 from .dualmesh import _rot
 from .quadrature import segment_rule
@@ -35,7 +35,6 @@ from .solver import FemField, default_segment_points, for_field, sample
 THREADS_ENV = "CONSERVAFLUX_THREADS"
 _DEFECT_RTOL = 1e-10
 _SOLVE_RTOL = 1e-10
-_CHUNK = 1024
 
 
 class PostprocessError(Exception):
@@ -54,18 +53,6 @@ def _thread_count(threads):
     return int(value)
 
 
-def _dual_matrices(disc, sl):
-    """Flux of every basis function through the dual segments of every
-    subcell, (T, N, N): per segment, the kappa-weighted normal maps
-    (T, ns*2) times the basis gradients (ns*2, N), summed into subcell rows."""
-    seg = disc.segments
-    s, _, n = seg.g_cv.shape
-    w = (seg.sw * seg.kap_cv[sl])[..., None] * seg.mm_cv[sl, :, None, :]
-    v = np.moveaxis(w, 1, 0).reshape(s, len(w), -1) @ seg.g_cv  # (S, T, N)
-    return np.moveaxis((seg.sgn_cv @ v.reshape(s, -1)).reshape(n, -1, n),
-                       0, 1)
-
-
 def _boundary_flux_terms(disc, u_values, t0, t1):
     """Averaged normal-flux data on element-boundary segments.
 
@@ -73,8 +60,8 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
     shape (ct, B), and the rows e(u_h, phi_xi) = int_bd {kappa grad u_h}.n
     phi_xi dl, shape (ct, N).
     """
-    seg = disc.segments
-    mate = seg.mate[t0:t1]
+    rseg = disc.rseg
+    mate = disc.mate[t0:t1]
     nb = mate.shape[1]
     paired = mate >= 0
     # Traces of the chunk and of its facet neighbours in one pass. A
@@ -83,38 +70,36 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
     elems, row = np.unique(
         np.concatenate([np.arange(t0, t1), mate[paired] // nb]),
         return_inverse=True)
-    g = (u_values[disc.dofmap.cell_dofs[elems]] @ seg.g_bd).reshape(
+    g = (u_values[disc.dofmap.cell_dofs[elems]] @ rseg.g_bd).reshape(
         len(elems), nb, -1, 2)
-    mm = seg.mm_bd[elems]
+    mm = disc.mm_bd[elems]
     q = g[..., 0] * mm[:, :, None, 0] + g[..., 1] * mm[:, :, None, 1]
     q_own = q[row[:t1 - t0]]
     q_nbr = q_own.copy()
     q_nbr[paired] = -q[row[t1 - t0:], mate[paired] % nb, ::-1]
-    q_avg = seg.kap_bd[t0:t1] * 0.5 * (q_own + q_nbr)
+    q_avg = disc.kap_bd[t0:t1] * 0.5 * (q_own + q_nbr)
 
-    q_seg = q_avg @ seg.sw
-    e_phi = ((q_avg * seg.sw).reshape(t1 - t0, -1)
-             @ seg.phi_bd.reshape(-1, disc.n))
+    q_seg = q_avg @ rseg.sw
+    e_phi = ((q_avg * rseg.sw).reshape(t1 - t0, -1)
+             @ rseg.phi_bd.reshape(-1, disc.n))
     return q_seg, e_phi
 
 
 def _elemental_blocks(disc, u_values, t0, t1):
     """Matrices, right-hand sides, defects, and boundary data for a chunk."""
     sl = slice(t0, t1)
-    seg = disc.segments
     u_loc = u_values[disc.dofmap.cell_dofs[sl]]
     a_term = (disc.k_loc[sl] @ u_loc[:, :, None])[:, :, 0]
     q_seg, e_phi = _boundary_flux_terms(disc, u_values, t0, t1)
-    e_term = q_seg @ seg.own_bd.T - e_phi
+    e_term = q_seg @ disc.rseg.own_bd.T - e_phi
 
     beta = disc.f_sub[sl] - disc.b_loc[sl] + a_term + e_term
     bflux = disc.b_loc[sl] - a_term - e_term
     defect = np.abs(beta.sum(axis=1))
     scale = np.linalg.norm(beta, axis=1) + disc.f_abs[sl].sum(axis=1)
 
-    mats = _dual_matrices(disc, sl)
     gauge = u_loc.mean(axis=1)
-    return mats, beta, gauge, defect, scale, bflux
+    return disc.d_loc[sl], beta, gauge, defect, scale, bflux
 
 
 def _solve_chunk(mats, beta, gauge, defect, scale, t0, gauge_shift):
@@ -185,7 +170,7 @@ def local_coefficients(field):
 
 
 def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
-                    gauge_shift=0.0, exactness=None, chunk_size=_CHUNK):
+                    gauge_shift=0.0, exactness=None):
     """Recover the conservative flux field on every element.
 
     Elements are processed in fixed-size chunks; chunks are independent and
@@ -197,7 +182,6 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     dualmesh._check_partitions(mesh, partitions, dofmap.degree)
     nthreads = _thread_count(threads)
     disc = for_field(u_h, mesh, dofmap, problem, exactness)
-    disc.segments  # build the shared tables before any worker starts
     nt = mesh.n_triangles
     n = disc.n
     coeffs = np.empty((nt, n))
@@ -205,7 +189,7 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     defects = np.empty(nt)
 
     def work(t0):
-        t1 = min(t0 + chunk_size, nt)
+        t1 = min(t0 + solver._CHUNK, nt)
         mats, beta, gauge, defect, scale, bf = _elemental_blocks(
             disc, u_h.values, t0, t1)
         coeffs[t0:t1] = _solve_chunk(mats, beta, gauge, defect, scale,
@@ -213,7 +197,7 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
         bflux[t0:t1] = bf
         defects[t0:t1] = defect
 
-    starts = range(0, nt, chunk_size)
+    starts = range(0, nt, solver._CHUNK)
     if nthreads == 1:
         for t0 in starts:
             work(t0)
@@ -224,13 +208,6 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     return PostprocessedField(mesh=mesh, dofmap=dofmap, coeffs=coeffs,
                               boundary_flux=bflux, defects=defects,
                               discretization=disc)
-
-
-def control_volume_flux(disc, coeffs):
-    """Outward flux of -kappa grad(field) through the dual segments of every
-    subcell, shape (nt, N). Row (t, xi) integrates over the control-volume
-    part of subcell xi's boundary."""
-    return (_dual_matrices(disc, slice(None)) @ coeffs[:, :, None])[:, :, 0]
 
 
 def flux_along_polyline(mesh, field, problem, points, npoints=None):

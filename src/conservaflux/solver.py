@@ -6,7 +6,10 @@ row/column elimination, which keeps the constrained matrix symmetric and
 leaves the interior equations exactly satisfied by the solution.
 
 Assembly, flux recovery and the conservation checks share the per-element
-blocks of one Discretization, which `solve_problem` leaves on its field.
+blocks of one Discretization, which `solve_problem` leaves on its field:
+stiffness, load, subcell integrals of f and |f|, the dual-segment flux
+matrices of the elemental systems, and kappa samples, normal maps and the
+facet pairing on the element-boundary segments, all from one chunked pass.
 Source integrals use the composite subcell quadrature of the dual partition,
 over which the recovery integrates f per subcell: one shared pass over that
 rule keeps the elemental compatibility sums at rounding level instead of at
@@ -16,7 +19,7 @@ quadrature-error level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +31,7 @@ from .quadrature import segment_rule, triangle_rule
 
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
 DOF_KIND_NAMES = {DOF_VERTEX: "vertex", DOF_EDGE: "edge", DOF_INTERIOR: "interior"}
-_SOURCE_CHUNK = 1024  # elements per pass over the composite subcell rule
+_CHUNK = 1024  # elements per chunk of every per-element pass
 
 
 class SolverError(Exception):
@@ -176,21 +179,73 @@ def source_blocks(mesh, degree, problem, exactness=None):
     v0, jac, _, det = mesh.element_maps()
     out = np.empty((3, mesh.n_triangles, basis.N_NODES[degree]))
     # Chunks bound the point and sample arrays, which are (nt, Q) sized.
-    for t0 in range(0, mesh.n_triangles, _SOURCE_CHUNK):
-        sl = slice(t0, t0 + _SOURCE_CHUNK)
+    for t0 in range(0, mesh.n_triangles, _CHUNK):
+        sl = slice(t0, t0 + _CHUNK)
         out[:, sl] = _source_chunk(degree, exactness, problem.source, v0[sl],
                                    jac[sl], det[sl])
     return out[0], out[1], out[2]
 
 
-class Discretization:
-    """Per-element blocks of one (mesh, dof map, problem, exactness).
+class _RefSegments:
+    """Recovery tables that depend only on the degree: the Gauss weights
+    `sw` and points of the reference dual (`cv`) and element-boundary (`bd`)
+    segments, the basis values and gradients at those points, the signs
+    `sgn_cv` (N, S) with which a dual segment enters its two subcells' rows,
+    and the owners `own_bd` (N, B) of the boundary segments."""
 
-    `k_loc` (nt, N, N) holds the stiffness blocks, `b_loc` (nt, N) the load
-    blocks, `f_sub` (nt, N) the source integral over every subcell polygonal
-    and `f_abs` (nt, N) the integral of |f| over it. Everything is
-    read-only, so chunks of elements can be processed concurrently once
-    `segments` has been built.
+    def __init__(self, k):
+        ref, n = dualmesh._ref_dual(k), basis.N_NODES[k]
+        srule = segment_rule(default_segment_points(k))
+        self.sw = srule.weights
+        tpar = srule.points
+
+        # Dual segments: Gauss points and (S, ns*2, N) basis gradients.
+        self.cv_dir = ref.cv_end - ref.cv_start                 # (S, 2)
+        self.cv_pts = (ref.cv_start[:, None, :]
+                       + tpar[None, :, None] * self.cv_dir[:, None, :])
+        s, ns = self.cv_pts.shape[:2]
+        _, grads = basis.eval_basis(k, self.cv_pts.reshape(-1, 2))
+        self.g_cv = np.moveaxis(grads.reshape(s, ns, n, 2), 2, 3).reshape(
+            s, -1, n)
+        self.sgn_cv = sgn = np.zeros((n, s))
+        sgn[ref.cv_plus, np.arange(s)] = -1.0
+        sgn[ref.cv_minus, np.arange(s)] += 1.0
+
+        # Element-boundary segments: as above, gradients as (N, B*ns*2).
+        self.bd_dir = ref.bd_end - ref.bd_start
+        self.bd_pts = (ref.bd_start[:, None, :]
+                       + tpar[None, :, None] * self.bd_dir[:, None, :])
+        nb, nsb = self.bd_pts.shape[:2]
+        vals_b, grads_b = basis.eval_basis(k, self.bd_pts.reshape(-1, 2))
+        self.phi_bd = vals_b.reshape(nb, nsb, n)
+        self.g_bd = np.moveaxis(grads_b, 1, 0).reshape(n, -1)
+        self.own_bd = np.zeros((n, nb))
+        self.own_bd[ref.bd_owner, np.arange(nb)] = 1.0
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+
+
+@lru_cache(maxsize=None)
+def _ref_segments(degree):
+    return _RefSegments(degree)
+
+
+class Discretization:
+    """Per-element blocks of one (mesh, dof map, problem, exactness), all
+    built in one chunked pass:
+
+    * `k_loc` (nt, N, N): stiffness blocks;
+    * `b_loc` (nt, N): load blocks;
+    * `f_sub` (nt, N): source integral over every subcell polygonal, and
+      `f_abs` (nt, N): the integral of |f| over it;
+    * `d_loc` (nt, N, N): flux of every basis function through the dual
+      segments of every subcell, the matrix of the elemental systems;
+    * `kap_bd` (nt, B, ns): kappa at the Gauss points of the
+      element-boundary segments, and `mm_bd` (nt, B, 2) their normal maps;
+    * `mate` (nt, B): the facet pairing of the element-boundary segments.
+
+    `rseg` holds the degree's segment tables. Everything is read-only, so
+    chunks of elements can be processed concurrently.
     """
 
     def __init__(self, mesh, dofmap, problem, exactness=None):
@@ -199,22 +254,40 @@ class Discretization:
         self.dofmap = dofmap
         self.problem = problem
         self.degree = k
-        self.n = basis.N_NODES[k]
+        self.n = n = basis.N_NODES[k]
         self.exactness = (default_exactness(k) if exactness is None
                           else int(exactness))
-        self.ref = dualmesh._ref_dual(k)
+        self.ref = ref = dualmesh._ref_dual(k)
+        self.rseg = rseg = _ref_segments(k)
         self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
         nt = mesh.n_triangles
-        self.k_loc = np.empty((nt, self.n, self.n))
-        src = np.empty((3, nt, self.n))
+        nb, ns = rseg.bd_pts.shape[:2]
+        self.k_loc = np.empty((nt, n, n))
+        self.d_loc = np.empty((nt, n, n))
+        self.kap_bd = np.empty((nt, nb, ns))
+        self.mm_bd = np.empty((nt, nb, 2))
+        src = np.empty((3, nt, n))
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
-        for t0 in range(0, nt, _SOURCE_CHUNK):
-            sl = slice(t0, t0 + _SOURCE_CHUNK)
+        for t0 in range(0, nt, _CHUNK):
+            sl = slice(t0, t0 + _CHUNK)
             self.k_loc[sl] = self._stiffness(sl)
             src[:, sl] = _source_chunk(k, self.exactness, problem.source,
                                        self.v0[sl], self.jac[sl],
                                        self.det_jac[sl])
+            self.d_loc[sl] = self._dual_blocks(sl)
+            self.kap_bd[sl], self.mm_bd[sl] = self._segment_samples(
+                sl, rseg.bd_pts, rseg.bd_dir)
         self.b_loc, self.f_sub, self.f_abs = src
+
+        # Facet pairing: mate[t, s] = m * B + s' where segment s' of the
+        # neighbour m holds segment s's points in reverse order; -1 on the
+        # domain boundary. TriMesh is counterclockwise and manifold, so the
+        # neighbour always has such a segment.
+        nbr, edges = mesh.tri_neighbors, mesh.tri_edges
+        f_nbr = np.argmax(edges[np.maximum(nbr, 0)] == edges[:, :, None], 2)
+        m, f = nbr[:, ref.bd_facet], f_nbr[:, ref.bd_facet]
+        self.mate = np.where(m >= 0, m * nb + ref.bd_mate[np.arange(nb), f],
+                             -1)
 
     def _stiffness(self, sl):
         """Stiffness blocks of a chunk, (G c) G^T with G the physical basis
@@ -234,19 +307,28 @@ class Discretization:
         g = np.moveaxis(g, -1, 1).reshape(len(c), -1, self.n)   # (T, 2Q, N)
         return np.swapaxes(g, 1, 2) @ (np.tile(c, 2)[:, :, None] * g)
 
-    def segment_geometry(self, ref_pts, ref_dir):
-        """Physical Gauss points (nt, S, ns, 2) of reference segments, and the
-        segments' physical directions rotated by -90 degrees (nt, S, 2): the
-        outward normal scaled by the segment length."""
-        phys = basis.map_points(self.v0, self.jac, ref_pts)
-        rotd = dualmesh._rot(basis.map_points(None, self.jac, ref_dir))
-        return phys, rotd
+    def _segment_samples(self, sl, ref_pts, ref_dir):
+        """Kappa at the mapped Gauss points (T, S, ns) of reference segments
+        of a chunk, and the normal maps mm = invJ rot(J d) (T, S, 2), with
+        rot(J d) the physical direction turned by -90 degrees, so that
+        grad(phi).n dl is refgrad(phi).mm per unit weight."""
+        phys = basis.map_points(self.v0[sl], self.jac[sl], ref_pts)
+        rotd = dualmesh._rot(basis.map_points(None, self.jac[sl], ref_dir))
+        return (sample(self.problem.kappa, phys),
+                np.einsum("tab,tsb->tsa", self.inv_jac[sl], rotd))
 
-    @cached_property
-    def segments(self):
-        """Dual-segment tables of the flux recovery. The first access builds
-        them, so touch this before handing the object to worker threads."""
-        return SegmentTables(self)
+    def _dual_blocks(self, sl):
+        """Flux of every basis function through the dual segments of every
+        subcell of a chunk, (T, N, N): per segment, the kappa-weighted normal
+        maps (T, ns*2) times the basis gradients (ns*2, N), summed into
+        subcell rows."""
+        rseg = self.rseg
+        kap, mm = self._segment_samples(sl, rseg.cv_pts, rseg.cv_dir)
+        s, _, n = rseg.g_cv.shape
+        w = (rseg.sw * kap)[..., None] * mm[:, :, None, :]
+        v = np.moveaxis(w, 1, 0).reshape(s, len(w), -1) @ rseg.g_cv
+        return np.moveaxis((rseg.sgn_cv @ v.reshape(s, -1)).reshape(n, -1, n),
+                           0, 1)
 
 
 def for_field(field, mesh, dofmap, problem, exactness=None):
@@ -262,58 +344,6 @@ def for_field(field, mesh, dofmap, problem, exactness=None):
     if disc is None:
         field.discretization = new
     return new
-
-
-class SegmentTables:
-    """Recovery tables on the dual and element-boundary segments: basis
-    evaluations, normal maps, kappa samples and the facet pairing."""
-
-    def __init__(self, disc):
-        k, n, ref = disc.degree, disc.n, disc.ref
-        srule = segment_rule(default_segment_points(k))
-        self.sw = srule.weights
-        tpar = srule.points
-
-        # Control-volume segments: gauss points, (S, ns*2, N) basis gradients,
-        # and the length-scaled normal direction rot(J d) folded into mm =
-        # invJ rot(J d) so grad(phi).n dl is refgrad(phi).mm per unit weight.
-        self.cv_dir = ref.cv_end - ref.cv_start                 # (S, 2)
-        self.cv_pts = (ref.cv_start[:, None, :]
-                       + tpar[None, :, None] * self.cv_dir[:, None, :])
-        s, ns = self.cv_pts.shape[:2]
-        _, grads = basis.eval_basis(k, self.cv_pts.reshape(-1, 2))
-        self.g_cv = np.moveaxis(grads.reshape(s, ns, n, 2), 2, 3).reshape(
-            s, -1, n)
-        phys, rotd = disc.segment_geometry(self.cv_pts, self.cv_dir)
-        self.mm_cv = np.einsum("tab,tsb->tsa", disc.inv_jac, rotd)
-        self.kap_cv = sample(disc.problem.kappa, phys)
-        self.sgn_cv = sgn = np.zeros((n, s))
-        sgn[ref.cv_plus, np.arange(s)] = -1.0
-        sgn[ref.cv_minus, np.arange(s)] += 1.0
-
-        # Element-boundary segments: as above, gradients as (N, B*ns*2).
-        self.bd_dir = ref.bd_end - ref.bd_start
-        self.bd_pts = (ref.bd_start[:, None, :]
-                       + tpar[None, :, None] * self.bd_dir[:, None, :])
-        nb, nsb = self.bd_pts.shape[:2]
-        vals_b, grads_b = basis.eval_basis(k, self.bd_pts.reshape(-1, 2))
-        self.phi_bd = vals_b.reshape(nb, nsb, n)
-        self.g_bd = np.moveaxis(grads_b, 1, 0).reshape(n, -1)
-        phys_b, rotd_b = disc.segment_geometry(self.bd_pts, self.bd_dir)
-        self.mm_bd = np.einsum("tab,tsb->tsa", disc.inv_jac, rotd_b)
-        self.kap_bd = sample(disc.problem.kappa, phys_b)
-        self.own_bd = np.zeros((n, nb))
-        self.own_bd[ref.bd_owner, np.arange(nb)] = 1.0
-
-        # Facet pairing: mate[t, s] = m * B + s' where segment s' of the
-        # neighbour m holds segment s's points in reverse order; -1 on the
-        # domain boundary. TriMesh is counterclockwise and manifold, so the
-        # neighbour always has such a segment.
-        nbr, edges = disc.mesh.tri_neighbors, disc.mesh.tri_edges
-        f_nbr = np.argmax(edges[np.maximum(nbr, 0)] == edges[:, :, None], 2)
-        m, f = nbr[:, ref.bd_facet], f_nbr[:, ref.bd_facet]
-        self.mate = np.where(m >= 0, m * nb + ref.bd_mate[np.arange(nb), f],
-                             -1)
 
 
 def assemble(mesh, dofmap, problem, exactness=None):

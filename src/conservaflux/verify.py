@@ -18,8 +18,7 @@ import numpy as np
 
 from . import basis, dualmesh, solver
 from ._table import coords, labels, numbers, write_table
-from .postprocess import (control_volume_flux, local_coefficients,
-                          postprocess_all)
+from .postprocess import local_coefficients, postprocess_all
 from .quadrature import triangle_rule
 from .solver import Discretization, for_field, sample, source_blocks
 
@@ -58,7 +57,7 @@ def compute_lce(mesh, cv_index, partitions, field, problem,
         raise ValueError("control-volume index does not match the dof map")
     disc = for_field(field, mesh, dm, problem, exactness)
     coeffs = local_coefficients(field)
-    s_cv = control_volume_flux(disc, coeffs)
+    s_cv = (disc.d_loc @ coeffs[:, :, None])[:, :, 0]
     contrib = s_cv - disc.f_sub
 
     lce = np.zeros(dm.n_dofs)
@@ -165,23 +164,31 @@ def true_solution_residual(mesh, degree, problem, exactness=None):
         raise ValueError("true-solution residual requires the exact gradient")
     dofmap = solver.build_dof_map(mesh, degree)
     disc = Discretization(mesh, dofmap, problem, exactness)
-    seg = disc.segments
+    rseg = disc.rseg
+    v0, jac, inv, det = mesh.element_maps()
 
     def exact_grad_at(phys):
         g = np.empty(phys.shape)
         g[..., 0], g[..., 1] = problem.exact_grad(phys[..., 0], phys[..., 1])
         return g
 
+    def exact_flux(ref_pts, ref_dir):
+        """Exact gradient dotted with the length-scaled outward normal at
+        the mapped Gauss points (nt, S, ns) of reference segments, and
+        those points."""
+        phys = basis.map_points(v0, jac, ref_pts)
+        rotd = dualmesh._rot(basis.map_points(None, jac, ref_dir))
+        return np.einsum("tsia,tsa->tsi", exact_grad_at(phys), rotd), phys
+
     # Dual-segment flux rows of the exact field.
-    phys, rotd = disc.segment_geometry(seg.cv_pts, seg.cv_dir)
-    q_cv = seg.kap_cv * np.einsum("tsia,tsa->tsi", exact_grad_at(phys), rotd)
-    q_seg = np.einsum("tsi,i->ts", q_cv, seg.sw)
-    b_rows = np.einsum("xs,ts->tx", seg.sgn_cv, q_seg)
+    g_cv, phys = exact_flux(rseg.cv_pts, rseg.cv_dir)
+    q_cv = sample(problem.kappa, phys) * g_cv
+    q_seg = np.einsum("tsi,i->ts", q_cv, rseg.sw)
+    b_rows = np.einsum("xs,ts->tx", rseg.sgn_cv, q_seg)
 
     # Stiffness rows with the exact gradient.
     rule = triangle_rule(disc.exactness)
     _, grads = basis.eval_basis(degree, rule.points)
-    v0, jac, inv, det = mesh.element_maps()
     phys = basis.map_points(v0, jac, rule.points)
     g_ex = exact_grad_at(phys)
     kap = sample(problem.kappa, phys)
@@ -190,11 +197,10 @@ def true_solution_residual(mesh, degree, problem, exactness=None):
     a_rows = np.einsum("tq,tqa,tqia->ti", c, g_ex, g_phi)
 
     # Boundary data rows with the exact (one-sided) flux.
-    phys, rotd = disc.segment_geometry(seg.bd_pts, seg.bd_dir)
-    q_bd = seg.kap_bd * np.einsum("tsia,tsa->tsi", exact_grad_at(phys), rotd)
-    q_bseg = np.einsum("tsi,i->ts", q_bd, seg.sw)
-    e_char = np.einsum("xs,ts->tx", seg.own_bd, q_bseg)
-    e_phi = np.einsum("tsi,i,six->tx", q_bd, seg.sw, seg.phi_bd)
+    q_bd = disc.kap_bd * exact_flux(rseg.bd_pts, rseg.bd_dir)[0]
+    q_bseg = np.einsum("tsi,i->ts", q_bd, rseg.sw)
+    e_char = np.einsum("xs,ts->tx", rseg.own_bd, q_bseg)
+    e_phi = np.einsum("tsi,i,six->tx", q_bd, rseg.sw, rseg.phi_bd)
     e_rows = e_char - e_phi
 
     ell_rows = disc.f_sub - disc.b_loc

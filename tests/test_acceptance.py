@@ -14,6 +14,7 @@ from conservaflux import (build_cv_index, build_partitions,
                           f_l1_norm, h1_seminorm_error, load_example,
                           postprocess_all, read_mesh_file, solve_problem,
                           true_solution_residual, write_mesh_file)
+from conservaflux import solver
 from conservaflux.basis import map_points
 from conservaflux.cli import default_ladder, rate_window
 from conservaflux.postprocess import _elemental_blocks
@@ -247,7 +248,7 @@ def test_criterion_8_polynomial_exactness():
                      f"{worst_grad:.2e} <= 1e-09", ok)
 
 
-def test_criterion_9_geometry_suite(solved):
+def test_criterion_9_geometry_suite(solved, monkeypatch):
     ok = True
     # subcell areas partition each element
     mesh = build_structured_mesh(5)
@@ -280,10 +281,9 @@ def test_criterion_9_geometry_suite(solved):
     ok &= worst_gauge <= 1e-12
 
     # serial/parallel bit identity
-    serial = postprocess_all(m, u.dofmap, parts, u, prob, threads=1,
-                             chunk_size=11)
-    parallel = postprocess_all(m, u.dofmap, parts, u, prob, threads=4,
-                               chunk_size=11)
+    monkeypatch.setattr(solver, "_CHUNK", 11)
+    serial = postprocess_all(m, u.dofmap, parts, u, prob, threads=1)
+    parallel = postprocess_all(m, u.dofmap, parts, u, prob, threads=4)
     identical = np.array_equal(serial.coeffs, parallel.coeffs)
     ok &= identical
 

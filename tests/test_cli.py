@@ -55,6 +55,17 @@ def test_export_dual(tmp_path):
     assert len(rows) > 8 * 10
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_export_dual_rejects_empty_mesh(n, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["export-dual", "--degree", "2", "--n", n, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(f"--n must be >= 1, got {n}")
+    assert not out.exists()
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -150,6 +161,10 @@ def test_lce_check_samples_the_source_once_per_level(tmp_path, monkeypatch):
     (["--tol-lce", "0"], None, "tol_lce must be finite and > 0, got 0.0"),
     (["--tol-lce", "inf"], None, "tol_lce must be finite and > 0, got inf"),
     (["--levels", "0,4"], None, "mesh levels must be >= 1, got [0, 4]"),
+    (["--quad-exactness", "99"], None,
+     "unsupported triangle exactness request: 99 (supported: 0..60)"),
+    (["--quad-exactness", "-1"], None,
+     "unsupported triangle exactness request: -1 (supported: 0..60)"),
 ])
 def test_malformed_values_fail_before_solving(args, env, message, tmp_path,
                                               monkeypatch, capsys):

@@ -6,12 +6,14 @@ from conservaflux import (N_NODES, build_partitions, build_structured_mesh,
                           flux_along_polyline, load_example, postprocess_all,
                           solve_problem, subcell_quadrature)
 from conservaflux.basis import map_points
-from conservaflux.dualmesh import CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY
+from conservaflux import solver
+from conservaflux.dualmesh import (CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY,
+                                   _rot)
 from conservaflux.postprocess import (PostprocessError, _boundary_flux_terms,
                                       _elemental_blocks, _solve_chunk)
 from conservaflux.problems import ProblemSpec
 from conservaflux.quadrature import segment_rule, triangle_rule
-from conservaflux.solver import default_segment_points
+from conservaflux.solver import default_segment_points, sample
 
 
 def linear_problem():
@@ -165,7 +167,7 @@ def test_elemental_rhs_partition_sums():
     a_rows = np.einsum("tij,tj->ti", disc.k_loc, u_loc)
     assert np.abs(a_rows.sum(axis=1)).max() < 1e-13
     q_seg, e_phi = _boundary_flux_terms(disc, u.values, 0, mesh.n_triangles)
-    e_char = np.einsum("xs,ts->tx", disc.segments.own_bd, q_seg)
+    e_char = np.einsum("xs,ts->tx", disc.rseg.own_bd, q_seg)
     assert np.abs((e_char - e_phi).sum(axis=1)).max() < 1e-13
 
 
@@ -189,6 +191,34 @@ def test_k1_matrix_against_segment_oracle():
                                 & (cls == CLASS_CONTROL_VOLUME))[0]:
                 expected[xi] -= g_phys @ n_len[i]
         assert np.abs(mats[t] - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dual_blocks_match_segment_oracle(k, jittered_mesh):
+    # d_loc[t, xi, j] is the outward flux of -kappa grad(phi_j) through the
+    # dual segments of subcell xi, here integrated at Gauss points mapped
+    # from each owner's own copy of the segment.
+    mesh = jittered_mesh(5, seed=7)
+    prob = load_example(3)
+    disc = solve_problem(mesh, k, prob).discretization
+    start, end, owner, cls = build_partitions(mesh, k)._segments(slice(None))
+    cv = cls == CLASS_CONTROL_VOLUME
+    start, end, owner = start[:, cv], end[:, cv], owner[cv]   # (nt, M, 2)
+    rule = segment_rule(default_segment_points(k))
+    pts = (start[:, :, None]
+           + rule.points[:, None] * (end - start)[:, :, None])  # (nt, M, ns, 2)
+    v0, _, inv, _ = mesh.element_maps()
+    ref = np.einsum("tab,tmib->tmia", inv, pts - v0[:, None, None])
+    _, grads = eval_basis(k, ref.reshape(-1, 2))
+    grads = np.einsum("tmind,tda->tmina",
+                      grads.reshape(ref.shape[:3] + grads.shape[1:]), inv)
+    flux = -np.einsum("i,tmi,tmina,tma->tmn", rule.weights,
+                      sample(prob.kappa, pts), grads,
+                      scaled_normals(start, end))
+    oracle = np.zeros(disc.d_loc.shape)
+    for m, xi in enumerate(owner):
+        oracle[:, xi] += flux[:, m]
+    assert np.abs(disc.d_loc - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def test_unit_right_triangle_dual_matrix_equals_stiffness():
@@ -316,15 +346,14 @@ def test_recovery_attaches_and_reuses_discretization():
     assert np.array_equal(other.coeffs, tilde.coeffs)
 
 
-def test_serial_parallel_bit_identity():
+def test_serial_parallel_bit_identity(monkeypatch):
+    monkeypatch.setattr(solver, "_CHUNK", 17)
     mesh = build_structured_mesh(6)
     prob = load_example(2)
     u = solve_problem(mesh, 2, prob)
     parts = build_partitions(mesh, 2)
-    serial = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=1,
-                             chunk_size=17)
-    parallel = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=4,
-                               chunk_size=17)
+    serial = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=1)
+    parallel = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=4)
     assert np.array_equal(serial.coeffs, parallel.coeffs)
     assert np.array_equal(serial.boundary_flux, parallel.boundary_flux)
 
@@ -521,22 +550,20 @@ def test_export_postprocessed_csv(tmp_path):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_facet_mates_pair_reversed_gauss_points(k, jittered_mesh):
-    mesh = jittered_mesh(6, seed=5)
-    u = solve_problem(mesh, k, load_example(2))
-    disc = u.discretization
-    seg = disc.segments
-    nt, nb = seg.mate.shape
-    mate = seg.mate.ravel()
-    paired = mate >= 0
-    nbr = mesh.tri_neighbors[:, disc.ref.bd_facet]
-    assert np.array_equal(seg.mate < 0, nbr < 0)          # boundary facets
-    assert np.all(mate[~paired] == -1)
-    assert np.array_equal(mate[mate[paired]], np.nonzero(paired)[0])
-    assert np.array_equal(mate[paired] // nb, nbr.ravel()[paired])
-    phys, _ = disc.segment_geometry(seg.bd_pts, seg.bd_dir)
-    phys = phys.reshape(nt * nb, -1, 2)
-    gap = np.abs(phys[paired] - phys[mate[paired]][:, ::-1]).max()
-    assert gap <= 1e-12 * mesh.h
+    for mesh in (jittered_mesh(6, seed=5), build_structured_mesh(6)):
+        disc = solve_problem(mesh, k, load_example(2)).discretization
+        nt, nb = disc.mate.shape
+        mate = disc.mate.ravel()
+        paired = mate >= 0
+        nbr = mesh.tri_neighbors[:, disc.ref.bd_facet]
+        assert np.array_equal(disc.mate < 0, nbr < 0)     # boundary facets
+        assert np.all(mate[~paired] == -1)
+        assert np.array_equal(mate[mate[paired]], np.nonzero(paired)[0])
+        assert np.array_equal(mate[paired] // nb, nbr.ravel()[paired])
+        phys = map_points(disc.v0, disc.jac, disc.rseg.bd_pts)
+        phys = phys.reshape(nt * nb, -1, 2)
+        gap = np.abs(phys[paired] - phys[mate[paired]][:, ::-1]).max()
+        assert gap <= 1e-12 * mesh.h
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -546,25 +573,26 @@ def test_neighbour_trace_matches_mapped_point_reference(k, jittered_mesh):
     mesh = jittered_mesh(6, seed=6)
     u = solve_problem(mesh, k, load_example(2))
     disc = u.discretization
-    seg = disc.segments
-    v0, _, inv, _ = mesh.element_maps()
+    rseg = disc.rseg
+    v0, jac, inv, _ = mesh.element_maps()
     coeffs = u.values[u.dofmap.cell_dofs]
-    phys, rotd = disc.segment_geometry(seg.bd_pts, seg.bd_dir)
+    phys = map_points(v0, jac, rseg.bd_pts)
+    rotd = _rot(map_points(None, jac, rseg.bd_dir))
 
     def flux(t, pts, rot):
         _, grads = eval_basis(k, (pts - v0[t]) @ inv[t].T)
         return (np.einsum("pnd,n->pd", grads, coeffs[t]) @ inv[t]) @ rot
 
-    nt, nb = seg.mate.shape
-    q_avg = np.empty(seg.kap_bd.shape)
+    nt, nb = disc.mate.shape
+    q_avg = np.empty(disc.kap_bd.shape)
     for t in range(nt):
         for s in range(nb):
             own = flux(t, phys[t, s], rotd[t, s])
             m = mesh.tri_neighbors[t, disc.ref.bd_facet[s]]
             other = own if m < 0 else flux(m, phys[t, s], rotd[t, s])
-            q_avg[t, s] = seg.kap_bd[t, s] * 0.5 * (own + other)
-    q_ref = q_avg @ seg.sw
-    e_ref = np.einsum("tsi,i,six->tx", q_avg, seg.sw, seg.phi_bd)
+            q_avg[t, s] = disc.kap_bd[t, s] * 0.5 * (own + other)
+    q_ref = q_avg @ rseg.sw
+    e_ref = np.einsum("tsi,i,six->tx", q_avg, rseg.sw, rseg.phi_bd)
 
     # The whole mesh at once and in chunks that cut through neighbour pairs.
     for bounds in ((0, nt), (0, 13, 40, nt)):

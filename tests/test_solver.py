@@ -245,7 +245,7 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
     from conservaflux.basis import eval_basis
     from conservaflux.dualmesh import subcell_quadrature
     from conservaflux.quadrature import triangle_rule
-    monkeypatch.setattr(solver, "_SOURCE_CHUNK", 7)
+    monkeypatch.setattr(solver, "_CHUNK", 7)
     mesh = jittered_mesh(6, seed=11)
     prob = load_example(2)
     disc = Discretization(mesh, build_dof_map(mesh, k), prob)
