@@ -82,7 +82,8 @@ def _check_lce(config, problem, out, level):
     for n in config.levels:
         mesh, u_h, parts, tilde = level(n)
         cv = dualmesh.build_cv_index(mesh, u_h.dofmap, parts)
-        # ||f||_1 from the level's own source pass, as f_l1_norm computes it.
+        # ||f||_1 from the level's own source pass; f_l1_norm's element
+        # rule agrees with it to quadrature accuracy.
         scale = max(1.0, float(u_h.discretization.f_abs.sum()))
         tol = config.tol_lce * scale
         for fname, fld in (("uh", u_h), ("tilde", tilde)):

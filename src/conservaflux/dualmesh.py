@@ -5,7 +5,9 @@ for quadratics, edge trisection for cubics); inside every sub-triangle the
 barycenter is joined to the edge midpoints. The three quadrilaterals this
 creates are assigned to the sub-triangle's corner nodes, and the union of a
 node's quadrilaterals is its subcell polygonal. Gluing the subcells of one
-global degree of freedom across elements yields its control volume.
+global degree of freedom across elements yields its control volume. Subcell
+integrals use a tensor Gauss rule on each quadrilateral, the bilinear image
+of the unit square (see `subcell_quadrature`).
 
 Subcell boundary segments come in two classes:
   * "cv"      - dual segments interior to the element; these tile the part
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import basis
 from ._table import coords, labels, numbers, write_table
-from .quadrature import triangle_rule
+from .quadrature import _checked_exactness, segment_rule
 
 CLASS_CONTROL_VOLUME = "cv"
 CLASS_ELEMENT_BOUNDARY = "element"
@@ -44,11 +46,6 @@ def _rot(v):
     out[..., 0] = v[..., 1]
     out[..., 1] = -v[..., 0]
     return out
-
-
-def _shoelace(loop):
-    x, y = loop[:, 0], loop[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
 
 
 @dataclass(frozen=True)
@@ -72,8 +69,8 @@ class _RefDual:
     bd_mate: np.ndarray      # (B, 3)
     areas: np.ndarray        # (N,) subcell areas, sum = 1/2
     loops: tuple             # per node, (m, 2) CCW polygon loop
-    quad_tris: np.ndarray    # (T, 3, 2) triangulated subcells for quadrature
-    quad_owner: np.ndarray   # (T,)
+    quads: np.ndarray        # (P, 4, 2) corner, midpoint, barycenter, midpoint
+    quad_owner: np.ndarray   # (P,)
 
 
 def _facet_of(lat_a, lat_b, k):
@@ -105,8 +102,7 @@ def _ref_dual(degree):
 
     cv_start, cv_end, cv_plus, cv_minus = [], [], [], []
     bd_start, bd_end, bd_owner, bd_facet = [], [], [], []
-    quad_tris, quad_owner = [], []
-    areas = np.zeros(n)
+    quads, quad_owner = [], []
     loop_edges = [[] for _ in range(n)]
 
     for lat in subtris:
@@ -130,11 +126,8 @@ def _ref_dual(degree):
             owner = ids[c]
             m_next = mids[c]            # midpoint of sub-edge (c, c+1)
             m_prev = mids[(c + 2) % 3]  # midpoint of sub-edge (c-1, c)
-            quad = np.array([p[c], m_next, bc, m_prev])
-            areas[owner] += _shoelace(quad)
-            quad_tris.append(np.array([p[c], m_next, bc]))
-            quad_tris.append(np.array([p[c], bc, m_prev]))
-            quad_owner += [owner, owner]
+            quads.append([p[c], m_next, bc, m_prev])
+            quad_owner.append(owner)
 
             # Half-edges of the sub-triangle boundary. Interior ones separate
             # two quadrilaterals of the same node and are dropped.
@@ -154,6 +147,11 @@ def _ref_dual(degree):
                 loop_edges[owner].append((m_prev, p[c]))
 
     loops = tuple(_chain_loop(edges) for edges in loop_edges)
+    quads = np.array(quads)
+    # A quadrilateral's area is half the cross product of its diagonals.
+    d1, d2 = quads[:, 2] - quads[:, 0], quads[:, 3] - quads[:, 1]
+    areas = np.bincount(quad_owner, 0.5 * (d1[:, 0] * d2[:, 1]
+                                           - d1[:, 1] * d2[:, 0]), n)
     bd_start, bd_end = np.array(bd_start), np.array(bd_end)
     bd_facet = np.array(bd_facet, dtype=np.int64)
     # bd_mate[s, f']: the segment on facet f' whose position along its facet
@@ -177,7 +175,7 @@ def _ref_dual(degree):
         bd_mate=at[:, 2 * k - 1 - slot].T,
         areas=areas,
         loops=loops,
-        quad_tris=np.array(quad_tris),
+        quads=quads,
         quad_owner=np.array(quad_owner, dtype=np.int64),
     )
     assert abs(ref.areas.sum() - 0.5) < 1e-14
@@ -206,29 +204,27 @@ def _chain_loop(edges):
 
 @lru_cache(maxsize=None)
 def subcell_quadrature(degree, exactness):
-    """Composite rule over the subcell pieces of the reference triangle.
-
-    Returns (points, weights, owner): the base triangle rule mapped into the
-    two triangles of every quadrilateral, with the subcell node owning each
-    point. Weights sum to the reference area 1/2, and restricting to one
-    owner integrates exactly over that node's polygonal.
+    """Composite rule over the subcell pieces of the reference triangle:
+    (points, weights, owner), an m x m Gauss-Legendre product rule on each
+    quadrilateral piece through its bilinear map from the unit square, and
+    the subcell node owning each point. That map's Jacobian is affine, so a
+    total-degree-e integrand has degree <= e + 1 in each square coordinate,
+    exact for m = (e + 3) // 2. The weights are positive and sum to 1/2.
     """
     ref = _ref_dual(degree)
-    base = triangle_rule(exactness)
-    npts = len(base.weights)
-    tris = ref.quad_tris
-    ntri = len(tris)
-    b = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=2)
-    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    pts = basis.map_points(tris[:, 0], b, base.points)
-    w = base.weights[None, :] * det[:, None]  # area ratio vs the reference
-    owner = np.repeat(ref.quad_owner, npts)
-    pts = pts.reshape(ntri * npts, 2)
-    w = w.reshape(ntri * npts)
-    pts.setflags(write=False)
-    w.setflags(write=False)
-    owner.setflags(write=False)
-    return pts, w, owner
+    seg = segment_rule((_checked_exactness(exactness) + 3) // 2)
+    s, t = (a.ravel() for a in np.meshgrid(seg.points, seg.points, indexing="ij"))
+    # Bilinear shape functions of the corners, and their s and t derivatives.
+    shape = np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], 1)
+    x_s = np.stack([t - 1, 1 - t, t, -t], 1) @ ref.quads      # (P, Q, 2)
+    x_t = np.stack([s - 1, -s, s, 1 - s], 1) @ ref.quads
+    det = x_s[..., 0] * x_t[..., 1] - x_s[..., 1] * x_t[..., 0]
+    out = ((shape @ ref.quads).reshape(-1, 2),
+           (np.outer(seg.weights, seg.weights).ravel() * det).ravel(),
+           np.repeat(ref.quad_owner, len(s)))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 class DualGeometry:

@@ -2,7 +2,9 @@
 
 Triangle rules are collapsed Gauss-Legendre x Gauss-Jacobi product rules
 (Duffy map of the unit square), which gives positive weights and any
-requested polynomial exactness without tabulated constants.
+requested polynomial exactness without tabulated constants. Gauss-Legendre
+nodes come from numpy; the Gauss-Jacobi(1, 0) factor from the eigenvalues of
+its Jacobi matrix (Golub & Welsch, Math. Comp. 23, 1969).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 _MAX_EXACTNESS = 60
 
@@ -27,6 +29,25 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
+def _gauss_jacobi_10(m):
+    """Gauss rule for the weight 1 - x on [-1, 1]: eigenvalues of the Jacobi
+    matrix, and 2 (the weight's integral) times squared first components."""
+    n = np.arange(m)
+    off = np.sqrt(n[1:] * (n[1:] + 1.0)) / (2 * n[1:] + 1)
+    jm = (np.diag(-1.0 / ((2 * n + 1) * (2 * n + 3)))
+          + np.diag(off, 1) + np.diag(off, -1))
+    x, v = np.linalg.eigh(jm)
+    return x, 2.0 * v[0] ** 2
+
+
+def _checked_exactness(exactness):
+    if (not isinstance(exactness, (int, np.integer)) or exactness < 0
+            or exactness > _MAX_EXACTNESS):
+        raise ValueError(f"unsupported triangle exactness request: {exactness!r} "
+                         f"(supported: 0..{_MAX_EXACTNESS})")
+    return int(exactness)
+
+
 @lru_cache(maxsize=None)
 def segment_rule(npoints):
     """Gauss-Legendre rule on [0, 1] with the given point count.
@@ -35,7 +56,7 @@ def segment_rule(npoints):
     """
     if not isinstance(npoints, (int, np.integer)) or npoints < 1:
         raise ValueError(f"segment rule needs a positive point count, got {npoints!r}")
-    x, w = roots_legendre(int(npoints))
+    x, w = leggauss(int(npoints))
     return QuadratureRule((x + 1.0) / 2.0, w / 2.0, 2 * int(npoints) - 1)
 
 
@@ -46,19 +67,11 @@ def triangle_rule(exactness):
     Integrates all polynomials up to the requested total degree; the
     weights sum to the reference area 1/2.
     """
-    if (not isinstance(exactness, (int, np.integer)) or exactness < 0
-            or exactness > _MAX_EXACTNESS):
-        raise ValueError(f"unsupported triangle exactness request: {exactness!r} "
-                         f"(supported: 0..{_MAX_EXACTNESS})")
-    m = int(exactness) // 2 + 1  # 2m - 1 >= exactness
-    xu, wu = roots_legendre(m)
-    xu = (xu + 1.0) / 2.0
-    wu = wu / 2.0
+    m = _checked_exactness(exactness) // 2 + 1  # 2m - 1 >= exactness
+    seg = segment_rule(m)
     # Jacobi weight (1 - v) absorbs the Duffy-map Jacobian exactly.
-    xv, wv = roots_jacobi(m, 1.0, 0.0)
-    xv = (xv + 1.0) / 2.0
-    wv = wv / 4.0
-    u, v = np.meshgrid(xu, xv, indexing="ij")
+    xv, wv = _gauss_jacobi_10(m)
+    u, v = np.meshgrid(seg.points, (xv + 1.0) / 2.0, indexing="ij")
     pts = np.column_stack([(u * (1.0 - v)).ravel(), v.ravel()])
-    w = np.outer(wu, wv).ravel()
+    w = np.outer(seg.weights, wv / 4.0).ravel()
     return QuadratureRule(pts, w, int(exactness))

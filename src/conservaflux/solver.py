@@ -170,22 +170,6 @@ def _source_chunk(degree, exactness, source, v0, jac, det):
     return np.stack(np.hsplit(load_sub, 2) + [np.abs(coef) @ onehot])
 
 
-def source_blocks(mesh, degree, problem, exactness=None):
-    """Load blocks, subcell integrals of f and subcell integrals of |f|, each
-    (nt, N), from one pass over the composite subcell rule. Summing the
-    subcell integrals over local nodes reproduces the load row sums."""
-    if exactness is None:
-        exactness = default_exactness(degree)
-    v0, jac, _, det = mesh.element_maps()
-    out = np.empty((3, mesh.n_triangles, basis.N_NODES[degree]))
-    # Chunks bound the point and sample arrays, which are (nt, Q) sized.
-    for t0 in range(0, mesh.n_triangles, _CHUNK):
-        sl = slice(t0, t0 + _CHUNK)
-        out[:, sl] = _source_chunk(degree, exactness, problem.source, v0[sl],
-                                   jac[sl], det[sl])
-    return out[0], out[1], out[2]
-
-
 class _RefSegments:
     """Recovery tables that depend only on the degree: the Gauss weights
     `sw` and points of the reference dual (`cv`) and element-boundary (`bd`)

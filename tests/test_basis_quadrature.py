@@ -1,11 +1,16 @@
+import functools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conservaflux import (N_NODES, build_structured_mesh, eval_basis,
-                          ref_nodes, segment_rule, triangle_rule)
+                          ref_nodes, segment_rule, subcell_quadrature,
+                          triangle_rule)
 from conservaflux.basis import map_points
+from conservaflux.dualmesh import _ref_dual
 from conservaflux.mesh import TriMesh
 
 
@@ -133,6 +138,90 @@ def test_segment_rule_gauss_property(m):
     d = 2 * m - 1
     got = (rule.weights * rule.points ** d).sum()
     assert abs(got - 1.0 / (d + 1)) < 1e-14
+
+
+def test_gauss_rules_match_scipy_special():
+    # The Legendre and Golub-Welsch Jacobi(1, 0) factors against scipy's
+    # roots, through the public segment and triangle rules, m = 1..31.
+    special = pytest.importorskip("scipy.special")
+    for m in range(1, 32):
+        x, w = special.roots_legendre(m)
+        seg = segment_rule(m)
+        assert np.abs(seg.points - (x + 1.0) / 2.0).max() < 1e-13
+        assert np.abs(seg.weights - w / 2.0).max() < 1e-13
+        xv, wv = special.roots_jacobi(m, 1.0, 0.0)
+        u, v = np.meshgrid((x + 1.0) / 2.0, (xv + 1.0) / 2.0, indexing="ij")
+        rule = triangle_rule(2 * m - 2)
+        assert np.abs(rule.points[:, 0] - (u * (1.0 - v)).ravel()).max() < 1e-13
+        assert np.abs(rule.points[:, 1] - v.ravel()).max() < 1e-13
+        assert np.abs(rule.weights - np.outer(w / 2.0, wv / 4.0).ravel()
+                      ).max() < 1e-13
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special costs tens of milliseconds of every CLI start-up.
+    code = "import sys, conservaflux; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+@functools.lru_cache(maxsize=None)
+def exact_subcell_moments(k, top):
+    """Exact integrals of x^i y^j, i + j <= top, over every subcell polygon
+    of degree k, by Green's theorem: int x^i y^j dA is the loop integral of
+    x^(i+1) y^j / (i+1) dy. The vertices (nodes, midpoints, barycenters)
+    lie on the 1/(6k) lattice, so they are exact rationals."""
+    sympy = pytest.importorskip("sympy")
+    tau = sympy.Symbol("tau")
+    den = 6 * k
+    moments = []
+    for loop in _ref_dual(k).loops:
+        lat = np.rint(loop * den).astype(int)
+        assert np.abs(lat / den - loop).max() < 1e-14
+        verts = [(sympy.Rational(a, den), sympy.Rational(b, den))
+                 for a, b in lat]
+        acc = {}
+        for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1]):
+            if y1 == y0:
+                continue
+            x = sympy.Poly(x0 + tau * (x1 - x0), tau)
+            y = sympy.Poly(y0 + tau * (y1 - y0), tau)
+            xp, yp = [x ** p for p in range(top + 2)], [y ** p for p in
+                                                       range(top + 1)]
+            for i in range(top + 1):
+                for j in range(top + 1 - i):
+                    poly = (xp[i + 1] * yp[j]).integrate()
+                    acc[i, j] = (acc.get((i, j), 0)
+                                 + poly.eval(1) * (y1 - y0) / (i + 1))
+        moments.append(acc)
+    return moments
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_subcell_rule_exact_on_every_subcell(k):
+    # Every exactness 0..2k+2, plus the odd 5 that --quad-exactness reaches
+    # at k = 1: the per-owner sums integrate every monomial of total degree
+    # <= e over that node's subcell polygon exactly.
+    top = max(2 * k + 2, 5)
+    moments = exact_subcell_moments(k, top)
+    for e in sorted(set(range(2 * k + 3)) | {5}):
+        pts, w, owner = subcell_quadrature(k, e)
+        assert np.all(w > 0.0)
+        assert abs(w.sum() - 0.5) < 1e-15
+        for node, exact in enumerate(moments):
+            sel = owner == node
+            x, y = pts[sel, 0], pts[sel, 1]
+            for i in range(e + 1):
+                for j in range(e + 1 - i):
+                    got = np.dot(w[sel], x ** i * y ** j)
+                    assert abs(got - float(exact[i, j])) < 1e-14, (e, node, i, j)
+
+
+def test_subcell_rule_default_point_counts():
+    # (e + 3) // 2 Gauss points per direction on 3k^2 quadrilaterals.
+    counts = [len(subcell_quadrature(k, 2 * k + 2)[1]) for k in (1, 2, 3)]
+    assert counts == [27, 192, 675]
 
 
 def test_segment_rule_rejects_zero_points():

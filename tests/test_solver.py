@@ -270,10 +270,6 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
     for name, ref in expected.items():
         got = getattr(disc, name)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
-    # The library source pass is the same computation.
-    for got, name in zip(solver.source_blocks(mesh, k, prob),
-                         ("b_loc", "f_sub", "f_abs")):
-        assert np.array_equal(got, getattr(disc, name)), name
 
 
 def pure_neumann_system(n):

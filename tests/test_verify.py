@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from conservaflux import (build_cv_index, build_dof_map, build_partitions,
                           convergence_study, elemental_conservation_report,
                           f_l1_norm, h1_seminorm_diff, h1_seminorm_error,
                           load_example, postprocess_all, solve_problem,
-                          subcell_quadrature, true_solution_residual,
+                          subcell_quadrature, triangle_rule,
+                          true_solution_residual,
                           write_convergence_csv, write_lce_csv)
 from conservaflux.problems import ProblemSpec
 
@@ -218,6 +220,35 @@ def test_source_evaluated_once_per_composite_point():
     elemental_conservation_report(mesh, parts, tilde, prob)
     pts, _, _ = subcell_quadrature(2, 6)
     assert sum(points) == mesh.n_triangles * len(pts)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_f_l1_norm_matches_the_composite_source_pass(k):
+    # The element rule and the level's composite subcell rule integrate |f|
+    # to the same value up to quadrature error; example 2's is e - 1.
+    mesh = build_structured_mesh(12)
+    for ex in (1, 2, 3):
+        prob = load_example(ex)
+        got = f_l1_norm(mesh, k, prob)
+        ref = solve_problem(mesh, k, prob).discretization.f_abs.sum()
+        assert abs(got - ref) <= 1e-12 * ref, ex
+        if ex == 2:
+            assert abs(got - (math.e - 1.0)) <= 1e-12 * (math.e - 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_f_l1_norm_samples_the_element_rule_once(k):
+    base = load_example(2)
+    points = []
+
+    def source(x, y):
+        points.append(np.size(x))
+        return base.source(x, y)
+
+    mesh = build_structured_mesh(6)
+    f_l1_norm(mesh, k, dataclasses.replace(base, source=source))
+    assert sum(points) == mesh.n_triangles * len(
+        triangle_rule(2 * k + 2).weights)
 
 
 def test_true_solution_residual_quadrature_limited():
