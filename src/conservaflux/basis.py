@@ -107,15 +107,15 @@ def eval_basis(degree, points):
 def map_points(v0, jac, ref):
     """Images v0 + J r of reference points r (..., 2) under the affine maps
     (v0 (T, 2), jac (T, 2, 2)) of T elements, shape (T, ..., 2); v0=None
-    maps vectors by J alone. Each coordinate is two broadcast multiply-adds,
-    bit-identical to the einsum contraction, and its own contiguous plane."""
+    maps vectors by J alone. One matrix product [v0 | J] (2T, 3) @ [1; r]
+    (3, P), rows ordered coordinate-major, so each coordinate is its own
+    contiguous plane; it agrees with the einsum contraction to a few ulps."""
     ref = np.asarray(ref, dtype=float)
-    lead = (len(jac),) + (1,) * (ref.ndim - 1)
-    j = jac.reshape(lead + (2, 2))
-    out = np.empty((2, len(jac)) + ref.shape[:-1])
-    for a in range(2):
-        out[a] = j[..., a, 0] * ref[..., 0] + j[..., a, 1] * ref[..., 1]
-        if v0 is not None:
-            out[a] += v0[:, a].reshape(lead)
-    return np.moveaxis(out, 0, -1)
+    r = ref.reshape(-1, 2).T
+    a = jac.transpose(1, 0, 2)
+    if v0 is not None:
+        a = np.concatenate([v0.T[:, :, None], a], axis=2)
+        r = np.vstack([np.ones(r.shape[1]), r])
+    out = a.reshape(2 * len(jac), -1) @ r
+    return np.moveaxis(out.reshape((2, len(jac)) + ref.shape[:-1]), 0, -1)
 

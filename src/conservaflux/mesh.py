@@ -183,10 +183,9 @@ class TriMesh:
         return self._geom
 
     def locate(self, points, tol=1e-12):
-        """Triangle index containing each query point (-1 if outside)."""
+        """Triangle index containing each query point (-1 if outside); a
+        point on shared edges or vertices goes to the lowest index."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        v0, _, inv, _ = self.element_maps()
-        out = np.full(len(pts), -1, dtype=np.int64)
         if self.structured_n is not None:
             n = self.structured_n
             ij = np.clip(np.floor(pts * n).astype(int), 0, n - 1)
@@ -197,13 +196,42 @@ class TriMesh:
             # Points within tol of the diagonal fall to the lower triangle.
             out[np.any((pts < -tol) | (pts > 1 + tol), axis=1)] = -1
             return out
-        for i, p in enumerate(pts):
-            r = np.einsum("tab,tb->ta", inv, p - v0)
-            ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(1) <= 1 + tol)
-            hits = np.nonzero(ok)[0]
-            if hits.size:
-                out[i] = hits[0]
-        return out
+        # Bucket the element bounding boxes, widened by tol in reference
+        # coordinates plus a rounding margin, on a uniform grid of about
+        # nt / 2 cells; a point is tested against its cell's elements only.
+        v0, jac, inv, _ = self.element_maps()
+        pad = (2 * tol + 1e-9) * np.abs(jac).sum(axis=2)
+        lo = v0 + np.minimum(np.minimum(jac[..., 0], jac[..., 1]), 0) - pad
+        hi = v0 + np.maximum(np.maximum(jac[..., 0], jac[..., 1]), 0) + pad
+        origin, ext = lo.min(axis=0), hi.max(axis=0) - lo.min(axis=0)
+        size = math.sqrt(2.0 * ext.prod() / len(lo))
+        shape = np.ceil(ext / size).astype(np.int64)
+
+        def cell(x):
+            ij = np.clip(np.nan_to_num((x - origin) // size), 0, shape - 1)
+            return ij.astype(np.int64)
+
+        c0 = cell(lo)
+        span = cell(hi) - c0 + 1
+        elem, rank = _expand(span.prod(axis=1))
+        key = ((c0[elem, 1] + rank // span[elem, 0]) * shape[0]
+               + c0[elem, 0] + rank % span[elem, 0])
+        order = np.argsort(key)
+        start = np.searchsorted(key[order], np.arange(shape.prod() + 1))
+        pc = cell(pts) @ [1, shape[0]]
+        pi, rank = _expand(start[pc + 1] - start[pc])
+        e = elem[order[start[pc[pi]] + rank]]
+        r = np.einsum("pab,pb->pa", inv[e], pts[pi] - v0[e])
+        ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(1) <= 1 + tol)
+        out = np.full(len(pts), len(lo))
+        np.minimum.at(out, pi[ok], e[ok])
+        return np.where(out < len(lo), out, -1)
+
+
+def _expand(counts):
+    """Owner and rank within the owner of each of sum(counts) items."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
 def build_structured_mesh(n):

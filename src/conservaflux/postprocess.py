@@ -223,31 +223,25 @@ def flux_along_polyline(mesh, field, problem, points, npoints=None):
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
         raise ValueError("polyline needs at least two (x, y) points")
     srule = segment_rule(npoints)
-    coeffs = local_coefficients(field)
     v0, _, inv, _ = mesh.element_maps()
     e0 = mesh.vertices[mesh.edges[:, 0]]
     e1 = mesh.vertices[mesh.edges[:, 1]]
 
     out = np.empty(len(pts) - 1)
     for i in range(len(pts) - 1):
-        p, q = pts[i], pts[i + 1]
-        d = q - p
+        p, d = pts[i], pts[i + 1] - pts[i]
         seg_len = np.linalg.norm(d)
         normal = _rot(d) / seg_len
         params = _edge_crossings(p, d, e0, e1)
+        pieces = [(a, b) for a, b in zip(params[:-1], params[1:])
+                  if b - a >= 1e-14]
+        mids = p + np.reshape([a + b for a, b in pieces], (-1, 1)) * d / 2
         total = 0.0
-        for a, b in zip(params[:-1], params[1:]):
-            if b - a < 1e-14:
-                continue
-            mid = p + 0.5 * (a + b) * d
-            t = int(mesh.locate(mid[None, :])[0])
+        for (a, b), t, mid in zip(pieces, mesh.locate(mids), mids):
             if t < 0:
                 raise ValueError(f"polyline leaves the mesh near {mid}")
             gpts = p + (a + srule.points * (b - a))[:, None] * d[None, :]
-            ref = (gpts - v0[t]) @ inv[t].T
-            _, grads = basis.eval_basis(field.degree, ref)
-            g_ref = np.einsum("pnd,n->pd", grads, coeffs[t])
-            gphys = g_ref @ inv[t]
+            gphys = field.grad_on(t, (gpts - v0[t]) @ inv[t].T)
             vals = -sample(problem.kappa, gpts) * (gphys @ normal)
             total += seg_len * (b - a) * float(srule.weights @ vals)
         out[i] = total

@@ -9,11 +9,12 @@ Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which `solve_problem` leaves on its field:
 stiffness, load, subcell integrals of f and |f|, the dual-segment flux
 matrices of the elemental systems, and kappa samples, normal maps and the
-facet pairing on the element-boundary segments, all from one chunked pass.
-Source integrals use the composite subcell quadrature of the dual partition,
-over which the recovery integrates f per subcell: one shared pass over that
-rule keeps the elemental compatibility sums at rounding level instead of at
-quadrature-error level.
+facet pairing on the element-boundary segments, all from one chunked pass:
+products of coefficient samples with reference tables tabulated once per
+degree and exactness, scaled by det J > 0 after the product. Source
+integrals use the composite subcell rule of the dual partition, over which
+the recovery integrates f per subcell: one shared pass keeps the elemental
+compatibility sums at rounding level instead of at quadrature-error level.
 """
 
 from __future__ import annotations
@@ -158,44 +159,52 @@ def sample(fn, phys):
     return np.broadcast_to(vals, phys.shape[:-1])
 
 
-def _source_chunk(degree, exactness, source, v0, jac, det):
-    """Load blocks, subcell integrals of f and of |f| of a chunk of elements,
-    stacked as (3, T, N): the weighted source samples on the composite
-    subcell rule times [basis values | subcell one-hot]."""
-    pts, w, owner = dualmesh.subcell_quadrature(degree, exactness)
-    vals, _ = basis.eval_basis(degree, pts)
-    onehot = np.eye(vals.shape[1])[owner]
-    coef = w * det[:, None] * sample(source, basis.map_points(v0, jac, pts))
-    load_sub = coef @ np.hstack([vals, onehot])
-    return np.stack(np.hsplit(load_sub, 2) + [np.abs(coef) @ onehot])
+def _pair_table(left, right):
+    """Products left[p, i, a] right[p, j, b] of two (P, N, 2) tables as
+    (P, 3 N^2), ordered xx, yy, xy + yx for a symmetric M = invJ invJ^T."""
+    lr = np.einsum("pia,pjb->pabij", left, right).reshape(len(left), 4, -1)
+    return np.hstack([lr[:, 0], lr[:, 3], lr[:, 1] + lr[:, 2]])
 
 
 class _RefSegments:
-    """Recovery tables that depend only on the degree: the Gauss weights
-    `sw` and points of the reference dual (`cv`) and element-boundary (`bd`)
-    segments, the basis values and gradients at those points, the signs
-    `sgn_cv` (N, S) with which a dual segment enters its two subcells' rows,
-    and the owners `own_bd` (N, B) of the boundary segments."""
+    """Reference tables of one (degree, exactness); each element kernel is a
+    product of per-element samples with one of them. Element rule: points
+    `q_pts`, gradient pair table `stiff`. Composite subcell rule: points
+    `src_pts`, `src` (P, 2N) = weights * [basis values | subcell one-hot].
+    Dual (`cv`) and element-boundary (`bd`) segments: Gauss weights `sw`
+    and points, the flux pair table `dual`, the signs `sgn_cv` (N, S) of a
+    dual segment in its two subcells' rows, basis values and gradients at
+    the `bd` points and their owners `own_bd` (N, B)."""
 
-    def __init__(self, k):
+    def __init__(self, k, exactness):
         ref, n = dualmesh._ref_dual(k), basis.N_NODES[k]
         srule = segment_rule(default_segment_points(k))
         self.sw = srule.weights
         tpar = srule.points
 
-        # Dual segments: Gauss points and (S, ns*2, N) basis gradients.
+        rule = triangle_rule(exactness)
+        self.q_pts = rule.points
+        _, g = basis.eval_basis(k, rule.points)
+        self.stiff = _pair_table(rule.weights[:, None, None] * g, g)
+        self.src_pts, w, owner = dualmesh.subcell_quadrature(k, exactness)
+        vals, _ = basis.eval_basis(k, self.src_pts)
+        self.src = w[:, None] * np.hstack([vals, np.eye(n)[owner]])
+
+        # Dual segments: invJ rot(J d) = det M rot(d), so a segment's flux
+        # rows pair its sign times the weighted rot(d) with the gradients.
         self.cv_dir = ref.cv_end - ref.cv_start                 # (S, 2)
         self.cv_pts = (ref.cv_start[:, None, :]
                        + tpar[None, :, None] * self.cv_dir[:, None, :])
-        s, ns = self.cv_pts.shape[:2]
-        _, grads = basis.eval_basis(k, self.cv_pts.reshape(-1, 2))
-        self.g_cv = np.moveaxis(grads.reshape(s, ns, n, 2), 2, 3).reshape(
-            s, -1, n)
+        s = len(self.cv_dir)
         self.sgn_cv = sgn = np.zeros((n, s))
         sgn[ref.cv_plus, np.arange(s)] = -1.0
         sgn[ref.cv_minus, np.arange(s)] += 1.0
+        left = (sgn.T[:, None, :, None] * self.sw[:, None, None]
+                * dualmesh._rot(self.cv_dir)[:, None, None, :])
+        _, grads = basis.eval_basis(k, self.cv_pts.reshape(-1, 2))
+        self.dual = _pair_table(left.reshape(-1, n, 2), grads)
 
-        # Element-boundary segments: as above, gradients as (N, B*ns*2).
+        # Element-boundary segments: gradients as (N, B*ns*2).
         self.bd_dir = ref.bd_end - ref.bd_start
         self.bd_pts = (ref.bd_start[:, None, :]
                        + tpar[None, :, None] * self.bd_dir[:, None, :])
@@ -210,8 +219,8 @@ class _RefSegments:
 
 
 @lru_cache(maxsize=None)
-def _ref_segments(degree):
-    return _RefSegments(degree)
+def _ref_segments(degree, exactness):
+    return _RefSegments(degree, exactness)
 
 
 class Discretization:
@@ -228,7 +237,7 @@ class Discretization:
       element-boundary segments, and `mm_bd` (nt, B, 2) their normal maps;
     * `mate` (nt, B): the facet pairing of the element-boundary segments.
 
-    `rseg` holds the degree's segment tables. Everything is read-only, so
+    `rseg` holds the reference tables. Everything is read-only, so
     chunks of elements can be processed concurrently.
     """
 
@@ -242,26 +251,27 @@ class Discretization:
         self.exactness = (default_exactness(k) if exactness is None
                           else int(exactness))
         self.ref = ref = dualmesh._ref_dual(k)
-        self.rseg = rseg = _ref_segments(k)
+        self.rseg = rseg = _ref_segments(k, self.exactness)
         self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
         nt = mesh.n_triangles
         nb, ns = rseg.bd_pts.shape[:2]
         self.k_loc = np.empty((nt, n, n))
         self.d_loc = np.empty((nt, n, n))
         self.kap_bd = np.empty((nt, nb, ns))
-        self.mm_bd = np.empty((nt, nb, 2))
         src = np.empty((3, nt, n))
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
         for t0 in range(0, nt, _CHUNK):
             sl = slice(t0, t0 + _CHUNK)
-            self.k_loc[sl] = self._stiffness(sl)
-            src[:, sl] = _source_chunk(k, self.exactness, problem.source,
-                                       self.v0[sl], self.jac[sl],
-                                       self.det_jac[sl])
-            self.d_loc[sl] = self._dual_blocks(sl)
-            self.kap_bd[sl], self.mm_bd[sl] = self._segment_samples(
-                sl, rseg.bd_pts, rseg.bd_dir)
+            self.k_loc[sl] = self._kappa_blocks(sl, rseg.q_pts, rseg.stiff)
+            src[:, sl] = self._sources(sl)
+            self.d_loc[sl] = self._kappa_blocks(sl, rseg.cv_pts, rseg.dual)
+            self.kap_bd[sl] = sample(problem.kappa, basis.map_points(
+                self.v0[sl], self.jac[sl], rseg.bd_pts))
         self.b_loc, self.f_sub, self.f_abs = src
+        # Normal maps mm = invJ rot(J d), rot the -90 degree turn, so that
+        # grad(phi).n dl is refgrad(phi).mm per unit weight.
+        rotd = dualmesh._rot(basis.map_points(None, self.jac, rseg.bd_dir))
+        self.mm_bd = np.einsum("tab,tsb->tsa", self.inv_jac, rotd)
 
         # Facet pairing: mate[t, s] = m * B + s' where segment s' of the
         # neighbour m holds segment s's points in reverse order; -1 on the
@@ -273,46 +283,31 @@ class Discretization:
         self.mate = np.where(m >= 0, m * nb + ref.bd_mate[np.arange(nb), f],
                              -1)
 
-    def _stiffness(self, sl):
-        """Stiffness blocks of a chunk, (G c) G^T with G the physical basis
-        gradients and c the weighted kappa samples at the quadrature points;
-        a nonpositive kappa is an error."""
-        rule = triangle_rule(self.exactness)
-        _, grads = basis.eval_basis(self.degree, rule.points)
-        phys = basis.map_points(self.v0[sl], self.jac[sl], rule.points)
+    def _kappa_blocks(self, sl, ref_pts, table):
+        """(T, N, N) blocks det * sum_c M_c (kappa @ table_c) of a chunk,
+        M = invJ invJ^T, with kappa sampled at the mapped points of a pair
+        table; a nonpositive kappa is an error."""
+        phys = basis.map_points(self.v0[sl], self.jac[sl],
+                                ref_pts.reshape(-1, 2))
         kap = sample(self.problem.kappa, phys)
         if not np.all(kap > 0.0):
             t, q = np.unravel_index(int(np.argmin(kap)), kap.shape)
             raise SolverError(
                 f"kappa must be positive; got {kap[t, q]:g} at "
                 f"({phys[t, q, 0]:.6g}, {phys[t, q, 1]:.6g})")
-        g = basis.map_points(None, self.inv_jac[sl].transpose(0, 2, 1), grads)
-        c = rule.weights[None, :] * self.det_jac[sl, None] * kap
-        g = np.moveaxis(g, -1, 1).reshape(len(c), -1, self.n)   # (T, 2Q, N)
-        return np.swapaxes(g, 1, 2) @ (np.tile(c, 2)[:, :, None] * g)
+        inv = self.inv_jac[sl]
+        m = (inv @ inv.transpose(0, 2, 1)).reshape(-1, 4)[:, [0, 3, 1]]
+        k = m[:, None, :] @ (kap @ table).reshape(len(m), 3, -1)
+        return self.det_jac[sl, None, None] * k.reshape(-1, self.n, self.n)
 
-    def _segment_samples(self, sl, ref_pts, ref_dir):
-        """Kappa at the mapped Gauss points (T, S, ns) of reference segments
-        of a chunk, and the normal maps mm = invJ rot(J d) (T, S, 2), with
-        rot(J d) the physical direction turned by -90 degrees, so that
-        grad(phi).n dl is refgrad(phi).mm per unit weight."""
-        phys = basis.map_points(self.v0[sl], self.jac[sl], ref_pts)
-        rotd = dualmesh._rot(basis.map_points(None, self.jac[sl], ref_dir))
-        return (sample(self.problem.kappa, phys),
-                np.einsum("tab,tsb->tsa", self.inv_jac[sl], rotd))
-
-    def _dual_blocks(self, sl):
-        """Flux of every basis function through the dual segments of every
-        subcell of a chunk, (T, N, N): per segment, the kappa-weighted normal
-        maps (T, ns*2) times the basis gradients (ns*2, N), summed into
-        subcell rows."""
-        rseg = self.rseg
-        kap, mm = self._segment_samples(sl, rseg.cv_pts, rseg.cv_dir)
-        s, _, n = rseg.g_cv.shape
-        w = (rseg.sw * kap)[..., None] * mm[:, :, None, :]
-        v = np.moveaxis(w, 1, 0).reshape(s, len(w), -1) @ rseg.g_cv
-        return np.moveaxis((rseg.sgn_cv @ v.reshape(s, -1)).reshape(n, -1, n),
-                           0, 1)
+    def _sources(self, sl):
+        """Load blocks, subcell integrals of f and of |f| of a chunk,
+        stacked as (3, T, N): the source samples on the composite subcell
+        rule times the weighted table, scaled by det J > 0 afterwards."""
+        phys = basis.map_points(self.v0[sl], self.jac[sl], self.rseg.src_pts)
+        f, tab = sample(self.problem.source, phys), self.rseg.src
+        out = np.hstack([f @ tab, np.abs(f) @ tab[:, self.n:]])
+        return np.stack(np.hsplit(out * self.det_jac[sl, None], 3))
 
 
 def for_field(field, mesh, dofmap, problem, exactness=None):
@@ -378,8 +373,10 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
         g[pm] = sample(problem.dirichlet[part], dofmap.coords[pm])
     b_c = b_glob - a_glob @ g
     b_c[mask] = g[mask]
-    keep = sp.diags((~mask).astype(float))
-    a_c = (keep @ a_glob @ keep + sp.diags(mask.astype(float))).tocsr()
+    a_c = sp.csr_matrix(a_glob, copy=True)
+    rows = np.repeat(mask, np.diff(a_c.indptr))
+    a_c.data[rows | mask[a_c.indices]] = 0.0
+    a_c = a_c + sp.diags(mask.astype(float))
     return ConstrainedSystem(matrix=a_c, rhs=b_c, mesh=dofmap.mesh,
                              dofmap=dofmap, dirichlet_mask=mask,
                              dirichlet_values=g)

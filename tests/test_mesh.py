@@ -257,3 +257,30 @@ def test_locate_structured_matches_generic_path():
     assert np.array_equal(found, plain.locate(pts))
     assert found[0] == -1
     assert np.all((found >= 0) == np.all((pts >= 0) & (pts <= 1), axis=1))
+
+
+def test_locate_generic_matches_brute_force(jittered_mesh):
+    # The bucketed search must return what testing every element does: the
+    # lowest index among the hits for points on vertices and edges, and -1
+    # off the mesh.
+    mesh = jittered_mesh(7, seed=5)
+    v0, _, inv, _ = mesh.element_maps()
+    rng = np.random.default_rng(2)
+    v = mesh.vertices
+    a, b = v[mesh.edges[:, 0]], v[mesh.edges[:, 1]]
+    pts = np.vstack([v, a + rng.random((len(a), 1)) * (b - a),
+                     rng.uniform(-0.2, 1.2, size=(300, 2)),
+                     [[np.nan, 0.5], [0.5, 1 + 1e-3], [2.0, 2.0]]])
+
+    def brute(p, tol=1e-12):
+        r = np.einsum("tab,tb->ta", inv, p - v0)
+        ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(1) <= 1 + tol)
+        hits = np.nonzero(ok)[0]
+        return hits[0] if hits.size else -1
+
+    found = mesh.locate(pts)
+    assert np.array_equal(found, [brute(p) for p in pts])
+    assert np.all(found[:len(v) + len(a)] >= 0)
+    assert np.all(found[-3:] == -1)
+    assert np.array_equal(mesh.locate(pts, tol=0.1),
+                          [brute(p, 0.1) for p in pts])

@@ -243,7 +243,7 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
     # one partial.
     from conservaflux import solver
     from conservaflux.basis import eval_basis
-    from conservaflux.dualmesh import subcell_quadrature
+    from conservaflux.dualmesh import _rot, subcell_quadrature
     from conservaflux.quadrature import triangle_rule
     monkeypatch.setattr(solver, "_CHUNK", 7)
     mesh = jittered_mesh(6, seed=11)
@@ -261,15 +261,51 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
     onehot = np.eye(vals.shape[1])[owner]
     phys = v0[:, None, :] + np.einsum("tab,qb->tqa", jac, pts)
     coef = w * det[:, None] * prob.source(phys[..., 0], phys[..., 1])
+    # Dual-segment fluxes: kappa times the physical gradients dotted with
+    # the length-scaled normals rot(J d), summed into subcell rows.
+    rseg = disc.rseg
+    phys = v0[:, None, None, :] + np.einsum("tab,snb->tsna", jac, rseg.cv_pts)
+    kap = prob.kappa(phys[..., 0], phys[..., 1])
+    _, g_cv = eval_basis(k, rseg.cv_pts.reshape(-1, 2))
+    g_cv = np.einsum("tba,pjb->tpja", inv, g_cv).reshape(
+        len(det), *rseg.cv_pts.shape[:2], -1, 2)
+    rotd = _rot(np.einsum("tab,sb->tsa", jac, rseg.cv_dir))
+    flux = np.einsum("q,tsq,tsqja,tsa->tsj", rseg.sw, kap, g_cv, rotd)
+    phys = v0[:, None, None, :] + np.einsum("tab,snb->tsna", jac, rseg.bd_pts)
+    rotd = _rot(np.einsum("tab,sb->tsa", jac, rseg.bd_dir))
     expected = {
         "k_loc": np.einsum("tq,tqia,tqja->tij", c, g, g),
         "b_loc": np.einsum("tq,qi->ti", coef, vals),
         "f_sub": np.einsum("tq,qi->ti", coef, onehot),
         "f_abs": np.einsum("tq,qi->ti", np.abs(coef), onehot),
+        "d_loc": np.einsum("is,tsj->tij", rseg.sgn_cv, flux),
+        "kap_bd": prob.kappa(phys[..., 0], phys[..., 1]),
+        "mm_bd": np.einsum("tab,tsb->tsa", inv, rotd),
     }
     for name, ref in expected.items():
         got = getattr(disc, name)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("example", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dirichlet_elimination_matches_two_product_formula(k, example,
+                                                           jittered_mesh):
+    # Zeroing the constrained rows and columns in place must give the CSR
+    # arrays of keep @ A @ keep + diag(mask), entry for entry; example 3 has
+    # Dirichlet data on two sides and homogeneous Neumann on the others.
+    import scipy.sparse as sp
+    mesh = jittered_mesh(6, seed=4)
+    prob = load_example(example)
+    dm = build_dof_map(mesh, k)
+    a, b = assemble(mesh, dm, prob)
+    system = apply_dirichlet(a, b, dm, prob)
+    mask = system.dirichlet_mask
+    keep = sp.diags((~mask).astype(float))
+    ref = (keep @ a @ keep + sp.diags(mask.astype(float))).tocsr()
+    assert sp.isspmatrix_csr(system.matrix)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.matrix, name), getattr(ref, name))
 
 
 def pure_neumann_system(n):
