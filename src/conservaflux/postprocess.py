@@ -6,9 +6,9 @@ field through the dual (control-volume) segments of subcell xi against
 source, stiffness, and averaged-boundary-flux data computed from the global
 solution. The system matrix annihilates constants from both sides, so the
 solution is fixed only up to an additive constant; the gradient, and with
-it the recovered flux, is unique. The mean of the corrected coefficients is
-pinned to the mean of the global solution's coefficients on the element,
-which makes the two fields directly comparable but has no effect on fluxes.
+it the recovered flux, is unique. Each system is solved for the mean
+`gauge_shift` (0 by default) and the element mean of u_h is added after,
+so the two fields are comparable and a constant in u_h stays out of the solve.
 
 On facets shared by two elements the normal flux of the global solution is
 averaged between the two one-sided traces; on the domain boundary the
@@ -89,16 +89,16 @@ def _elemental_blocks(disc, u_values, t0, t1):
     """Matrices, right-hand sides, defects, and boundary data for a chunk."""
     sl = slice(t0, t1)
     u_loc = u_values[disc.dofmap.cell_dofs[sl]]
-    a_term = (disc.k_loc[sl] @ u_loc[:, :, None])[:, :, 0]
+    gauge = u_loc.mean(axis=1)
+    # k_loc annihilates constants: centred, its rounding ignores |u_h|.
+    a_term = (disc.k_loc[sl] @ (u_loc - gauge[:, None])[:, :, None])[:, :, 0]
     q_seg, e_phi = _boundary_flux_terms(disc, u_values, t0, t1)
     e_term = q_seg @ disc.rseg.own_bd.T - e_phi
 
     beta = disc.f_sub[sl] - disc.b_loc[sl] + a_term + e_term
     bflux = disc.b_loc[sl] - a_term - e_term
     defect = np.abs(beta.sum(axis=1))
-    scale = np.linalg.norm(beta, axis=1) + disc.f_abs[sl].sum(axis=1)
-
-    gauge = u_loc.mean(axis=1)
+    scale = np.linalg.norm(beta, axis=1) + disc.f_abs[sl]
     return disc.d_loc[sl], beta, gauge, defect, scale, bflux
 
 
@@ -117,7 +117,7 @@ def _solve_chunk(mats, beta, gauge, defect, scale, t0, gauge_shift):
     bordered[:, n, :n] = 1.0
     rhs = np.empty((ct, n + 1))
     rhs[:, :n] = beta
-    rhs[:, n] = n * (gauge + gauge_shift)
+    rhs[:, n] = n * gauge_shift
     sol = np.linalg.solve(bordered, rhs[:, :, None])[:, :, 0]
     alpha = sol[:, :n]
 
@@ -125,7 +125,7 @@ def _solve_chunk(mats, beta, gauge, defect, scale, t0, gauge_shift):
     resid -= resid.mean(axis=1, keepdims=True)
     rnorm = np.linalg.norm(resid, axis=1)
     mat_scale = np.linalg.norm(mats.reshape(ct, -1), axis=1) \
-        * (1.0 + np.abs(gauge + gauge_shift))
+        * (1.0 + abs(gauge_shift))
     tol = _SOLVE_RTOL * (scale + mat_scale) + 1e-30
     bad = rnorm > tol
     if np.any(bad):
@@ -133,7 +133,7 @@ def _solve_chunk(mats, beta, gauge, defect, scale, t0, gauge_shift):
         raise PostprocessError(
             f"element {t0 + t}: singular-system residual {rnorm[t]:.3e} "
             f"exceeds tolerance {tol[t]:.3e} after gauge fixing")
-    return alpha
+    return alpha + gauge[:, None]
 
 
 @dataclass
@@ -164,20 +164,18 @@ class PostprocessedField:
 
 def local_coefficients(field):
     """Per-element coefficient table (nt, N) for either field type."""
-    if isinstance(field, PostprocessedField):
-        return field.coeffs
-    return field.values[field.dofmap.cell_dofs]
+    return field.local_coeffs(slice(None))
 
 
 def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
                     gauge_shift=0.0, exactness=None):
     """Recover the conservative flux field on every element.
 
-    Elements are processed in fixed-size chunks; chunks are independent and
-    may run on a thread pool (capped by the CONSERVAFLUX_THREADS environment
-    variable when `threads` is None). Results are written to disjoint slices,
-    so the output is bit-identical for any thread count. The field's
-    discretization is reused when it matches, and the result carries it.
+    Chunks of elements, sized by their boundary-segment points, are
+    independent and may run on a thread pool (capped by CONSERVAFLUX_THREADS
+    when `threads` is None); results go to disjoint slices, so the output is
+    bit-identical for any thread count. The field's discretization is
+    reused when it matches, and the result carries it.
     """
     dualmesh._check_partitions(mesh, partitions, dofmap.degree)
     nthreads = _thread_count(threads)
@@ -188,23 +186,22 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     bflux = np.empty((nt, n))
     defects = np.empty(nt)
 
-    def work(t0):
-        t1 = min(t0 + solver._CHUNK, nt)
+    def work(sl):
         mats, beta, gauge, defect, scale, bf = _elemental_blocks(
-            disc, u_h.values, t0, t1)
-        coeffs[t0:t1] = _solve_chunk(mats, beta, gauge, defect, scale,
-                                     t0, gauge_shift)
-        bflux[t0:t1] = bf
-        defects[t0:t1] = defect
+            disc, u_h.values, sl.start, sl.stop)
+        coeffs[sl] = _solve_chunk(mats, beta, gauge, defect, scale,
+                                  sl.start, gauge_shift)
+        bflux[sl] = bf
+        defects[sl] = defect
 
-    starts = range(0, nt, solver._CHUNK)
+    # Flux traces hold about ten values per boundary-segment point.
+    chunks = solver._chunks(nt, disc.rseg.g_bd.shape[1])
     if nthreads == 1:
-        for t0 in starts:
-            work(t0)
+        for sl in chunks:
+            work(sl)
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            for fut in [pool.submit(work, t0) for t0 in starts]:
-                fut.result()
+            list(pool.map(work, chunks))
     return PostprocessedField(mesh=mesh, dofmap=dofmap, coeffs=coeffs,
                               boundary_flux=bflux, defects=defects,
                               discretization=disc)

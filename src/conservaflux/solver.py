@@ -7,11 +7,11 @@ leaves the interior equations exactly satisfied by the solution.
 
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which `solve_problem` leaves on its field:
-stiffness, load, subcell integrals of f and |f|, the dual-segment flux
-matrices of the elemental systems, and kappa samples, normal maps and the
-facet pairing on the element-boundary segments, all from one chunked pass:
-products of coefficient samples with reference tables tabulated once per
-degree and exactness, scaled by det J > 0 after the product. Source
+stiffness, load, subcell f and element |f| integrals, the dual-segment
+flux matrices of the elemental systems, and kappa samples, normal maps and
+the facet pairing on the element-boundary segments, all from one chunked
+pass: products of coefficient samples with reference tables tabulated once
+per degree and exactness, scaled by det J > 0 after the product. Source
 integrals use the composite subcell rule of the dual partition, over which
 the recovery integrates f per subcell: one shared pass keeps the elemental
 compatibility sums at rounding level instead of at quadrature-error level.
@@ -32,7 +32,7 @@ from .quadrature import segment_rule, triangle_rule
 
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
 DOF_KIND_NAMES = {DOF_VERTEX: "vertex", DOF_EDGE: "edge", DOF_INTERIOR: "interior"}
-_CHUNK = 1024  # elements per chunk of every per-element pass
+_BUDGET = 2 ** 17  # quadrature points per chunk of every per-element pass
 
 
 class SolverError(Exception):
@@ -152,6 +152,14 @@ class FemField:
         return ref @ inv[t]
 
 
+def _chunks(nt, width):
+    """Disjoint slices of range(nt) of max(1, _BUDGET // width) elements;
+    `width` is a pass's points per element, doubled if it holds ten values
+    per point, not five: about 5 MiB of temporaries at any size and degree."""
+    step = max(1, _BUDGET // width)
+    return (slice(t0, min(t0 + step, nt)) for t0 in range(0, nt, step))
+
+
 def sample(fn, phys):
     """Evaluate a vectorized coefficient at points (..., 2) as a float array
     of shape phys.shape[:-1] (constant functions may return a scalar)."""
@@ -170,7 +178,7 @@ class _RefSegments:
     """Reference tables of one (degree, exactness); each element kernel is a
     product of per-element samples with one of them. Element rule: points
     `q_pts`, gradient pair table `stiff`. Composite subcell rule: points
-    `src_pts`, `src` (P, 2N) = weights * [basis values | subcell one-hot].
+    `src_pts`, weights `src_w`, `src` (P, 2N) = w * [basis values | one-hot].
     Dual (`cv`) and element-boundary (`bd`) segments: Gauss weights `sw`
     and points, the flux pair table `dual`, the signs `sgn_cv` (N, S) of a
     dual segment in its two subcells' rows, basis values and gradients at
@@ -186,9 +194,10 @@ class _RefSegments:
         self.q_pts = rule.points
         _, g = basis.eval_basis(k, rule.points)
         self.stiff = _pair_table(rule.weights[:, None, None] * g, g)
-        self.src_pts, w, owner = dualmesh.subcell_quadrature(k, exactness)
+        self.src_pts, self.src_w, owner = dualmesh.subcell_quadrature(
+            k, exactness)
         vals, _ = basis.eval_basis(k, self.src_pts)
-        self.src = w[:, None] * np.hstack([vals, np.eye(n)[owner]])
+        self.src = self.src_w[:, None] * np.hstack([vals, np.eye(n)[owner]])
 
         # Dual segments: invJ rot(J d) = det M rot(d), so a segment's flux
         # rows pair its sign times the weighted rot(d) with the gradients.
@@ -229,8 +238,8 @@ class Discretization:
 
     * `k_loc` (nt, N, N): stiffness blocks;
     * `b_loc` (nt, N): load blocks;
-    * `f_sub` (nt, N): source integral over every subcell polygonal, and
-      `f_abs` (nt, N): the integral of |f| over it;
+    * `f_sub` (nt, N): source integral over every subcell polygonal;
+    * `f_abs` (nt,): the integral of |f| over every element;
     * `d_loc` (nt, N, N): flux of every basis function through the dual
       segments of every subcell, the matrix of the elemental systems;
     * `kap_bd` (nt, B, ns): kappa at the Gauss points of the
@@ -258,30 +267,31 @@ class Discretization:
         self.k_loc = np.empty((nt, n, n))
         self.d_loc = np.empty((nt, n, n))
         self.kap_bd = np.empty((nt, nb, ns))
-        src = np.empty((3, nt, n))
+        self.mm_bd, self.mate = np.empty((nt, nb, 2)), np.empty((nt, nb), int)
+        src, self.f_abs = np.empty((2, nt, n)), np.empty(nt)
+        nbr, edges = mesh.tri_neighbors, mesh.tri_edges
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
-        for t0 in range(0, nt, _CHUNK):
-            sl = slice(t0, t0 + _CHUNK)
+        for sl in _chunks(nt, len(rseg.src_pts)):
             self.k_loc[sl] = self._kappa_blocks(sl, rseg.q_pts, rseg.stiff)
-            src[:, sl] = self._sources(sl)
+            src[:, sl], self.f_abs[sl] = self._sources(sl)
             self.d_loc[sl] = self._kappa_blocks(sl, rseg.cv_pts, rseg.dual)
             self.kap_bd[sl] = sample(problem.kappa, basis.map_points(
                 self.v0[sl], self.jac[sl], rseg.bd_pts))
-        self.b_loc, self.f_sub, self.f_abs = src
-        # Normal maps mm = invJ rot(J d), rot the -90 degree turn, so that
-        # grad(phi).n dl is refgrad(phi).mm per unit weight.
-        rotd = dualmesh._rot(basis.map_points(None, self.jac, rseg.bd_dir))
-        self.mm_bd = np.einsum("tab,tsb->tsa", self.inv_jac, rotd)
-
-        # Facet pairing: mate[t, s] = m * B + s' where segment s' of the
-        # neighbour m holds segment s's points in reverse order; -1 on the
-        # domain boundary. TriMesh is counterclockwise and manifold, so the
-        # neighbour always has such a segment.
-        nbr, edges = mesh.tri_neighbors, mesh.tri_edges
-        f_nbr = np.argmax(edges[np.maximum(nbr, 0)] == edges[:, :, None], 2)
-        m, f = nbr[:, ref.bd_facet], f_nbr[:, ref.bd_facet]
-        self.mate = np.where(m >= 0, m * nb + ref.bd_mate[np.arange(nb), f],
-                             -1)
+            # Normal maps mm = invJ rot(J d), rot the -90 degree turn, so
+            # that grad(phi).n dl is refgrad(phi).mm per unit weight.
+            rotd = dualmesh._rot(basis.map_points(None, self.jac[sl],
+                                                  rseg.bd_dir))
+            self.mm_bd[sl] = np.einsum("tab,tsb->tsa", self.inv_jac[sl], rotd)
+            # Facet pairing: mate[t, s] = m * B + s' where segment s' of the
+            # neighbour m holds segment s's points in reverse order; -1 on
+            # the domain boundary. TriMesh is counterclockwise and manifold,
+            # so the neighbour always has such a segment.
+            f_nbr = np.argmax(edges[np.maximum(nbr[sl], 0)]
+                              == edges[sl, :, None], 2)
+            m, f = nbr[sl, ref.bd_facet], f_nbr[:, ref.bd_facet]
+            self.mate[sl] = np.where(
+                m >= 0, m * nb + ref.bd_mate[np.arange(nb), f], -1)
+        self.b_loc, self.f_sub = src
 
     def _kappa_blocks(self, sl, ref_pts, table):
         """(T, N, N) blocks det * sum_c M_c (kappa @ table_c) of a chunk,
@@ -301,13 +311,13 @@ class Discretization:
         return self.det_jac[sl, None, None] * k.reshape(-1, self.n, self.n)
 
     def _sources(self, sl):
-        """Load blocks, subcell integrals of f and of |f| of a chunk,
-        stacked as (3, T, N): the source samples on the composite subcell
-        rule times the weighted table, scaled by det J > 0 afterwards."""
+        """Load blocks and subcell integrals of f (2, T, N) and element
+        integrals of |f| (T,) of a chunk: composite-rule source samples
+        times the weighted tables, scaled by det J > 0 afterwards."""
         phys = basis.map_points(self.v0[sl], self.jac[sl], self.rseg.src_pts)
-        f, tab = sample(self.problem.source, phys), self.rseg.src
-        out = np.hstack([f @ tab, np.abs(f) @ tab[:, self.n:]])
-        return np.stack(np.hsplit(out * self.det_jac[sl, None], 3))
+        f, det = sample(self.problem.source, phys), self.det_jac[sl]
+        out = (f @ self.rseg.src) * det[:, None]
+        return np.stack(np.hsplit(out, 2)), det * (np.abs(f) @ self.rseg.src_w)
 
 
 def for_field(field, mesh, dofmap, problem, exactness=None):
@@ -331,10 +341,11 @@ def assemble(mesh, dofmap, problem, exactness=None):
 
 
 def _assemble(disc):
-    dofmap = disc.dofmap
-    n = disc.n
-    rows = np.repeat(dofmap.cell_dofs, n, axis=1).ravel()
-    cols = np.tile(dofmap.cell_dofs, (1, n)).ravel()
+    dofmap, n, n_dofs = disc.dofmap, disc.n, disc.dofmap.n_dofs
+    # scipy indexes with int32 whenever it can, and copies int64 input.
+    cd = dofmap.cell_dofs.astype(np.int32 if n_dofs < 2 ** 31 else np.int64)
+    rows = np.repeat(cd, n, axis=1).ravel()
+    cols = np.tile(cd, (1, n)).ravel()
     a_glob = sp.coo_matrix((disc.k_loc.ravel(), (rows, cols)),
                            shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
     b_glob = np.zeros(dofmap.n_dofs)

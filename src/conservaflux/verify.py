@@ -72,27 +72,30 @@ def compute_lce(mesh, cv_index, partitions, field, problem,
 
 
 def _h1_distance(mesh, coeffs, degree, exactness, exact_grad=None):
-    """H1 semi-norm of the elementwise polynomials with nodal coefficients
-    `coeffs` (nt, N), minus `exact_grad` when one is given."""
+    """H1 semi-norm of the elementwise polynomials whose nodal coefficients
+    on a slice `sl` of elements are `coeffs(sl)` (T, N), minus `exact_grad`
+    when one is given, summed chunk by chunk."""
     if exactness is None:
         exactness = solver.default_exactness(degree)
     rule = triangle_rule(exactness)
-    _, grads = basis.eval_basis(degree, rule.points)
+    tab = np.hstack(basis.eval_basis(degree, rule.points)[1])
     v0, jac, inv, det = mesh.element_maps()
-    g = (coeffs @ np.hstack(grads)).reshape(len(coeffs), -1, 2)  # (nt, Q, 2)
-    dx, dy = (g[..., 0] * inv[:, 0, a, None] + g[..., 1] * inv[:, 1, a, None]
-              for a in (0, 1))
-    if exact_grad is not None:
-        phys = basis.map_points(v0, jac, rule.points)
-        gx, gy = exact_grad(phys[..., 0], phys[..., 1])
-        dx, dy = gx - dx, gy - dy
-    return float(np.sqrt(det @ ((dx * dx + dy * dy) @ rule.weights)))
+    total = 0.0
+    # About ten values per point: gradients (T, Q, 2), points, exact ones.
+    for sl in solver._chunks(mesh.n_triangles, 2 * len(rule.points)):
+        g = (coeffs(sl) @ tab).reshape(-1, len(rule.points), 2) @ inv[sl]
+        if exact_grad is not None:
+            phys = basis.map_points(v0[sl], jac[sl], rule.points)
+            for a, g_a in enumerate(exact_grad(phys[..., 0], phys[..., 1])):
+                g[..., a] -= g_a
+        total += det[sl] @ (np.einsum("tqa,tqa->tq", g, g) @ rule.weights)
+    return float(np.sqrt(total))
 
 
 def h1_seminorm_error(mesh, field, exact_grad, exactness=None):
     """H1 semi-norm distance to a known gradient, by elementwise quadrature."""
-    return _h1_distance(mesh, local_coefficients(field), field.degree,
-                        exactness, exact_grad)
+    return _h1_distance(mesh, field.local_coeffs, field.degree, exactness,
+                        exact_grad)
 
 
 def h1_seminorm_diff(mesh, field_a, field_b, exactness=None):
@@ -103,7 +106,7 @@ def h1_seminorm_diff(mesh, field_a, field_b, exactness=None):
     if field_a.degree != field_b.degree:
         raise ValueError("fields have different degrees")
     return _h1_distance(
-        mesh, local_coefficients(field_a) - local_coefficients(field_b),
+        mesh, lambda sl: field_a.local_coeffs(sl) - field_b.local_coeffs(sl),
         field_a.degree, exactness)
 
 
@@ -139,20 +142,24 @@ def elemental_conservation_report(mesh, partitions, field, problem,
     residuals = np.abs(field.boundary_flux.sum(axis=1)
                        - disc.f_sub.sum(axis=1))
     scales = np.maximum(1.0, np.abs(field.boundary_flux).sum(axis=1)
-                        + disc.f_abs.sum(axis=1))
+                        + disc.f_abs)
     return ElementalConservationReport(residuals=residuals, scales=scales)
 
 
 def f_l1_norm(mesh, degree, problem, exactness=None):
     """L1 norm of the source over the domain, on the element rule (default
-    exactness 2k + 2); the composite subcell rule's agrees to quadrature
-    accuracy."""
+    exactness 2k + 2), summed chunk by chunk; the composite subcell rule's
+    agrees to quadrature accuracy."""
     if exactness is None:
         exactness = solver.default_exactness(degree)
     rule = triangle_rule(exactness)
     v0, jac, _, det = mesh.element_maps()
-    f = sample(problem.source, basis.map_points(v0, jac, rule.points))
-    return float(det @ (np.abs(f) @ rule.weights))
+    total = 0.0
+    for sl in solver._chunks(mesh.n_triangles, len(rule.points)):
+        f = sample(problem.source, basis.map_points(v0[sl], jac[sl],
+                                                    rule.points))
+        total += det[sl] @ (np.abs(f) @ rule.weights)
+    return float(total)
 
 
 def true_solution_residual(mesh, degree, problem, exactness=None):

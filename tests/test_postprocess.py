@@ -346,8 +346,29 @@ def test_recovery_attaches_and_reuses_discretization():
     assert np.array_equal(other.coeffs, tilde.coeffs)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_recovery_is_invariant_to_a_constant_added_to_u_h(k):
+    # The stiffness rows act on u_h minus its element mean, and the mean is
+    # added back after the solve, so u_h + c recovers the same field plus c
+    # to within a few roundings of c itself.
+    from conservaflux.solver import FemField
+    mesh = build_structured_mesh(16)
+    prob = load_example(2)
+    u = solve_problem(mesh, k, prob)
+    parts = build_partitions(mesh, k)
+    tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
+    for c in (1e3, 1e6, 1e9):
+        shifted = FemField(mesh, u.dofmap, u.values + c,
+                           discretization=u.discretization)
+        got = postprocess_all(mesh, u.dofmap, parts, shifted, prob).coeffs
+        err = np.abs((got - c) - tilde.coeffs).max()
+        assert err <= 4 * np.finfo(float).eps * c, (c, err)
+
+
 def test_serial_parallel_bit_identity(monkeypatch):
-    monkeypatch.setattr(solver, "_CHUNK", 17)
+    # 17 elements of 48 boundary-segment points at k=2: 72 elements make
+    # five chunks, the last one partial.
+    monkeypatch.setattr(solver, "_BUDGET", 17 * 48)
     mesh = build_structured_mesh(6)
     prob = load_example(2)
     u = solve_problem(mesh, 2, prob)

@@ -239,13 +239,14 @@ def test_solution_csv_export(tmp_path):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
-    # A small chunk size makes the 72 elements span several chunks, the last
-    # one partial.
+    # A budget of 7 elements' composite source points makes the 72 elements
+    # span several chunks, the last one partial.
     from conservaflux import solver
     from conservaflux.basis import eval_basis
     from conservaflux.dualmesh import _rot, subcell_quadrature
     from conservaflux.quadrature import triangle_rule
-    monkeypatch.setattr(solver, "_CHUNK", 7)
+    width = len(subcell_quadrature(k, solver.default_exactness(k))[0])
+    monkeypatch.setattr(solver, "_BUDGET", 7 * width)
     mesh = jittered_mesh(6, seed=11)
     prob = load_example(2)
     disc = Discretization(mesh, build_dof_map(mesh, k), prob)
@@ -277,7 +278,7 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
         "k_loc": np.einsum("tq,tqia,tqja->tij", c, g, g),
         "b_loc": np.einsum("tq,qi->ti", coef, vals),
         "f_sub": np.einsum("tq,qi->ti", coef, onehot),
-        "f_abs": np.einsum("tq,qi->ti", np.abs(coef), onehot),
+        "f_abs": np.abs(coef).sum(axis=1),
         "d_loc": np.einsum("is,tsj->tij", rseg.sgn_cv, flux),
         "kap_bd": prob.kappa(phys[..., 0], phys[..., 1]),
         "mm_bd": np.einsum("tab,tsb->tsa", inv, rotd),

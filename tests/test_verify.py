@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from conservaflux import (build_cv_index, build_dof_map, build_partitions,
                           subcell_quadrature, triangle_rule,
                           true_solution_residual,
                           write_convergence_csv, write_lce_csv)
+from conservaflux import solver
 from conservaflux.problems import ProblemSpec
+from conservaflux.solver import Discretization, FemField
 
 
 def pipeline(problem, k, n, **kw):
@@ -249,6 +252,64 @@ def test_f_l1_norm_samples_the_element_rule_once(k):
     f_l1_norm(mesh, k, dataclasses.replace(base, source=source))
     assert sum(points) == mesh.n_triangles * len(
         triangle_rule(2 * k + 2).weights)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunked_h1_and_f_l1_match_one_chunk(k, jittered_mesh, monkeypatch):
+    # A budget of 7 elements of the H1 pass (14 of f_l1_norm's) cuts the 72
+    # elements into ragged chunks; their sums match one whole-mesh chunk.
+    mesh = jittered_mesh(6, seed=5)
+    prob = load_example(2)
+    u = solve_problem(mesh, k, prob)
+    tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, k), u,
+                            prob)
+
+    def values():
+        return np.array([h1_seminorm_error(mesh, u, prob.exact_grad),
+                         h1_seminorm_error(mesh, tilde, prob.exact_grad),
+                         h1_seminorm_diff(mesh, u, tilde),
+                         f_l1_norm(mesh, k, prob)])
+
+    whole = values()
+    q = len(triangle_rule(solver.default_exactness(k)).weights)
+    monkeypatch.setattr(solver, "_BUDGET", 7 * 2 * q)
+    assert np.all(np.abs(values() - whole) <= 1e-14 * whole)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_per_element_passes_have_bounded_transient_memory(k, monkeypatch):
+    # With a budget of 4,096 points per chunk, no pass holds more than ten
+    # doubles per budget point at a time beyond what it returns, on the
+    # 32 x 32 mesh and on the 64 x 64 one alike: no temporary grows with
+    # the mesh.
+    monkeypatch.setattr(solver, "_BUDGET", 4096)
+    prob = load_example(2)
+    transient = {}
+
+    def measure(name, fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        transient[name] = peak - current
+        return out
+
+    for n in (32, 64):
+        mesh = build_structured_mesh(n)
+        mesh.element_maps()
+        dm = build_dof_map(mesh, k)
+        parts = build_partitions(mesh, k)
+        u = FemField(mesh, dm, prob.exact(*dm.coords.T))
+        u.discretization = measure(
+            "Discretization", lambda: Discretization(mesh, dm, prob))
+        tilde = measure("postprocess_all", lambda: postprocess_all(
+            mesh, dm, parts, u, prob, threads=1))
+        measure("h1_seminorm_error",
+                lambda: h1_seminorm_error(mesh, tilde, prob.exact_grad))
+        measure("f_l1_norm", lambda: f_l1_norm(mesh, k, prob))
+        assert max(transient.values()) <= 10 * 8 * 4096, (n, transient)
 
 
 def test_true_solution_residual_quadrature_limited():
