@@ -104,18 +104,23 @@ def eval_basis(degree, points):
     return vals, grads
 
 
-def map_points(v0, jac, ref):
+def map_points(v0, jac, ref, out=None):
     """Images v0 + J r of reference points r (..., 2) under the affine maps
     (v0 (T, 2), jac (T, 2, 2)) of T elements, shape (T, ..., 2); v0=None
     maps vectors by J alone. One matrix product [v0 | J] (2T, 3) @ [1; r]
     (3, P), rows ordered coordinate-major, so each coordinate is its own
-    contiguous plane; it agrees with the einsum contraction to a few ulps."""
+    contiguous plane; it agrees with the einsum contraction to a few ulps.
+    `out`, a flat float array of at least 2 T P values, receives the
+    product, and the result is a view into it."""
     ref = np.asarray(ref, dtype=float)
     r = ref.reshape(-1, 2).T
     a = jac.transpose(1, 0, 2)
     if v0 is not None:
         a = np.concatenate([v0.T[:, :, None], a], axis=2)
         r = np.vstack([np.ones(r.shape[1]), r])
-    out = a.reshape(2 * len(jac), -1) @ r
+    a = a.reshape(2 * len(jac), -1)
+    if out is not None:
+        out = out[:a.shape[0] * r.shape[1]].reshape(a.shape[0], -1)
+    out = np.matmul(a, r, out=out)
     return np.moveaxis(out.reshape((2, len(jac)) + ref.shape[:-1]), 0, -1)
 

@@ -216,12 +216,19 @@ def _add_common(p):
 
 
 def _levels_from_args(args, check):
+    """The run's mesh levels; a convergence ladder given on the command
+    line must have at least 3 levels (`--check all` falls back to the
+    default ladder instead)."""
+    if check == "convergence":
+        if args.levels and len(args.levels) < 3:
+            raise ValueError(f"convergence needs at least 3 levels, got "
+                             f"--levels {','.join(map(str, args.levels))}")
+        if not args.levels and args.n is not None:
+            raise ValueError(f"convergence needs --levels a,b,c (at least "
+                             f"3), got --n {args.n}")
     if args.levels:
         return args.levels
     if args.n is not None:
-        if check == "convergence":
-            raise SystemExit("--check convergence needs --levels a,b,c "
-                             "(at least 3)")
         return [args.n]
     if check == "convergence":
         return default_ladder(args.example, args.degree)

@@ -271,9 +271,14 @@ class Discretization:
         src, self.f_abs = np.empty((2, nt, n)), np.empty(nt)
         nbr, edges = mesh.tri_neighbors, mesh.tri_edges
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
-        for sl in _chunks(nt, len(rseg.src_pts)):
+        # The source pass writes its mapped points and |f| into two buffers
+        # sized for the largest chunk, so no chunk faults in fresh pages.
+        width = len(rseg.src_pts)
+        size = width * min(nt, max(1, _BUDGET // width))
+        phys_buf, abs_buf = np.empty(2 * size), np.empty(size)
+        for sl in _chunks(nt, width):
             self.k_loc[sl] = self._kappa_blocks(sl, rseg.q_pts, rseg.stiff)
-            src[:, sl], self.f_abs[sl] = self._sources(sl)
+            src[:, sl], self.f_abs[sl] = self._sources(sl, phys_buf, abs_buf)
             self.d_loc[sl] = self._kappa_blocks(sl, rseg.cv_pts, rseg.dual)
             self.kap_bd[sl] = sample(problem.kappa, basis.map_points(
                 self.v0[sl], self.jac[sl], rseg.bd_pts))
@@ -310,14 +315,17 @@ class Discretization:
         k = m[:, None, :] @ (kap @ table).reshape(len(m), 3, -1)
         return self.det_jac[sl, None, None] * k.reshape(-1, self.n, self.n)
 
-    def _sources(self, sl):
+    def _sources(self, sl, phys_buf, abs_buf):
         """Load blocks and subcell integrals of f (2, T, N) and element
         integrals of |f| (T,) of a chunk: composite-rule source samples
-        times the weighted tables, scaled by det J > 0 afterwards."""
-        phys = basis.map_points(self.v0[sl], self.jac[sl], self.rseg.src_pts)
+        times the weighted tables, scaled by det J > 0 afterwards. The
+        mapped points and |f| are written into the flat buffers given."""
+        phys = basis.map_points(self.v0[sl], self.jac[sl], self.rseg.src_pts,
+                                out=phys_buf)
         f, det = sample(self.problem.source, phys), self.det_jac[sl]
         out = (f @ self.rseg.src) * det[:, None]
-        return np.stack(np.hsplit(out, 2)), det * (np.abs(f) @ self.rseg.src_w)
+        abs_f = np.abs(f, out=abs_buf[:f.size].reshape(f.shape))
+        return np.stack(np.hsplit(out, 2)), det * (abs_f @ self.rseg.src_w)
 
 
 def for_field(field, mesh, dofmap, problem, exactness=None):
@@ -393,10 +401,27 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
                              dirichlet_values=g)
 
 
+def _condensed_solve(a, b, n_interior):
+    """Direct solve with the last `n_interior` unknowns condensed out. Their
+    block is diagonal (each interior dof couples to its own element only),
+    so the Schur complement A_cc - A_ci D^-1 A_ic keeps A_cc's pattern; the
+    interior values follow exactly as (b_i - A_ic x_c) / D."""
+    nc = a.shape[0] - n_interior
+    a_ci, a_ic, d = a[:nc, nc:], a[nc:, :nc], a.diagonal()[nc:]
+    s = (a[:nc, :nc] - a_ci @ (sp.diags(1.0 / d) @ a_ic)).tocsc()
+    x = np.empty_like(b)
+    x[:nc] = spla.spsolve(s, b[:nc] - a_ci @ (b[nc:] / d),
+                          permc_spec="MMD_AT_PLUS_A")
+    x[nc:] = (b[nc:] - a_ic @ x[:nc]) / d
+    return x
+
+
 def solve(system, rtol=1e-10):
     """Direct sparse solve with a conjugate-gradient fallback of at most n
     iterations (CG's exact-arithmetic bound), so a singular system fails fast.
 
+    Element-interior dofs (k = 3) are condensed out of the direct solve and
+    recovered exactly; the residual and the fallback use the full system.
     The relative residual of the returned solution is at most `rtol`;
     otherwise a SolverError reports the residual that was attained.
     """
@@ -408,8 +433,14 @@ def solve(system, rtol=1e-10):
     def residual(x):
         return float(np.linalg.norm(a @ x - b) / scale)
 
-    # Symmetric elimination leaves A structurally symmetric: order A^T + A.
-    x = spla.spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
+    # Symmetric elimination leaves A structurally symmetric, and so does
+    # the condensation: both solves order A^T + A.
+    dm = system.dofmap
+    n_interior = 0 if dm is None else int(np.sum(dm.kind == DOF_INTERIOR))
+    if n_interior:
+        x = _condensed_solve(system.matrix.tocsr(), b, n_interior)
+    else:
+        x = spla.spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
     res = residual(x)
     if not np.isfinite(res) or res > rtol:
         x_cg, info = spla.cg(a, b, x0=None, rtol=min(rtol, 1e-12), atol=0.0,

@@ -251,6 +251,24 @@ def test_element_map_vertices_and_barycenter():
         assert abs(det[t] - 2 * area) < 1e-14
 
 
+@pytest.mark.parametrize("with_v0", [True, False])
+def test_map_points_into_buffer_matches_allocating_call(with_v0):
+    # Chunks of 4 elements over 10 (the last one ragged) written into one
+    # buffer sized for the largest chunk: each result is a view into the
+    # buffer and equals the allocating call bit for bit.
+    mesh = build_structured_mesh(3)
+    v0, jac, _, _ = mesh.element_maps()
+    ref = random_ref_points(np.random.default_rng(5), 7)
+    buf = np.full(2 * 4 * len(ref), np.nan)
+    for t0 in range(0, 10, 4):
+        sl = slice(t0, min(t0 + 4, 10))
+        args = (v0[sl] if with_v0 else None, jac[sl], ref)
+        got = map_points(*args, out=buf)
+        assert got.shape == (sl.stop - sl.start, len(ref), 2)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, map_points(*args))
+
+
 def test_degenerate_triangle_rejected_at_construction():
     from conservaflux.mesh import MeshError
     with pytest.raises(MeshError):

@@ -77,9 +77,26 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_convergence_requires_ladder_with_n():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["solve", "--example", "1", "--degree", "1", "--n", "8",
               "--check", "convergence"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["solve", "--check", "convergence"],
+                                     ["convergence"]])
+@pytest.mark.parametrize("args, value", [(["--levels", "4,8"], "--levels 4,8"),
+                                         (["--n", "4"], "--n 4")])
+def test_short_convergence_ladder_is_a_usage_error(command, args, value,
+                                                   tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--example", "1", "--degree", "1", "--out", str(out)]
+             + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert "at least 3" in err and err.endswith(f"got {value}")
+    assert not out.exists()
 
 
 def test_run_config_validation(tmp_path):

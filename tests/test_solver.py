@@ -339,6 +339,60 @@ def test_cg_fallback_iterations_capped_at_system_size(monkeypatch):
     assert seen and all(m <= n for m in seen)
 
 
+def plain_solve(system):
+    import scipy.sparse.linalg as spla
+    return spla.spsolve(system.matrix.tocsc(), system.rhs,
+                        permc_spec="MMD_AT_PLUS_A")
+
+
+def test_k3_direct_solve_factors_only_the_coupled_dofs(monkeypatch):
+    # The interior (bubble) dofs are condensed out before the direct solve.
+    import scipy.sparse.linalg as spla
+    mesh = build_structured_mesh(4)
+    prob = load_example(2)
+    dm = build_dof_map(mesh, 3)
+    system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
+    sizes = []
+
+    def spsolve(a, b, **kwargs):
+        sizes.append(a.shape)
+        return real(a, b, **kwargs)
+
+    real = spla.spsolve
+    monkeypatch.setattr(spla, "spsolve", spsolve)
+    solve(system)
+    nc = dm.n_dofs - mesh.n_triangles
+    assert sizes == [(nc, nc)]
+
+
+@pytest.mark.parametrize("example", [2, 3])
+def test_k3_condensed_solve_matches_full_system(example, jittered_mesh):
+    mesh = jittered_mesh(6, seed=9)
+    prob = load_example(example)
+    dm = build_dof_map(mesh, 3)
+    a, b = assemble(mesh, dm, prob)
+    system = apply_dirichlet(a, b, dm, prob)
+    ref = plain_solve(system)
+    full = system.matrix
+    for u in (solve(system), solve_problem(mesh, 3, prob)):
+        assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        res = (np.linalg.norm(full @ u.values - system.rhs)
+               / np.linalg.norm(system.rhs))
+        assert u.solve_residual == pytest.approx(res, rel=1e-6, abs=1e-18)
+        assert u.solve_residual <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_k1_k2_solve_is_the_plain_direct_solve(k, jittered_mesh):
+    mesh = jittered_mesh(6, seed=9)
+    prob = load_example(2)
+    dm = build_dof_map(mesh, k)
+    system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
+    ref = plain_solve(system)
+    assert np.array_equal(solve(system).values, ref)
+    assert np.array_equal(solve_problem(mesh, k, prob).values, ref)
+
+
 def test_singular_pure_neumann_fails_with_residual():
     import warnings
     system = pure_neumann_system(64)
