@@ -34,12 +34,9 @@ class TriMesh:
         boundary_edges: (nb,) edge ids lying on the domain boundary.
         boundary_labels: (nb,) part label per boundary edge.
         h: maximum element diameter.
-        structured_n: subdivision count for structured unit-square meshes,
-            None for imported meshes.
     """
 
-    def __init__(self, vertices, triangles, boundary_labels=None, h=None,
-                 structured_n=None):
+    def __init__(self, vertices, triangles, boundary_labels=None, h=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -67,7 +64,6 @@ class TriMesh:
             np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1),
         ])
         self.h = float(h) if h is not None else float(lengths.max())
-        self.structured_n = structured_n
         self._geom = None
 
         nv, ne, nt = len(self.vertices), len(self.edges), len(self.triangles)
@@ -186,16 +182,6 @@ class TriMesh:
         """Triangle index containing each query point (-1 if outside); a
         point on shared edges or vertices goes to the lowest index."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.structured_n is not None:
-            n = self.structured_n
-            ij = np.clip(np.floor(pts * n).astype(int), 0, n - 1)
-            local = pts * n - ij
-            lower = local[:, 1] <= local[:, 0] + tol * n
-            cell = ij[:, 1] * n + ij[:, 0]
-            out = 2 * cell + np.where(lower, 0, 1)
-            # Points within tol of the diagonal fall to the lower triangle.
-            out[np.any((pts < -tol) | (pts > 1 + tol), axis=1)] = -1
-            return out
         # Bucket the element bounding boxes, widened by tol in reference
         # coordinates plus a rounding margin, on a uniform grid of about
         # nt / 2 cells; a point is tested against its cell's elements only.
@@ -254,7 +240,7 @@ def build_structured_mesh(n):
     triangles = np.empty((2 * n * n, 3), dtype=np.int64)
     triangles[0::2] = np.column_stack([a, b, c])
     triangles[1::2] = np.column_stack([a, c, d])
-    return TriMesh(vertices, triangles, h=math.sqrt(2.0) / n, structured_n=n)
+    return TriMesh(vertices, triangles, h=math.sqrt(2.0) / n)
 
 
 def write_mesh_file(mesh, path):
@@ -274,29 +260,58 @@ def write_mesh_file(mesh, path):
 
 def read_mesh_file(path):
     """Inverse of write_mesh_file. Edge topology is rebuilt from the
-    triangles; the listed boundary edges only provide part labels."""
+    triangles; the listed boundary edges only provide part labels. A
+    malformed file raises a MeshError naming the file and, where one line
+    is at fault, its 1-based number."""
     with open(path) as f:
-        tokens = f.read().split("\n")
-    rows = [ln.split() for ln in tokens if ln.strip()]
-    nv, nt, ne = (int(x) for x in rows[0])
+        rows = [(no, ln.split()) for no, ln in enumerate(f, 1) if ln.strip()]
+
+    def fields(i, types, form):
+        no, r = rows[i]
+        try:
+            if len(r) != len(types):
+                raise ValueError
+            return [t(x) for t, x in zip(types, r)]
+        except ValueError:
+            raise MeshError(f"mesh file {path}, line {no}: expected "
+                            f"'{form}', found {' '.join(r)!r}") from None
+
+    def table(lo, hi, types, form):
+        """Lines lo..hi-1 as one array, parsed by numpy in bulk; on failure
+        `fields` finds the first malformed line."""
+        words = [r for _, r in rows[lo:hi]]
+        try:
+            if any(len(r) != len(types) for r in words):
+                raise ValueError
+            return np.array(words, dtype=types[0])
+        except ValueError:
+            for i in range(lo, hi):
+                fields(i, types, form)
+            raise
+
+    if not rows:
+        raise MeshError(f"mesh file {path}, line 1: expected 'nv nt ne', "
+                        "found end of file")
+    nv, nt, ne = fields(0, (int, int, int), "nv nt ne")
     if len(rows) != 1 + nv + nt + ne:
         raise MeshError(f"mesh file {path}: expected {1 + nv + nt + ne} lines, "
                         f"found {len(rows)}")
-    vertices = np.array([[float(x) for x in r] for r in rows[1:1 + nv]])
-    triangles = np.array([[int(x) for x in r] for r in rows[1 + nv:1 + nv + nt]])
+    vertices = table(1, 1 + nv, (float, float), "x y")
+    triangles = table(1 + nv, 1 + nv + nt, (int, int, int), "v0 v1 v2")
     labeled = {}
-    for r in rows[1 + nv + nt:]:
-        a, b = int(r[0]), int(r[1])
-        labeled[(min(a, b), max(a, b))] = r[2]
+    for i in range(1 + nv + nt, len(rows)):
+        a, b, label = fields(i, (int, int, str), "v0 v1 label")
+        labeled[(min(a, b), max(a, b))] = (rows[i][0], label)
     mesh = TriMesh(vertices, triangles, boundary_labels=None)
     labels = []
     for eid in mesh.boundary_edges:
         key = tuple(int(x) for x in mesh.edges[eid])
         if key not in labeled:
             raise MeshError(f"mesh file {path}: boundary edge {key} has no label")
-        labels.append(labeled.pop(key))
+        labels.append(labeled.pop(key)[1])
     if labeled:
-        raise MeshError(f"mesh file {path}: listed edge {next(iter(labeled))} "
+        key, (no, _) = next(iter(labeled.items()))
+        raise MeshError(f"mesh file {path}, line {no}: listed edge {key} "
                         "is not a boundary edge of the triangulation")
     mesh.boundary_labels = tuple(labels)
     return mesh

@@ -11,11 +11,12 @@ it the recovered flux, is unique. Each system is solved for the mean
 so the two fields are comparable and a constant in u_h stays out of the solve.
 
 On facets shared by two elements the normal flux of the global solution is
-averaged between the two one-sided traces; on the domain boundary the
-one-sided trace is used. Identical segment quadrature on both sides makes
-these contributions cancel exactly when control volumes are assembled
-across elements, which is what drives the conservation defect down to
-rounding level.
+the average of the two kappa-weighted one-sided traces, each side with its
+own kappa samples, so it is single-valued where kappa jumps across the
+facet; on the domain boundary the one-sided trace is used. Identical
+segment quadrature on both sides makes these contributions cancel exactly
+when control volumes are assembled across elements, which is what drives
+the conservation defect down to rounding level.
 """
 
 from __future__ import annotations
@@ -74,10 +75,11 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
         len(elems), nb, -1, 2)
     mm = disc.mm_bd[elems]
     q = g[..., 0] * mm[:, :, None, 0] + g[..., 1] * mm[:, :, None, 1]
+    q *= disc.kap_bd[elems]
     q_own = q[row[:t1 - t0]]
     q_nbr = q_own.copy()
     q_nbr[paired] = -q[row[t1 - t0:], mate[paired] % nb, ::-1]
-    q_avg = disc.kap_bd[t0:t1] * 0.5 * (q_own + q_nbr)
+    q_avg = 0.5 * (q_own + q_nbr)
 
     q_seg = q_avg @ rseg.sw
     e_phi = ((q_avg * rseg.sw).reshape(t1 - t0, -1)

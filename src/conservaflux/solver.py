@@ -3,7 +3,9 @@
 The weak form is a(u, w) = int kappa grad(u).grad(w), l(w) = int f w, posed
 on C0 Lagrange spaces of degree 1 to 3. Dirichlet conditions are imposed by
 row/column elimination, which keeps the constrained matrix symmetric and
-leaves the interior equations exactly satisfied by the solution.
+leaves the interior equations exactly satisfied by the solution. The
+constrained system is solved by one MMD SuperLU solve, with the bubbles
+condensed at k = 3, and singular systems fail at the residual check.
 
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which `solve_problem` leaves on its field:
@@ -401,55 +403,32 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
                              dirichlet_values=g)
 
 
-def _condensed_solve(a, b, n_interior):
-    """Direct solve with the last `n_interior` unknowns condensed out. Their
-    block is diagonal (each interior dof couples to its own element only),
-    so the Schur complement A_cc - A_ci D^-1 A_ic keeps A_cc's pattern; the
-    interior values follow exactly as (b_i - A_ic x_c) / D."""
-    nc = a.shape[0] - n_interior
+def solve(system, rtol=1e-10):
+    """One direct sparse solve; a singular system fails the residual check.
+
+    Element-interior dofs (k = 3) are numbered last and each couples only to
+    its own element, so their block D is diagonal: the Schur complement
+    A_cc - A_ci D^-1 A_ic keeps A_cc's pattern and is factored alone, and
+    the interior values follow exactly as (b_i - A_ic x_c) / D. With no
+    interior dofs (k = 1, 2) the complement is A itself. The relative
+    residual of the returned solution on the full system is at most `rtol`;
+    otherwise a SolverError reports the residual that was attained.
+    """
+    a, b = system.matrix.tocsr(), system.rhs
+    dm = system.dofmap
+    nc = len(b) - (0 if dm is None else int(np.sum(dm.kind == DOF_INTERIOR)))
     a_ci, a_ic, d = a[:nc, nc:], a[nc:, :nc], a.diagonal()[nc:]
     s = (a[:nc, :nc] - a_ci @ (sp.diags(1.0 / d) @ a_ic)).tocsc()
     x = np.empty_like(b)
+    # Symmetric elimination and the condensation keep the matrix
+    # structurally symmetric, so the ordering is taken on A^T + A.
     x[:nc] = spla.spsolve(s, b[:nc] - a_ci @ (b[nc:] / d),
                           permc_spec="MMD_AT_PLUS_A")
     x[nc:] = (b[nc:] - a_ic @ x[:nc]) / d
-    return x
-
-
-def solve(system, rtol=1e-10):
-    """Direct sparse solve with a conjugate-gradient fallback of at most n
-    iterations (CG's exact-arithmetic bound), so a singular system fails fast.
-
-    Element-interior dofs (k = 3) are condensed out of the direct solve and
-    recovered exactly; the residual and the fallback use the full system.
-    The relative residual of the returned solution is at most `rtol`;
-    otherwise a SolverError reports the residual that was attained.
-    """
-    a = system.matrix.tocsc()
-    b = system.rhs
     bnorm = np.linalg.norm(b)
-    scale = bnorm if bnorm > 0 else 1.0
-
-    def residual(x):
-        return float(np.linalg.norm(a @ x - b) / scale)
-
-    # Symmetric elimination leaves A structurally symmetric, and so does
-    # the condensation: both solves order A^T + A.
-    dm = system.dofmap
-    n_interior = 0 if dm is None else int(np.sum(dm.kind == DOF_INTERIOR))
-    if n_interior:
-        x = _condensed_solve(system.matrix.tocsr(), b, n_interior)
-    else:
-        x = spla.spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
-    res = residual(x)
+    res = float(np.linalg.norm(a @ x - b) / (bnorm if bnorm > 0 else 1.0))
     if not np.isfinite(res) or res > rtol:
-        x_cg, info = spla.cg(a, b, x0=None, rtol=min(rtol, 1e-12), atol=0.0,
-                             maxiter=a.shape[0])
-        res_cg = residual(x_cg)
-        if info == 0 and (not np.isfinite(res) or res_cg < res):
-            x, res = x_cg, res_cg
-    if not np.isfinite(res) or res > rtol:
-        raise SolverError(f"linear solve did not converge: relative residual "
+        raise SolverError(f"linear solve failed: relative residual "
                           f"{res:.3e} exceeds {rtol:.1e}")
     return FemField(mesh=system.mesh, dofmap=system.dofmap, values=x,
                     solve_residual=res)

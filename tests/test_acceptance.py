@@ -122,6 +122,37 @@ def test_criteria_1_to_3_on_jittered_meshes(ex, k, seed, jittered_mesh,
                          f"{lce_uh:.1e}; elemental {cons:.1e} <= 1e-10", ok)
 
 
+@pytest.mark.parametrize("k", DEGREES)
+@pytest.mark.parametrize("contrast", [1.0, 1e3])
+def test_criteria_1_to_3_with_kappa_jumps_across_facets(contrast, k):
+    # kappa = contrast on the dark squares of a 4 x 4 checkerboard whose
+    # lines are mesh edges: facet Gauss points lie on the jumps, and the two
+    # sides may sample kappa on opposite sides of them. At k=1, LCE(u_h) is
+    # already at rounding level (the P1 box-method identity).
+    def kappa(x, y):
+        dark = (np.floor(4 * x) + np.floor(4 * y)) % 2 == 1
+        return np.where(dark, contrast, 1.0)
+
+    zero = lambda x, y: np.zeros_like(x)  # noqa: E731
+    prob = ProblemSpec(kappa=kappa, source=lambda x, y: np.ones_like(x),
+                       dirichlet={p: zero for p in
+                                  ("left", "right", "bottom", "top")})
+    mesh = build_structured_mesh(16)
+    u = solve_problem(mesh, k, prob)
+    parts = build_partitions(mesh, k)
+    tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
+    cv = build_cv_index(mesh, u.dofmap, parts)
+    tol = 1e-10 * max(1.0, f_l1_norm(mesh, k, prob))
+    lce_tilde = compute_lce(mesh, cv, parts, tilde, prob).max_abs
+    lce_uh = compute_lce(mesh, cv, parts, u, prob).max_abs
+    cons = elemental_conservation_report(mesh, parts, tilde,
+                                         prob).max_relative
+    ok = lce_tilde <= tol and cons <= 1e-10 and (k == 1 or lce_uh > tol)
+    assert report("1-3", f"kappa contrast {contrast:g} checkerboard k={k}: "
+                         f"LCE(tilde) {lce_tilde:.1e} <= {tol:.1e}, LCE(uh) "
+                         f"{lce_uh:.1e}; elemental {cons:.1e} <= 1e-10", ok)
+
+
 def test_criterion_4_compatibility_and_rank(solved):
     worst_defect = -1.0
     worst_sv = np.inf

@@ -126,13 +126,13 @@ def test_check_all_solves_each_level_once(tmp_path, monkeypatch):
     solved = []
 
     def counting(mesh, *args, **kwargs):
-        solved.append(mesh.structured_n)
+        solved.append(mesh.n_triangles)
         return real(mesh, *args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_problem", counting)
     base = ["solve", "--example", "3", "--degree", "2", "--levels", "6,12,24"]
     assert main(base + ["--check", "all", "--out", str(tmp_path / "all")]) == 0
-    assert solved == [6, 12, 24]
+    assert solved == [2 * n * n for n in (6, 12, 24)]
     # The shared levels change no artifact: separate runs write the same bytes.
     for check in ("lce", "conservation", "convergence"):
         assert main(base + ["--check", check,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,54 @@ def test_file_rejects_nonboundary_label(tmp_path):
         read_mesh_file(bad)
 
 
+def edit_mesh_file(tmp_path, edit):
+    """Path of build_structured_mesh(2)'s mesh file (26 lines) with its
+    list of lines edited in place by `edit`."""
+    path = tmp_path / "mesh.txt"
+    write_mesh_file(build_structured_mesh(2), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def set_line(i, text):
+    return lambda lines: lines.__setitem__(i, text)
+
+
+@pytest.mark.parametrize("edit, line, found", [
+    (list.clear, 1, "end of file"),
+    (set_line(0, "9 8"), 1, "'9 8'"),
+    (lambda lines: lines.__setitem__(slice(0, 1), ["", "9 8"]), 2, "'9 8'"),
+    (set_line(3, "0.5"), 4, "'0.5'"),
+    (set_line(10, "0 1 x"), 11, "'0 1 x'"),
+    (set_line(-1, "1 2"), 26, "'1 2'"),
+], ids=["empty", "short-header", "blank-then-short-header",
+        "one-coordinate", "bad-index", "short-label-line"])
+def test_file_malformed_line_names_file_and_line(tmp_path, edit, line, found):
+    # Line numbers count the file's own lines, blank ones included.
+    path = edit_mesh_file(tmp_path, edit)
+    msg = f"{re.escape(str(path))}, line {line}: expected .*, found {found}"
+    with pytest.raises(MeshError, match=msg):
+        read_mesh_file(path)
+
+
+def test_file_rejects_wrong_line_count(tmp_path):
+    path = edit_mesh_file(tmp_path, lambda lines: lines.pop(2))
+    msg = f"{re.escape(str(path))}: expected 26 lines, found 25"
+    with pytest.raises(MeshError, match=msg):
+        read_mesh_file(path)
+
+
+def test_file_rejects_unlabeled_boundary_edge(tmp_path):
+    # Swap the last boundary edge for an interior one: the line count still
+    # matches, but a boundary edge of the triangulation has no label.
+    path = edit_mesh_file(tmp_path, set_line(-1, "0 4 left"))
+    msg = f"{re.escape(str(path))}: boundary edge \\(7, 8\\) has no label"
+    with pytest.raises(MeshError, match=msg):
+        read_mesh_file(path)
+
+
 def test_locate_structured():
     mesh = build_structured_mesh(4)
     rng = np.random.default_rng(0)
@@ -245,18 +295,41 @@ def test_locate_structured():
         assert r[0] >= -1e-9 and r[1] >= -1e-9 and r.sum() <= 1 + 1e-9
 
 
-def test_locate_structured_matches_generic_path():
-    # The structured fast path must agree with the generic search on the
-    # same arrays, including -1 for points off the unit square.
+def brute_locate(mesh, p, tol=1e-12):
+    """Lowest index of the elements containing p to within tol, else -1."""
+    v0, _, inv, _ = mesh.element_maps()
+    r = np.einsum("tab,tb->ta", inv, p - v0)
+    ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(1) <= 1 + tol)
+    hits = np.nonzero(ok)[0]
+    return hits[0] if hits.size else -1
+
+
+def test_locate_structured_grid_lines_take_the_lowest_index():
+    # Points on grid lines, diagonals and vertices lie in several elements
+    # and go to the lowest index; points off the unit square give -1.
     mesh = build_structured_mesh(4)
-    plain = TriMesh(mesh.vertices, mesh.triangles)
     rng = np.random.default_rng(7)
-    pts = rng.uniform(-0.5, 1.5, size=(400, 2))
-    pts[:3] = [[1.5, 0.5], [0.5, -0.25], [-1e-3, 1.0]]
+    line = np.column_stack([np.repeat(np.arange(5) / 4, 8), rng.random(40)])
+    diag = rng.random((20, 1)) / 4 + np.arange(4).repeat(5)[:, None] / 4
+    pts = np.vstack([mesh.vertices, line, line[:, ::-1],
+                     np.hstack([diag, diag]),
+                     [[1.5, 0.5], [0.5, -0.25], [-1e-3, 1.0], [1.0, 1.1]]])
     found = mesh.locate(pts)
-    assert np.array_equal(found, plain.locate(pts))
-    assert found[0] == -1
-    assert np.all((found >= 0) == np.all((pts >= 0) & (pts <= 1), axis=1))
+    assert np.array_equal(found, [brute_locate(mesh, p) for p in pts])
+    assert np.all(found[:-4] >= 0) and np.all(found[-4:] == -1)
+
+
+def test_polyline_flux_equal_on_structured_and_plain_mesh():
+    # A polyline along a grid line is split at the same points on both
+    # constructions of one mesh, and every piece goes to the same element.
+    from conservaflux import flux_along_polyline, load_example, solve_problem
+    mesh = build_structured_mesh(16)
+    plain = TriMesh(mesh.vertices, mesh.triangles)
+    prob = load_example(2)
+    u = solve_problem(mesh, 2, prob)
+    line = [[0.5, 0.0], [0.5, 1.0], [0.3, 0.5]]
+    assert np.array_equal(flux_along_polyline(mesh, u, prob, line),
+                          flux_along_polyline(plain, u, prob, line))
 
 
 def test_locate_generic_matches_brute_force(jittered_mesh):
@@ -264,7 +337,6 @@ def test_locate_generic_matches_brute_force(jittered_mesh):
     # lowest index among the hits for points on vertices and edges, and -1
     # off the mesh.
     mesh = jittered_mesh(7, seed=5)
-    v0, _, inv, _ = mesh.element_maps()
     rng = np.random.default_rng(2)
     v = mesh.vertices
     a, b = v[mesh.edges[:, 0]], v[mesh.edges[:, 1]]
@@ -272,15 +344,9 @@ def test_locate_generic_matches_brute_force(jittered_mesh):
                      rng.uniform(-0.2, 1.2, size=(300, 2)),
                      [[np.nan, 0.5], [0.5, 1 + 1e-3], [2.0, 2.0]]])
 
-    def brute(p, tol=1e-12):
-        r = np.einsum("tab,tb->ta", inv, p - v0)
-        ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(1) <= 1 + tol)
-        hits = np.nonzero(ok)[0]
-        return hits[0] if hits.size else -1
-
     found = mesh.locate(pts)
-    assert np.array_equal(found, [brute(p) for p in pts])
+    assert np.array_equal(found, [brute_locate(mesh, p) for p in pts])
     assert np.all(found[:len(v) + len(a)] >= 0)
     assert np.all(found[-3:] == -1)
     assert np.array_equal(mesh.locate(pts, tol=0.1),
-                          [brute(p, 0.1) for p in pts])
+                          [brute_locate(mesh, p, 0.1) for p in pts])

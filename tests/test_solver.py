@@ -309,34 +309,39 @@ def test_dirichlet_elimination_matches_two_product_formula(k, example,
         assert np.array_equal(getattr(system.matrix, name), getattr(ref, name))
 
 
-def pure_neumann_system(n):
+def pure_neumann_system(n, degree=1):
     prob = load_example(2)
     mesh = build_structured_mesh(n)
-    dm = build_dof_map(mesh, 1)
+    dm = build_dof_map(mesh, degree)
     a, b = assemble(mesh, dm, prob)
     return apply_dirichlet(a, b, dm, ProblemSpec(
         kappa=prob.kappa, source=prob.source, dirichlet={}))
 
 
-def test_cg_fallback_iterations_capped_at_system_size(monkeypatch):
+def test_singular_system_fails_after_one_direct_solve(monkeypatch):
+    # A singular system is not handed to an iterative solver: the one
+    # direct solve misses the residual check, which reports the residual.
     import warnings
 
     import scipy.sparse.linalg as spla
-    system = pure_neumann_system(8)
-    n = system.matrix.shape[0]
-    seen = []
+    system = pure_neumann_system(64, degree=2)
+    calls = []
 
-    def cg(*args, **kwargs):
-        seen.append(kwargs["maxiter"])
+    def spsolve(*args, **kwargs):
+        calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    real = spla.cg
+    def cg(*args, **kwargs):
+        pytest.fail("solve must not fall back to conjugate gradients")
+
+    real = spla.spsolve
+    monkeypatch.setattr(spla, "spsolve", spsolve)
     monkeypatch.setattr(spla, "cg", cg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(SolverError, match="residual"):
+        with pytest.raises(SolverError, match="relative residual"):
             solve(system)
-    assert seen and all(m <= n for m in seen)
+    assert calls == [system.matrix.shape]
 
 
 def plain_solve(system):
