@@ -11,7 +11,6 @@ from functools import lru_cache
 
 import numpy as np
 
-DEGREES = (1, 2, 3)
 N_NODES = {1: 3, 2: 6, 3: 10}
 
 _EDGE_PAIRS = ((0, 1), (1, 2), (2, 0))

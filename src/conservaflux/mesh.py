@@ -142,10 +142,6 @@ class TriMesh:
     def n_edges(self):
         return len(self.edges)
 
-    def triangle_vertices(self, t):
-        """Coordinates of triangle t as a (3, 2) array."""
-        return self.vertices[self.triangles[t]]
-
     def signed_areas(self):
         v = self.vertices
         t = self.triangles

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from . import basis, dualmesh, solver
 from ._table import coords, numbers, write_table
 from .dualmesh import _rot
 from .quadrature import segment_rule
-from .solver import FemField, default_segment_points, for_field, sample
+from .solver import FemField, blocks, default_segment_points, sample
 
 THREADS_ENV = "CONSERVAFLUX_THREADS"
 _DEFECT_RTOL = 1e-10
@@ -71,7 +72,7 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
     elems, row = np.unique(
         np.concatenate([np.arange(t0, t1), mate[paired] // nb]),
         return_inverse=True)
-    g = (u_values[disc.dofmap.cell_dofs[elems]] @ rseg.g_bd).reshape(
+    g = (u_values[disc.cell_dofs[elems]] @ rseg.g_bd).reshape(
         len(elems), nb, -1, 2)
     mm = disc.mm_bd[elems]
     q = g[..., 0] * mm[:, :, None, 0] + g[..., 1] * mm[:, :, None, 1]
@@ -90,7 +91,7 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
 def _elemental_blocks(disc, u_values, t0, t1):
     """Matrices, right-hand sides, defects, and boundary data for a chunk."""
     sl = slice(t0, t1)
-    u_loc = u_values[disc.dofmap.cell_dofs[sl]]
+    u_loc = u_values[disc.cell_dofs[sl]]
     gauge = u_loc.mean(axis=1)
     # k_loc annihilates constants: centred, its rounding ignores |u_h|.
     a_term = (disc.k_loc[sl] @ (u_loc - gauge[:, None])[:, :, None])[:, :, 0]
@@ -152,7 +153,6 @@ class PostprocessedField:
     coeffs: np.ndarray         # (nt, N)
     boundary_flux: np.ndarray  # (nt, N)
     defects: np.ndarray        # (nt,)
-    discretization: object = None   # the blocks it was recovered from
 
     @property
     def degree(self):
@@ -161,6 +161,7 @@ class PostprocessedField:
     def local_coeffs(self, t):
         return self.coeffs[t]
 
+    discretization = FemField.discretization
     grad_on = FemField.grad_on
 
 
@@ -176,12 +177,12 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     Chunks of elements, sized by their boundary-segment points, are
     independent and may run on a thread pool (capped by CONSERVAFLUX_THREADS
     when `threads` is None); results go to disjoint slices, so the output is
-    bit-identical for any thread count. The field's discretization is
-    reused when it matches, and the result carries it.
+    bit-identical for any thread count. The per-element blocks are the dof
+    map's (see `solver.blocks`).
     """
     dualmesh._check_partitions(mesh, partitions, dofmap.degree)
     nthreads = _thread_count(threads)
-    disc = for_field(u_h, mesh, dofmap, problem, exactness)
+    disc = blocks(mesh, dofmap, problem, exactness)
     nt = mesh.n_triangles
     n = disc.n
     coeffs = np.empty((nt, n))
@@ -205,16 +206,16 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             list(pool.map(work, chunks))
     return PostprocessedField(mesh=mesh, dofmap=dofmap, coeffs=coeffs,
-                              boundary_flux=bflux, defects=defects,
-                              discretization=disc)
+                              boundary_flux=bflux, defects=defects)
 
 
 def flux_along_polyline(mesh, field, problem, points, npoints=None):
     """Integral of -kappa grad(field).n over each polyline segment.
 
-    Segments are split where they cross mesh edges, each piece is
-    integrated with the element it lies in, and the pieces are summed.
-    The normal is the -90 degree rotation of the walking direction.
+    Segments are split where they cross mesh edges, and each piece is
+    integrated with its element, or with the mean of both elements' fluxes
+    on an interior edge (as in the recovery's facet data). The normal is
+    the -90 degree rotation of the walking direction.
     """
     if npoints is None:
         npoints = default_segment_points(field.degree)
@@ -225,25 +226,29 @@ def flux_along_polyline(mesh, field, problem, points, npoints=None):
     v0, _, inv, _ = mesh.element_maps()
     e0 = mesh.vertices[mesh.edges[:, 0]]
     e1 = mesh.vertices[mesh.edges[:, 1]]
+    d = np.diff(pts, axis=0)
+    pieces = [(i, a, b) for i in range(len(d))
+              for a, b in pairwise(_edge_crossings(pts[i], d[i], e0, e1))
+              if b - a >= 1e-14]
+    mids = np.array([pts[i] + (a + b) / 2 * d[i] for i, a, b in pieces])
+    elems = mesh.locate(mids)
+    # A midpoint on facet m (the barycentric coordinate of vertex (m + 2) % 3
+    # within locate's tolerance) puts its whole piece on that facet.
+    r = np.einsum("pab,pb->pa", inv[elems], mids - v0[elems])
+    lam = np.column_stack([r[:, 1], 1.0 - r.sum(axis=1), r[:, 0]])
+    mates = np.where(np.abs(lam) <= 1e-12, mesh.tri_neighbors[elems], -1)
 
-    out = np.empty(len(pts) - 1)
-    for i in range(len(pts) - 1):
-        p, d = pts[i], pts[i + 1] - pts[i]
-        seg_len = np.linalg.norm(d)
-        normal = _rot(d) / seg_len
-        params = _edge_crossings(p, d, e0, e1)
-        pieces = [(a, b) for a, b in zip(params[:-1], params[1:])
-                  if b - a >= 1e-14]
-        mids = p + np.reshape([a + b for a, b in pieces], (-1, 1)) * d / 2
-        total = 0.0
-        for (a, b), t, mid in zip(pieces, mesh.locate(mids), mids):
-            if t < 0:
-                raise ValueError(f"polyline leaves the mesh near {mid}")
-            gpts = p + (a + srule.points * (b - a))[:, None] * d[None, :]
-            gphys = field.grad_on(t, (gpts - v0[t]) @ inv[t].T)
-            vals = -sample(problem.kappa, gpts) * (gphys @ normal)
-            total += seg_len * (b - a) * float(srule.weights @ vals)
-        out[i] = total
+    out = np.zeros(len(d))
+    for (i, a, b), t, m, mid in zip(pieces, elems, mates.max(axis=1), mids):
+        if t < 0:
+            raise ValueError(f"polyline leaves the mesh near {mid}")
+        seg_len = np.linalg.norm(d[i])
+        normal = _rot(d[i]) / seg_len
+        gpts = pts[i] + (a + srule.points * (b - a))[:, None] * d[i]
+        sides = (t,) if m < 0 else (t, m)
+        flux = np.mean([-sample(problem.kappa, gpts) * (field.grad_on(
+            e, (gpts - v0[e]) @ inv[e].T) @ normal) for e in sides], axis=0)
+        out[i] += seg_len * (b - a) * float(srule.weights @ flux)
     return out
 
 
@@ -257,8 +262,7 @@ def _edge_crossings(p, d, e0, e1):
         s = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / -denom
     ok = np.isfinite(t) & (t > 1e-12) & (t < 1 - 1e-12) & (s >= -1e-12) \
         & (s <= 1 + 1e-12)
-    params = np.concatenate([[0.0], np.sort(np.unique(t[ok])), [1.0]])
-    return params
+    return np.concatenate([[0.0], np.unique(t[ok]), [1.0]])
 
 
 def export_postprocessed_csv(field, path):

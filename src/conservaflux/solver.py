@@ -8,7 +8,7 @@ constrained system is solved by one MMD SuperLU solve, with the bubbles
 condensed at k = 3, and singular systems fail at the residual check.
 
 Assembly, flux recovery and the conservation checks share the per-element
-blocks of one Discretization, which `solve_problem` leaves on its field:
+blocks of one Discretization, which the dof map owns (see `blocks`):
 stiffness, load, subcell f and element |f| integrals, the dual-segment
 flux matrices of the elemental systems, and kappa samples, normal maps and
 the facet pairing on the element-boundary segments, all from one chunked
@@ -21,7 +21,7 @@ compatibility sums at rounding level instead of at quadrature-error level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -70,6 +70,8 @@ class DofMap:
     kind: np.ndarray           # (ndofs,) vertex / edge / interior
     on_part: dict              # part label -> bool mask over dofs
     on_boundary: np.ndarray    # (ndofs,) geometric boundary membership
+    # Per-element blocks of the most recent problem and exactness; see blocks.
+    discretization: object = field(default=None, repr=False, compare=False)
 
     @property
     def boundary_parts(self):
@@ -137,11 +139,14 @@ class FemField:
     dofmap: DofMap
     values: np.ndarray
     solve_residual: float = 0.0
-    discretization: object = None   # per-element blocks, see for_field
 
     @property
     def degree(self):
         return self.dofmap.degree
+
+    @property
+    def discretization(self):
+        return self.dofmap.discretization
 
     def local_coeffs(self, t):
         return self.values[self.dofmap.cell_dofs[t]]
@@ -235,8 +240,8 @@ def _ref_segments(degree, exactness):
 
 
 class Discretization:
-    """Per-element blocks of one (mesh, dof map, problem, exactness), all
-    built in one chunked pass:
+    """Per-element blocks of one (dof map, problem, exactness), all built
+    in one chunked pass (get them through `blocks`):
 
     * `k_loc` (nt, N, N): stiffness blocks;
     * `b_loc` (nt, N): load blocks;
@@ -252,17 +257,15 @@ class Discretization:
     chunks of elements can be processed concurrently.
     """
 
-    def __init__(self, mesh, dofmap, problem, exactness=None):
-        k = dofmap.degree
-        self.mesh = mesh
-        self.dofmap = dofmap
+    def __init__(self, dofmap, problem, exactness):
+        k, mesh = dofmap.degree, dofmap.mesh
+        # Not the dof map, which holds this object: no reference cycle.
+        self.cell_dofs = dofmap.cell_dofs
         self.problem = problem
-        self.degree = k
         self.n = n = basis.N_NODES[k]
-        self.exactness = (default_exactness(k) if exactness is None
-                          else int(exactness))
+        self.exactness = exactness
         self.ref = ref = dualmesh._ref_dual(k)
-        self.rseg = rseg = _ref_segments(k, self.exactness)
+        self.rseg = rseg = _ref_segments(k, exactness)
         self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
         nt = mesh.n_triangles
         nb, ns = rseg.bd_pts.shape[:2]
@@ -330,35 +333,35 @@ class Discretization:
         return np.stack(np.hsplit(out, 2)), det * (abs_f @ self.rseg.src_w)
 
 
-def for_field(field, mesh, dofmap, problem, exactness=None):
-    """The field's discretization when it was built for these inputs;
-    otherwise a new one, which is stored on the field if it has none."""
-    disc = field.discretization
-    if exactness is None:
-        exactness = default_exactness(dofmap.degree)
-    if (disc is not None and disc.mesh is mesh and disc.dofmap is dofmap
-            and disc.problem is problem and disc.exactness == exactness):
-        return disc
-    new = Discretization(mesh, dofmap, problem, exactness)
-    if disc is None:
-        field.discretization = new
-    return new
+def blocks(mesh, dofmap, problem, exactness=None):
+    """The dof map's per-element blocks for `problem` (the same object) and
+    `exactness` (default 2k + 2): the ones it holds when they match, else
+    new ones, which replace them on the dof map. `assemble` builds them, so
+    `solve_problem` and the split `assemble` / `apply_dirichlet` / `solve`
+    path leave the same blocks for the recovery and the checks to read."""
+    if mesh is not dofmap.mesh:
+        raise ValueError("the mesh is not the one the dof map was built on")
+    exactness = (default_exactness(dofmap.degree) if exactness is None
+                 else int(exactness))
+    disc = dofmap.discretization
+    if (disc is None or disc.problem is not problem
+            or disc.exactness != exactness):
+        disc = Discretization(dofmap, problem, exactness)
+        dofmap.discretization = disc
+    return disc
 
 
 def assemble(mesh, dofmap, problem, exactness=None):
     """Unconstrained global system (A, b) as (csr matrix, vector)."""
-    return _assemble(Discretization(mesh, dofmap, problem, exactness))
-
-
-def _assemble(disc):
-    dofmap, n, n_dofs = disc.dofmap, disc.n, disc.dofmap.n_dofs
+    disc = blocks(mesh, dofmap, problem, exactness)
+    n, n_dofs = disc.n, dofmap.n_dofs
     # scipy indexes with int32 whenever it can, and copies int64 input.
     cd = dofmap.cell_dofs.astype(np.int32 if n_dofs < 2 ** 31 else np.int64)
     rows = np.repeat(cd, n, axis=1).ravel()
     cols = np.tile(cd, (1, n)).ravel()
     a_glob = sp.coo_matrix((disc.k_loc.ravel(), (rows, cols)),
-                           shape=(dofmap.n_dofs, dofmap.n_dofs)).tocsr()
-    b_glob = np.zeros(dofmap.n_dofs)
+                           shape=(n_dofs, n_dofs)).tocsr()
+    b_glob = np.zeros(n_dofs)
     np.add.at(b_glob, dofmap.cell_dofs.ravel(), disc.b_loc.ravel())
     return a_glob, b_glob
 
@@ -379,7 +382,7 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
     Constrained rows become identity rows carrying the nodal trace of g;
     their column contributions move to the right-hand side, so the matrix
     stays symmetric. Boundary parts missing from the problem's Dirichlet
-    map are homogeneous Neumann and contribute nothing.
+    map are homogeneous Neumann; at least one part must be Dirichlet.
     """
     unknown = set(problem.dirichlet) - dofmap.boundary_parts
     if unknown:
@@ -392,6 +395,9 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
         pm = dofmap.on_part[part]
         mask |= pm
         g[pm] = sample(problem.dirichlet[part], dofmap.coords[pm])
+    if not mask.any():
+        raise SolverError("no boundary part has Dirichlet data (mesh parts: "
+                          f"{sorted(dofmap.on_part)}): the system is singular")
     b_c = b_glob - a_glob @ g
     b_c[mask] = g[mask]
     a_c = sp.csr_matrix(a_glob, copy=True)
@@ -435,16 +441,10 @@ def solve(system, rtol=1e-10):
 
 
 def solve_problem(mesh, degree, problem, exactness=None, rtol=1e-10):
-    """Build the dof map, assemble, constrain, and solve in one call.
-
-    The returned field carries the Discretization it was assembled from.
-    """
+    """Build the dof map, assemble, constrain, and solve in one call."""
     dofmap = build_dof_map(mesh, degree)
-    disc = Discretization(mesh, dofmap, problem, exactness)
-    a_glob, b_glob = _assemble(disc)
-    field = solve(apply_dirichlet(a_glob, b_glob, dofmap, problem), rtol)
-    field.discretization = disc
-    return field
+    return solve(apply_dirichlet(*assemble(mesh, dofmap, problem, exactness),
+                                 dofmap, problem), rtol)
 
 
 def export_solution_csv(field, path):

@@ -20,7 +20,7 @@ from . import basis, dualmesh, solver
 from ._table import coords, labels, numbers, write_table
 from .postprocess import local_coefficients, postprocess_all
 from .quadrature import triangle_rule
-from .solver import Discretization, for_field, sample
+from .solver import blocks, sample
 
 _EXACT_FLOOR = 1e-11
 
@@ -55,7 +55,7 @@ def compute_lce(mesh, cv_index, partitions, field, problem,
     dualmesh._check_partitions(mesh, partitions, dm.degree)
     if cv_index.n_dofs != dm.n_dofs:
         raise ValueError("control-volume index does not match the dof map")
-    disc = for_field(field, mesh, dm, problem, exactness)
+    disc = blocks(mesh, dm, problem, exactness)
     coeffs = local_coefficients(field)
     s_cv = (disc.d_loc @ coeffs[:, :, None])[:, :, 0]
     contrib = s_cv - disc.f_sub
@@ -138,7 +138,7 @@ def elemental_conservation_report(mesh, partitions, field, problem,
         raise TypeError("elemental conservation is defined for the "
                         "postprocessed field")
     dualmesh._check_partitions(mesh, partitions, field.dofmap.degree)
-    disc = for_field(field, mesh, field.dofmap, problem, exactness)
+    disc = blocks(mesh, field.dofmap, problem, exactness)
     residuals = np.abs(field.boundary_flux.sum(axis=1)
                        - disc.f_sub.sum(axis=1))
     scales = np.maximum(1.0, np.abs(field.boundary_flux).sum(axis=1)
@@ -175,8 +175,8 @@ def true_solution_residual(mesh, degree, problem, exactness=None):
     """
     if problem.exact_grad is None:
         raise ValueError("true-solution residual requires the exact gradient")
-    dofmap = solver.build_dof_map(mesh, degree)
-    disc = Discretization(mesh, dofmap, problem, exactness)
+    disc = blocks(mesh, solver.build_dof_map(mesh, degree), problem,
+                  exactness)
     rseg = disc.rseg
     v0, jac, inv, det = mesh.element_maps()
 
@@ -256,7 +256,7 @@ class ConvergenceTable:
 
 def solve_level(problem, degree, n, exactness=None, threads=None):
     """(mesh, u_h, partitions, recovered field) on the structured n x n
-    mesh; the recovery reuses the solution's discretization."""
+    mesh; the recovery reuses the blocks the solve built."""
     from .mesh import build_structured_mesh
 
     mesh = build_structured_mesh(n)

@@ -21,9 +21,12 @@ PUBLIC = [
     "write_convergence_csv", "write_lce_csv",
 ]
 
-# Single-element helpers whose quantities now come from the batched arrays.
+# Deleted names: single-element helpers whose quantities now come from the
+# batched arrays, the per-field block lookup (the dof map owns the blocks)
+# and a constant nothing read.
 DELETED = {
-    "basis": ["map_to_element"],
+    "basis": ["map_to_element", "DEGREES"],
+    "solver": ["for_field"],
     "mesh": ["edge_neighbors"],
     "dualmesh": ["SubcellPartition", "build_subcell_partition"],
     "postprocess": ["ElementalSystem", "assemble_elemental_system",

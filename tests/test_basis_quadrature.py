@@ -243,7 +243,7 @@ def test_element_map_vertices_and_barycenter():
     v0, jac, _, det = mesh.element_maps()
     phys = map_points(v0, jac, [[0, 0], [1, 0], [0, 1], [1 / 3, 1 / 3]])
     for t in (0, 7, 11):
-        verts = mesh.triangle_vertices(t)
+        verts = mesh.vertices[mesh.triangles[t]]
         assert np.allclose(phys[t, :3], verts, atol=1e-15)
         assert np.allclose(phys[t, 3], verts.mean(axis=0), atol=1e-15)
         area = 0.5 * abs(np.linalg.det(np.stack([verts[1] - verts[0],

@@ -325,25 +325,34 @@ def test_linear_solution_recovers_unit_gradient(k):
 
 
 def test_recovery_attaches_and_reuses_discretization():
+    # The dof map owns the blocks: the split path's field holds the ones
+    # `assemble` built, and the recovery reuses them.
     from conservaflux import apply_dirichlet, assemble, build_dof_map, solve
     mesh = build_structured_mesh(3)
     prob = load_example(2)
     dm = build_dof_map(mesh, 2)
-    u = solve(apply_dirichlet(*assemble(mesh, dm, prob), dm, prob))
-    assert u.discretization is None            # split API: nothing to reuse
+    a, b = assemble(mesh, dm, prob)
+    disc = dm.discretization
+    assert disc is not None and disc.exactness == 6
+    u = solve(apply_dirichlet(a, b, dm, prob))
+    assert u.discretization is disc
     parts = build_partitions(mesh, 2)
     tilde = postprocess_all(mesh, dm, parts, u, prob)
-    disc = tilde.discretization
-    assert u.discretization is disc            # attached for later checks
-    again = postprocess_all(mesh, dm, parts, u, prob)
-    assert again.discretization is disc
-    # Another problem or exactness gets its own blocks and keeps the field's.
+    assert tilde.discretization is disc and u.discretization is disc
+    assert solver.blocks(mesh, dm, prob, exactness=6) is disc
+    # Another problem object or exactness builds new blocks in their place.
     other = postprocess_all(mesh, dm, parts, u, load_example(2))
-    finer = postprocess_all(mesh, dm, parts, u, prob, exactness=8)
-    assert other.discretization is not disc
-    assert finer.discretization not in (disc, other.discretization)
-    assert u.discretization is disc
+    replaced = dm.discretization
+    assert replaced is not disc
     assert np.array_equal(other.coeffs, tilde.coeffs)
+    postprocess_all(mesh, dm, parts, u, prob, exactness=8)
+    assert dm.discretization not in (disc, replaced)
+    assert dm.discretization.exactness == 8
+    # A mesh that is not the dof map's is an error, not a silent mix.
+    twin = build_structured_mesh(3)
+    for call in (solver.blocks, assemble):
+        with pytest.raises(ValueError, match="mesh"):
+            call(twin, dm, prob)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -358,8 +367,7 @@ def test_recovery_is_invariant_to_a_constant_added_to_u_h(k):
     parts = build_partitions(mesh, k)
     tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
     for c in (1e3, 1e6, 1e9):
-        shifted = FemField(mesh, u.dofmap, u.values + c,
-                           discretization=u.discretization)
+        shifted = FemField(mesh, u.dofmap, u.values + c)
         got = postprocess_all(mesh, u.dofmap, parts, shifted, prob).coeffs
         err = np.abs((got - c) - tilde.coeffs).max()
         assert err <= 4 * np.finfo(float).eps * c, (c, err)
@@ -475,7 +483,7 @@ def test_split_against_independent_recomputation():
               * np.einsum("qa,qa->q", g_u, g_phi[:, xi])).sum()
 
     srule = segment_rule(k + 4)
-    verts = mesh.triangle_vertices(t)
+    verts = mesh.vertices[mesh.triangles[t]]
 
     def avg_flux_dot_nlen(a, b, qpts):
         d = b - a
@@ -536,6 +544,31 @@ def test_polyline_flux_constant_field():
     # diagonal segment: -(1,1).rot(d) with rot(d) = (dy, -dx)
     out = flux_along_polyline(mesh, tilde, prob, [[0.1, 0.1], [0.7, 0.5]])
     assert abs(out[0] - (-(0.4 - 0.6))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_polyline_flux_along_edges_ignores_element_numbering(k):
+    # The same fields on the mesh with its triangles in reverse order: the
+    # line x = 1/2 runs along interior edges, whose two elements swap
+    # numbers, and each piece takes the average of both sides either way.
+    import dataclasses
+    from conservaflux.mesh import TriMesh
+    mesh = build_structured_mesh(16)
+    rev = TriMesh(mesh.vertices, mesh.triangles[::-1])
+    prob = load_example(2)
+    u = solve_problem(mesh, k, prob)
+    tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, k), u,
+                            prob)
+    dm = solver.build_dof_map(rev, k)
+    values = np.empty(dm.n_dofs)
+    values[dm.cell_dofs] = u.values[u.dofmap.cell_dofs[::-1]]
+    u_rev = solver.FemField(rev, dm, values)
+    tilde_rev = dataclasses.replace(tilde, mesh=rev, dofmap=dm,
+                                    coeffs=tilde.coeffs[::-1])
+    line = [[0.5, 0.0], [0.5, 1.0]]
+    for field, renumbered in ((u, u_rev), (tilde, tilde_rev)):
+        assert np.array_equal(flux_along_polyline(mesh, field, prob, line),
+                              flux_along_polyline(rev, renumbered, prob, line))
 
 
 def test_polyline_needs_two_points():

@@ -6,7 +6,7 @@ from conservaflux import (apply_dirichlet, assemble, build_dof_map,
                           load_example, solve, solve_problem)
 from conservaflux.mesh import TriMesh
 from conservaflux.problems import ProblemSpec
-from conservaflux.solver import Discretization, SolverError
+from conservaflux.solver import SolverError, blocks
 
 
 def constant_problem(value=1.0, g=None):
@@ -80,7 +80,7 @@ def test_dof_ordering_vertices_edges_interior():
 def test_local_stiffness_unit_right_triangle():
     mesh = TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
     prob = constant_problem()
-    k_loc = Discretization(mesh, build_dof_map(mesh, 1), prob).k_loc
+    k_loc = blocks(mesh, build_dof_map(mesh, 1), prob).k_loc
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.abs(k_loc[0] - expected).max() < 1e-14
 
@@ -249,7 +249,7 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
     monkeypatch.setattr(solver, "_BUDGET", 7 * width)
     mesh = jittered_mesh(6, seed=11)
     prob = load_example(2)
-    disc = Discretization(mesh, build_dof_map(mesh, k), prob)
+    disc = blocks(mesh, build_dof_map(mesh, k), prob)
     v0, jac, inv, det = mesh.element_maps()
 
     rule = triangle_rule(disc.exactness)
@@ -310,12 +310,34 @@ def test_dirichlet_elimination_matches_two_product_formula(k, example,
 
 
 def pure_neumann_system(n, degree=1):
-    prob = load_example(2)
+    # apply_dirichlet rejects a problem without Dirichlet data, so the
+    # singular system is assembled and left unconstrained by hand.
+    from conservaflux import ConstrainedSystem
     mesh = build_structured_mesh(n)
     dm = build_dof_map(mesh, degree)
-    a, b = assemble(mesh, dm, prob)
-    return apply_dirichlet(a, b, dm, ProblemSpec(
-        kappa=prob.kappa, source=prob.source, dirichlet={}))
+    a, b = assemble(mesh, dm, load_example(2))
+    return ConstrainedSystem(matrix=a, rhs=b, mesh=mesh, dofmap=dm,
+                             dirichlet_mask=np.zeros(dm.n_dofs, dtype=bool),
+                             dirichlet_values=np.zeros(dm.n_dofs))
+
+
+def test_pure_neumann_problem_fails_before_any_factorization(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def spsolve(*args, **kwargs):
+        pytest.fail("a system without Dirichlet data was factored")
+
+    monkeypatch.setattr(spla, "spsolve", spsolve)
+    prob = load_example(2)
+    neumann = ProblemSpec(kappa=prob.kappa, source=prob.source, dirichlet={})
+    msg = (r"no boundary part has Dirichlet data \(mesh parts: \['bottom', "
+           r"'left', 'right', 'top'\]\): the system is singular")
+    mesh = build_structured_mesh(4)
+    dm = build_dof_map(mesh, 2)
+    with pytest.raises(SolverError, match=msg):
+        apply_dirichlet(*assemble(mesh, dm, neumann), dm, neumann)
+    with pytest.raises(SolverError, match=msg):
+        solve_problem(mesh, 2, neumann)
 
 
 def test_singular_system_fails_after_one_direct_solve(monkeypatch):

@@ -15,12 +15,12 @@ from conservaflux import (build_cv_index, build_dof_map, build_partitions,
                           write_convergence_csv, write_lce_csv)
 from conservaflux import solver
 from conservaflux.problems import ProblemSpec
-from conservaflux.solver import Discretization, FemField
+from conservaflux.solver import FemField
 
 
-def pipeline(problem, k, n, **kw):
+def pipeline(problem, k, n, solve_field=solve_problem, **kw):
     mesh = build_structured_mesh(n)
-    u = solve_problem(mesh, k, problem)
+    u = solve_field(mesh, k, problem)
     parts = build_partitions(mesh, k)
     tilde = postprocess_all(mesh, u.dofmap, parts, u, problem, **kw)
     cv = build_cv_index(mesh, u.dofmap, parts)
@@ -200,15 +200,23 @@ def test_global_balance_from_elemental_identities():
     # summing the elemental balances telescopes to the global one
     prob = load_example(2)
     mesh, u, parts, tilde, cv = pipeline(prob, 2, 6)
-    from conservaflux.solver import Discretization
-    f_sub = Discretization(mesh, u.dofmap, prob).f_sub
+    f_sub = u.discretization.f_sub
     boundary_outflow = tilde.boundary_flux.sum()
     assert abs(boundary_outflow - f_sub.sum()) <= 1e-9 * max(1.0, abs(f_sub.sum()))
 
 
-def test_source_evaluated_once_per_composite_point():
-    # Solve, recovery and every check share one discretization, so f is
-    # sampled at each composite subcell point of each element exactly once.
+def split_solve(mesh, k, problem):
+    dm = build_dof_map(mesh, k)
+    return solver.solve(solver.apply_dirichlet(
+        *solver.assemble(mesh, dm, problem), dm, problem))
+
+
+@pytest.mark.parametrize("solve_field", [split_solve, solve_problem],
+                         ids=["split", "solve_problem"])
+def test_source_evaluated_once_per_composite_point(solve_field):
+    # Solve, recovery and every check share the dof map's blocks, so f is
+    # sampled at each composite subcell point of each element exactly once,
+    # on either solve path.
     base = load_example(2)
     points = []
 
@@ -217,7 +225,7 @@ def test_source_evaluated_once_per_composite_point():
         return base.source(x, y)
 
     prob = dataclasses.replace(base, source=source)
-    mesh, u, parts, tilde, cv = pipeline(prob, 2, 6)
+    mesh, u, parts, tilde, cv = pipeline(prob, 2, 6, solve_field)
     compute_lce(mesh, cv, parts, u, prob)
     compute_lce(mesh, cv, parts, tilde, prob)
     elemental_conservation_report(mesh, parts, tilde, prob)
@@ -302,8 +310,7 @@ def test_per_element_passes_have_bounded_transient_memory(k, monkeypatch):
         dm = build_dof_map(mesh, k)
         parts = build_partitions(mesh, k)
         u = FemField(mesh, dm, prob.exact(*dm.coords.T))
-        u.discretization = measure(
-            "Discretization", lambda: Discretization(mesh, dm, prob))
+        measure("Discretization", lambda: solver.blocks(mesh, dm, prob))
         tilde = measure("postprocess_all", lambda: postprocess_all(
             mesh, dm, parts, u, prob, threads=1))
         measure("h1_seminorm_error",
