@@ -211,12 +211,9 @@ def split_solve(mesh, k, problem):
         *solver.assemble(mesh, dm, problem), dm, problem))
 
 
-@pytest.mark.parametrize("solve_field", [split_solve, solve_problem],
-                         ids=["split", "solve_problem"])
-def test_source_evaluated_once_per_composite_point(solve_field):
+def assert_source_evaluated_once_per_composite_point(solve_field):
     # Solve, recovery and every check share the dof map's blocks, so f is
-    # sampled at each composite subcell point of each element exactly once,
-    # on either solve path.
+    # sampled at each composite subcell point of each element exactly once.
     base = load_example(2)
     points = []
 
@@ -231,6 +228,14 @@ def test_source_evaluated_once_per_composite_point(solve_field):
     elemental_conservation_report(mesh, parts, tilde, prob)
     pts, _, _ = subcell_quadrature(2, 6)
     assert sum(points) == mesh.n_triangles * len(pts)
+
+
+def test_source_evaluated_once_per_composite_point():
+    assert_source_evaluated_once_per_composite_point(solve_problem)
+
+
+def test_source_evaluated_once_per_composite_point_split_solve():
+    assert_source_evaluated_once_per_composite_point(split_solve)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
