@@ -88,8 +88,7 @@ def _check_lce(config, problem, out, level):
         tol = config.tol_lce * scale
         for fname, fld in (("uh", u_h), ("tilde", tilde)):
             report = verify.compute_lce(mesh, cv, parts, fld, problem,
-                                        config.quad_exactness,
-                                        field_name=fname)
+                                        config.quad_exactness)
             path = out / f"lce_{fname}_{config.example}_k{config.degree}_n{n}.csv"
             verify.write_lce_csv(report, path)
             if fname == "tilde":

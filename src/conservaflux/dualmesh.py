@@ -57,7 +57,6 @@ class _RefDual:
     outward normal); `cv_minus` is the owner on the other side.
     """
     degree: int
-    nodes: np.ndarray        # (N, 2)
     cv_start: np.ndarray     # (S, 2)
     cv_end: np.ndarray       # (S, 2)
     cv_plus: np.ndarray      # (S,)
@@ -165,7 +164,6 @@ def _ref_dual(degree):
 
     ref = _RefDual(
         degree=k,
-        nodes=xy,
         cv_start=np.array(cv_start), cv_end=np.array(cv_end),
         cv_plus=np.array(cv_plus, dtype=np.int64),
         cv_minus=np.array(cv_minus, dtype=np.int64),

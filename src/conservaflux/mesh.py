@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-BOUNDARY_PARTS = ("left", "right", "bottom", "top", "other")
-
 _GEO_TOL = 1e-12
 
 
@@ -36,7 +34,7 @@ class TriMesh:
         h: maximum element diameter.
     """
 
-    def __init__(self, vertices, triangles, boundary_labels=None, h=None):
+    def __init__(self, vertices, triangles, h=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -54,7 +52,7 @@ class TriMesh:
                             f"(signed area {areas[bad[0]]:g})")
 
         self._build_edges()
-        self._label_boundary(boundary_labels)
+        self._label_boundary()
 
         v = self.vertices
         t = self.triangles
@@ -104,13 +102,7 @@ class TriMesh:
         self.tri_neighbors = np.where(own, pair[..., 1], pair[..., 0])
         self.boundary_edges = np.nonzero(self.edge_tris[:, 1] == -1)[0]
 
-    def _label_boundary(self, labels):
-        if labels is not None:
-            if len(labels) != len(self.boundary_edges):
-                raise MeshError("boundary label count does not match the "
-                                "number of boundary edges")
-            self.boundary_labels = tuple(str(s) for s in labels)
-            return
+    def _label_boundary(self):
         # Geometric labeling for the unit square: a boundary edge gets the
         # part whose coordinate both endpoints share to within 1e-12.
         out = []
@@ -174,15 +166,16 @@ class TriMesh:
             self._geom = (v0, jac, inv, det)
         return self._geom
 
-    def locate(self, points, tol=1e-12):
-        """Triangle index containing each query point (-1 if outside); a
-        point on shared edges or vertices goes to the lowest index."""
+    def locate(self, points):
+        """Triangle index containing each query point to within _GEO_TOL
+        in reference coordinates (-1 if outside); a point on shared edges
+        or vertices goes to the lowest index."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        # Bucket the element bounding boxes, widened by tol in reference
+        # Bucket the element bounding boxes, widened by _GEO_TOL in reference
         # coordinates plus a rounding margin, on a uniform grid of about
         # nt / 2 cells; a point is tested against its cell's elements only.
         v0, jac, inv, _ = self.element_maps()
-        pad = (2 * tol + 1e-9) * np.abs(jac).sum(axis=2)
+        pad = (2 * _GEO_TOL + 1e-9) * np.abs(jac).sum(axis=2)
         lo = v0 + np.minimum(np.minimum(jac[..., 0], jac[..., 1]), 0) - pad
         hi = v0 + np.maximum(np.maximum(jac[..., 0], jac[..., 1]), 0) + pad
         origin, ext = lo.min(axis=0), hi.max(axis=0) - lo.min(axis=0)
@@ -204,6 +197,7 @@ class TriMesh:
         pi, rank = _expand(start[pc + 1] - start[pc])
         e = elem[order[start[pc[pi]] + rank]]
         r = np.einsum("pab,pb->pa", inv[e], pts[pi] - v0[e])
+        tol = _GEO_TOL
         ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(1) <= 1 + tol)
         out = np.full(len(pts), len(lo))
         np.minimum.at(out, pi[ok], e[ok])
@@ -298,7 +292,7 @@ def read_mesh_file(path):
     for i in range(1 + nv + nt, len(rows)):
         a, b, label = fields(i, (int, int, str), "v0 v1 label")
         labeled[(min(a, b), max(a, b))] = (rows[i][0], label)
-    mesh = TriMesh(vertices, triangles, boundary_labels=None)
+    mesh = TriMesh(vertices, triangles)
     labels = []
     for eid in mesh.boundary_edges:
         key = tuple(int(x) for x in mesh.edges[eid])

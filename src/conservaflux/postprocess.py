@@ -6,9 +6,10 @@ field through the dual (control-volume) segments of subcell xi against
 source, stiffness, and averaged-boundary-flux data computed from the global
 solution. The system matrix annihilates constants from both sides, so the
 solution is fixed only up to an additive constant; the gradient, and with
-it the recovered flux, is unique. Each system is solved for the mean
-`gauge_shift` (0 by default) and the element mean of u_h is added after,
-so the two fields are comparable and a constant in u_h stays out of the solve.
+it the recovered flux, is unique. Adding a rank-one term s 1 1^T makes the
+N x N matrix regular; its solution has mean zero up to the compatibility
+defect, and the element mean of u_h is added after, so the two fields are
+comparable and a constant in u_h stays out of the solve.
 
 On facets shared by two elements the normal flux of the global solution is
 the average of the two kappa-weighted one-sided traces, each side with its
@@ -31,6 +32,7 @@ import numpy as np
 from . import basis, dualmesh, solver
 from ._table import coords, numbers, write_table
 from .dualmesh import _rot
+from .mesh import _GEO_TOL
 from .quadrature import segment_rule
 from .solver import FemField, blocks, default_segment_points, sample
 
@@ -105,8 +107,7 @@ def _elemental_blocks(disc, u_values, t0, t1):
     return disc.d_loc[sl], beta, gauge, defect, scale, bflux
 
 
-def _solve_chunk(mats, beta, gauge, defect, scale, t0, gauge_shift):
-    ct, n = beta.shape
+def _solve_chunk(mats, beta, gauge, defect, scale, t0):
     bad = defect > _DEFECT_RTOL * (scale + 1e-30)
     if np.any(bad):
         t = int(np.argmax(np.where(bad, defect, -np.inf)))
@@ -114,21 +115,17 @@ def _solve_chunk(mats, beta, gauge, defect, scale, t0, gauge_shift):
             f"element {t0 + t}: compatibility defect {defect[t]:.3e} exceeds "
             f"{_DEFECT_RTOL:.0e} * scale ({scale[t]:.3e}); the elemental "
             "system is not solvable")
-    bordered = np.zeros((ct, n + 1, n + 1))
-    bordered[:, :n, :n] = mats
-    bordered[:, :n, n] = 1.0
-    bordered[:, n, :n] = 1.0
-    rhs = np.empty((ct, n + 1))
-    rhs[:, :n] = beta
-    rhs[:, n] = n * gauge_shift
-    sol = np.linalg.solve(bordered, rhs[:, :, None])[:, :, 0]
-    alpha = sol[:, :n]
+    # D annihilates constants from both sides, so D + s 1 1^T is regular
+    # (s, the mean |D_ij|, keeps the term on D's scale). Its solution solves
+    # D alpha = beta up to a constant, the defect's share, which the
+    # residual check removes, and has mean sum(beta) / (s N^2).
+    s = np.abs(mats).mean(axis=(1, 2))
+    alpha = np.linalg.solve(mats + s[:, None, None], beta[:, :, None])[:, :, 0]
 
     resid = np.einsum("txn,tn->tx", mats, alpha) - beta
     resid -= resid.mean(axis=1, keepdims=True)
     rnorm = np.linalg.norm(resid, axis=1)
-    mat_scale = np.linalg.norm(mats.reshape(ct, -1), axis=1) \
-        * (1.0 + abs(gauge_shift))
+    mat_scale = np.linalg.norm(mats.reshape(len(mats), -1), axis=1)
     tol = _SOLVE_RTOL * (scale + mat_scale) + 1e-30
     bad = rnorm > tol
     if np.any(bad):
@@ -171,7 +168,7 @@ def local_coefficients(field):
 
 
 def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
-                    gauge_shift=0.0, exactness=None):
+                    exactness=None):
     """Recover the conservative flux field on every element.
 
     Chunks of elements, sized by their boundary-segment points, are
@@ -192,8 +189,7 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     def work(sl):
         mats, beta, gauge, defect, scale, bf = _elemental_blocks(
             disc, u_h.values, sl.start, sl.stop)
-        coeffs[sl] = _solve_chunk(mats, beta, gauge, defect, scale,
-                                  sl.start, gauge_shift)
+        coeffs[sl] = _solve_chunk(mats, beta, gauge, defect, scale, sl.start)
         bflux[sl] = bf
         defects[sl] = defect
 
@@ -209,7 +205,7 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
                               boundary_flux=bflux, defects=defects)
 
 
-def flux_along_polyline(mesh, field, problem, points, npoints=None):
+def flux_along_polyline(mesh, field, problem, points):
     """Integral of -kappa grad(field).n over each polyline segment.
 
     Segments are split where they cross mesh edges, and each piece is
@@ -217,12 +213,10 @@ def flux_along_polyline(mesh, field, problem, points, npoints=None):
     on an interior edge (as in the recovery's facet data). The normal is
     the -90 degree rotation of the walking direction.
     """
-    if npoints is None:
-        npoints = default_segment_points(field.degree)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
         raise ValueError("polyline needs at least two (x, y) points")
-    srule = segment_rule(npoints)
+    srule = segment_rule(default_segment_points(field.degree))
     v0, _, inv, _ = mesh.element_maps()
     e0 = mesh.vertices[mesh.edges[:, 0]]
     e1 = mesh.vertices[mesh.edges[:, 1]]
@@ -236,7 +230,7 @@ def flux_along_polyline(mesh, field, problem, points, npoints=None):
     # within locate's tolerance) puts its whole piece on that facet.
     r = np.einsum("pab,pb->pa", inv[elems], mids - v0[elems])
     lam = np.column_stack([r[:, 1], 1.0 - r.sum(axis=1), r[:, 0]])
-    mates = np.where(np.abs(lam) <= 1e-12, mesh.tri_neighbors[elems], -1)
+    mates = np.where(np.abs(lam) <= _GEO_TOL, mesh.tri_neighbors[elems], -1)
 
     out = np.zeros(len(d))
     for (i, a, b), t, m, mid in zip(pieces, elems, mates.max(axis=1), mids):

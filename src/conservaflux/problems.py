@@ -22,8 +22,6 @@ class ProblemSpec:
     dirichlet: Mapping[str, Callable]
     exact: Optional[Callable] = None
     exact_grad: Optional[Callable] = None
-    example_id: Optional[int] = None
-    name: str = ""
 
 
 def _example_1():
@@ -44,7 +42,7 @@ def _example_1():
 
     bc = {part: zero for part in ("left", "right", "bottom", "top")}
     return ProblemSpec(kappa=one, source=f, dirichlet=bc, exact=u,
-                       exact_grad=grad_u, example_id=1, name="example-1")
+                       exact_grad=grad_u)
 
 
 def _example_2():
@@ -63,7 +61,7 @@ def _example_2():
 
     bc = {part: u for part in ("left", "right", "bottom", "top")}
     return ProblemSpec(kappa=kappa, source=f, dirichlet=bc, exact=u,
-                       exact_grad=grad_u, example_id=2, name="example-2")
+                       exact_grad=grad_u)
 
 
 def _example_3():
@@ -88,7 +86,7 @@ def _example_3():
 
     bc = {"left": onefun, "right": zero}
     return ProblemSpec(kappa=kappa, source=zero, dirichlet=bc, exact=u,
-                       exact_grad=grad_u, example_id=3, name="example-3")
+                       exact_grad=grad_u)
 
 
 _EXAMPLES = {1: _example_1, 2: _example_2, 3: _example_3}

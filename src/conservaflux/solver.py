@@ -35,6 +35,7 @@ from .quadrature import segment_rule, triangle_rule
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
 DOF_KIND_NAMES = {DOF_VERTEX: "vertex", DOF_EDGE: "edge", DOF_INTERIOR: "interior"}
 _BUDGET = 2 ** 17  # quadrature points per chunk of every per-element pass
+_SOLVE_RTOL = 1e-10  # relative residual a solve must reach on the full system
 
 
 class SolverError(Exception):
@@ -409,7 +410,7 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
                              dirichlet_values=g)
 
 
-def solve(system, rtol=1e-10):
+def solve(system):
     """One direct sparse solve; a singular system fails the residual check.
 
     Element-interior dofs (k = 3) are numbered last and each couples only to
@@ -417,7 +418,7 @@ def solve(system, rtol=1e-10):
     A_cc - A_ci D^-1 A_ic keeps A_cc's pattern and is factored alone, and
     the interior values follow exactly as (b_i - A_ic x_c) / D. With no
     interior dofs (k = 1, 2) the complement is A itself. The relative
-    residual of the returned solution on the full system is at most `rtol`;
+    residual of the returned solution on the full system is at most 1e-10;
     otherwise a SolverError reports the residual that was attained.
     """
     a, b = system.matrix.tocsr(), system.rhs
@@ -433,18 +434,18 @@ def solve(system, rtol=1e-10):
     x[nc:] = (b[nc:] - a_ic @ x[:nc]) / d
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(a @ x - b) / (bnorm if bnorm > 0 else 1.0))
-    if not np.isfinite(res) or res > rtol:
+    if not np.isfinite(res) or res > _SOLVE_RTOL:
         raise SolverError(f"linear solve failed: relative residual "
-                          f"{res:.3e} exceeds {rtol:.1e}")
+                          f"{res:.3e} exceeds {_SOLVE_RTOL:.1e}")
     return FemField(mesh=system.mesh, dofmap=system.dofmap, values=x,
                     solve_residual=res)
 
 
-def solve_problem(mesh, degree, problem, exactness=None, rtol=1e-10):
+def solve_problem(mesh, degree, problem, exactness=None):
     """Build the dof map, assemble, constrain, and solve in one call."""
     dofmap = build_dof_map(mesh, degree)
     return solve(apply_dirichlet(*assemble(mesh, dofmap, problem, exactness),
-                                 dofmap, problem), rtol)
+                                 dofmap, problem))
 
 
 def export_solution_csv(field, path):

@@ -43,13 +43,13 @@ class LceReport:
         return float(np.abs(self.values).max()) if len(self.values) else 0.0
 
 
-def compute_lce(mesh, cv_index, partitions, field, problem,
-                exactness=None, field_name=None):
+def compute_lce(mesh, cv_index, partitions, field, problem, exactness=None):
     """Control-volume conservation defects of a discrete field.
 
     The flux on each dual segment is the field's own one-sided gradient in
     the element that owns the segment (dual segments never cross facets),
-    integrated with the same segment rule the flux recovery uses.
+    integrated with the same segment rule the flux recovery uses. The
+    report is named "tilde" for a recovered field and "uh" otherwise.
     """
     dm = field.dofmap
     dualmesh._check_partitions(mesh, partitions, dm.degree)
@@ -64,8 +64,7 @@ def compute_lce(mesh, cv_index, partitions, field, problem,
     np.add.at(lce, dm.cell_dofs.ravel(), contrib.ravel())
 
     interior = np.nonzero(~dm.on_boundary)[0]
-    if field_name is None:
-        field_name = "tilde" if hasattr(field, "boundary_flux") else "uh"
+    field_name = "tilde" if hasattr(field, "boundary_flux") else "uh"
     return LceReport(field_name=field_name, dof_ids=interior,
                      kinds=dm.kind[interior], coords=dm.coords[interior],
                      values=lce[interior])
@@ -146,13 +145,11 @@ def elemental_conservation_report(mesh, partitions, field, problem,
     return ElementalConservationReport(residuals=residuals, scales=scales)
 
 
-def f_l1_norm(mesh, degree, problem, exactness=None):
-    """L1 norm of the source over the domain, on the element rule (default
-    exactness 2k + 2), summed chunk by chunk; the composite subcell rule's
+def f_l1_norm(mesh, degree, problem):
+    """L1 norm of the source over the domain, on the element rule of
+    exactness 2k + 2, summed chunk by chunk; the composite subcell rule's
     agrees to quadrature accuracy."""
-    if exactness is None:
-        exactness = solver.default_exactness(degree)
-    rule = triangle_rule(exactness)
+    rule = triangle_rule(solver.default_exactness(degree))
     v0, jac, _, det = mesh.element_maps()
     total = 0.0
     for sl in solver._chunks(mesh.n_triangles, len(rule.points)):
@@ -162,7 +159,7 @@ def f_l1_norm(mesh, degree, problem, exactness=None):
     return float(total)
 
 
-def true_solution_residual(mesh, degree, problem, exactness=None):
+def true_solution_residual(mesh, degree, problem):
     """Defect of the exact solution in the elemental recovery equations.
 
     Substitutes the exact gradient for both the unknown and the facet data
@@ -175,8 +172,7 @@ def true_solution_residual(mesh, degree, problem, exactness=None):
     """
     if problem.exact_grad is None:
         raise ValueError("true-solution residual requires the exact gradient")
-    disc = blocks(mesh, solver.build_dof_map(mesh, degree), problem,
-                  exactness)
+    disc = blocks(mesh, solver.build_dof_map(mesh, degree), problem)
     rseg = disc.rseg
     v0, jac, inv, det = mesh.element_maps()
 
@@ -290,12 +286,10 @@ def convergence_table(problem, degree, levels, level, exactness=None):
                             err_diff=np.array(err_diff))
 
 
-def convergence_study(problem, degree, levels, exactness=None, threads=None):
+def convergence_study(problem, degree, levels):
     """Solve, recover fluxes, and measure H1 errors over a mesh ladder."""
-    return convergence_table(
-        problem, degree, levels,
-        lambda n: solve_level(problem, degree, n, exactness, threads),
-        exactness)
+    return convergence_table(problem, degree, levels,
+                             lambda n: solve_level(problem, degree, n))
 
 
 def write_lce_csv(report, path):

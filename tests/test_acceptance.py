@@ -5,6 +5,8 @@ criterion. Each criterion pins its tolerance here; nothing is calibrated at
 run time.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -300,7 +302,11 @@ def test_criterion_9_geometry_suite(solved, monkeypatch):
 
     # gauge invariance of the recovered gradient
     prob, m, u, parts, tilde, cv = solved[2, 2]
-    shifted = postprocess_all(m, u.dofmap, parts, u, prob, gauge_shift=4.0)
+    # against an independent gauge: the min-norm solution of every system
+    mats, beta = _elemental_blocks(u.discretization, u.values, 0,
+                                   m.n_triangles)[:2]
+    shifted = dataclasses.replace(tilde, coeffs=4.0 + np.einsum(
+        "tij,tj->ti", np.linalg.pinv(mats), beta))
     rng = np.random.default_rng(9)
     worst_gauge = -1.0
     for t in range(0, m.n_triangles, 7):

@@ -1,4 +1,7 @@
+import dataclasses
 import importlib
+import inspect
+import operator
 
 import pytest
 
@@ -23,16 +26,27 @@ PUBLIC = [
 
 # Deleted names: single-element helpers whose quantities now come from the
 # batched arrays, the per-field block lookup (the dof map owns the blocks)
-# and a constant nothing read.
+# and constants nothing read.
 DELETED = {
     "basis": ["map_to_element", "DEGREES"],
     "solver": ["for_field"],
-    "mesh": ["edge_neighbors"],
+    "mesh": ["edge_neighbors", "BOUNDARY_PARTS"],
     "dualmesh": ["SubcellPartition", "build_subcell_partition"],
     "postprocess": ["ElementalSystem", "assemble_elemental_system",
                     "solve_elemental", "interp_piecewise_constant",
                     "edge_average_flux", "segment_flux_split"],
 }
+
+
+# Settable values with one value in use, now constants: (callable, parameter).
+REMOVED_PARAMETERS = [
+    ("solve", "rtol"), ("solve_problem", "rtol"),
+    ("postprocess_all", "gauge_shift"), ("flux_along_polyline", "npoints"),
+    ("compute_lce", "field_name"), ("TriMesh", "boundary_labels"),
+    ("TriMesh.locate", "tol"), ("f_l1_norm", "exactness"),
+    ("true_solution_residual", "exactness"),
+    ("convergence_study", "exactness"), ("convergence_study", "threads"),
+]
 
 
 def test_all_is_the_public_list():
@@ -52,6 +66,17 @@ def test_deleted_name_is_gone(module, name):
     assert not hasattr(importlib.import_module(f"conservaflux.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from conservaflux import {name}", {})
+
+
+@pytest.mark.parametrize("name, param", REMOVED_PARAMETERS)
+def test_removed_parameter_is_gone(name, param):
+    fn = operator.attrgetter(name)(conservaflux)
+    assert param not in inspect.signature(fn).parameters
+
+
+def test_problem_spec_has_no_unread_fields():
+    names = {f.name for f in dataclasses.fields(conservaflux.ProblemSpec)}
+    assert names == {"kappa", "source", "dirichlet", "exact", "exact_grad"}
 
 
 def test_dual_geometry_is_not_a_sequence():

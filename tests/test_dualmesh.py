@@ -3,7 +3,7 @@ import pytest
 
 from conservaflux import (build_cv_index, build_dof_map, build_partitions,
                           build_structured_mesh, export_dual_csv)
-from conservaflux.basis import map_points
+from conservaflux.basis import map_points, ref_nodes
 from conservaflux.dualmesh import (CLASS_CONTROL_VOLUME,
                                    CLASS_ELEMENT_BOUNDARY, DualMeshError)
 from conservaflux.mesh import TriMesh
@@ -29,7 +29,7 @@ def subcells(mesh, t, k):
         return map_points(parts.v0[t:t + 1], parts.jac[t:t + 1], pts)[0]
 
     loops = [to_element(loop) for loop in ref.loops]
-    return (areas, to_element(ref.nodes), loops) + parts._segments(t)
+    return (areas, to_element(ref_nodes(k)), loops) + parts._segments(t)
 
 
 def scaled_normals(start, end):

@@ -348,5 +348,3 @@ def test_locate_generic_matches_brute_force(jittered_mesh):
     assert np.array_equal(found, [brute_locate(mesh, p) for p in pts])
     assert np.all(found[:len(v) + len(a)] >= 0)
     assert np.all(found[-3:] == -1)
-    assert np.array_equal(mesh.locate(pts, tol=0.1),
-                          [brute_locate(mesh, p, 0.1) for p in pts])

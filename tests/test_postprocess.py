@@ -64,6 +64,13 @@ def elemental_blocks(u, t0, t1):
     return _elemental_blocks(u.discretization, u.values, t0, t1)[:5]
 
 
+def min_norm_coeffs(u):
+    """The min-norm solution pinv(D) @ beta of every elemental system: a
+    gauge chosen independently of the recovery's."""
+    mats, beta = elemental_blocks(u, 0, u.mesh.n_triangles)[:2]
+    return np.einsum("tij,tj->ti", np.linalg.pinv(mats), beta)
+
+
 def bd_segments(mesh, k, t):
     """Start and end points and owner of the element-boundary subcell
     segments of element t (or of the elements t selects), in the column
@@ -247,8 +254,8 @@ def test_zero_rhs_recovers_the_gauge_constant():
     beta = elemental_blocks(u, 0, mesh.n_triangles)[1]
     assert np.abs(beta).max() < 1e-15
     tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, 2), u,
-                            prob, gauge_shift=2.5)
-    assert np.abs(tilde.coeffs - 2.5).max() < 1e-12
+                            prob)
+    assert np.abs(tilde.coeffs).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -258,8 +265,7 @@ def test_gauge_independence_of_gradient(k):
     u = solve_problem(mesh, k, prob)
     parts = build_partitions(mesh, k)
     a0 = postprocess_all(mesh, u.dofmap, parts, u, prob).coeffs
-    a1 = postprocess_all(mesh, u.dofmap, parts, u, prob,
-                         gauge_shift=10.0).coeffs
+    a1 = min_norm_coeffs(u) + 10.0
     rng = np.random.default_rng(2)
     pts = random_ref_points(rng, 10)
     _, grads = eval_basis(k, pts)
@@ -297,6 +303,24 @@ def test_dual_form_coercive_for_low_degrees(k):
             assert v @ mats[t] @ v > 0.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_elemental_systems_are_n_by_n(k, monkeypatch):
+    # The paper's elemental system has N = (k + 1)(k + 2) / 2 unknowns.
+    mesh = build_structured_mesh(3)
+    prob = load_example(2)
+    u = solve_problem(mesh, k, prob)
+    shapes, real = [], np.linalg.solve
+
+    def spy(a, b):
+        shapes.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    postprocess_all(mesh, u.dofmap, build_partitions(mesh, k), u, prob)
+    n = (k + 1) * (k + 2) // 2
+    assert shapes == [(mesh.n_triangles, n, n)]
+
+
 def test_incompatible_elemental_system_is_reported():
     mesh = build_structured_mesh(2)
     prob = load_example(1)
@@ -304,8 +328,7 @@ def test_incompatible_elemental_system_is_reported():
     mats, beta, gauge, _, scale = elemental_blocks(u, 3, 4)
     beta[0, 0] += 1.0  # break compatibility
     with pytest.raises(PostprocessError, match="element 3"):
-        _solve_chunk(mats, beta, gauge, np.abs(beta.sum(axis=1)), scale, 3,
-                     0.0)
+        _solve_chunk(mats, beta, gauge, np.abs(beta.sum(axis=1)), scale, 3)
 
 
 # -- whole-field recovery -----------------------------------------------------
