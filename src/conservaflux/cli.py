@@ -87,8 +87,7 @@ def _check_lce(config, problem, out, level):
         scale = max(1.0, float(u_h.discretization.f_abs.sum()))
         tol = config.tol_lce * scale
         for fname, fld in (("uh", u_h), ("tilde", tilde)):
-            report = verify.compute_lce(mesh, cv, parts, fld, problem,
-                                        config.quad_exactness)
+            report = verify.compute_lce(mesh, cv, parts, fld, problem)
             path = out / f"lce_{fname}_{config.example}_k{config.degree}_n{n}.csv"
             verify.write_lce_csv(report, path)
             if fname == "tilde":
@@ -113,8 +112,8 @@ def _check_conservation(config, problem, out, level):
     failures = []
     for n in config.levels:
         mesh, _, parts, tilde = level(n)
-        report = verify.elemental_conservation_report(
-            mesh, parts, tilde, problem, config.quad_exactness)
+        report = verify.elemental_conservation_report(mesh, parts, tilde,
+                                                      problem)
         path = out / (f"conservation_{config.example}_k{config.degree}"
                       f"_n{n}.csv")
         verify.write_conservation_csv(report, path)
@@ -133,8 +132,7 @@ def _check_convergence(config, problem, out, level):
     levels = config.levels
     if len(levels) < 3:
         levels = default_ladder(config.example, config.degree)
-    table = verify.convergence_table(problem, config.degree, levels, level,
-                                     config.quad_exactness)
+    table = verify.convergence_table(problem, config.degree, levels, level)
     verify.write_convergence_csv(
         table, out / f"conv_{config.example}_k{config.degree}.csv")
     window = rate_window(config.example, config.degree)

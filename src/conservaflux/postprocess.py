@@ -103,7 +103,17 @@ def _elemental_blocks(disc, u_values, t0, t1):
     beta = disc.f_sub[sl] - disc.b_loc[sl] + a_term + e_term
     bflux = disc.b_loc[sl] - a_term - e_term
     defect = np.abs(beta.sum(axis=1))
-    scale = np.linalg.norm(beta, axis=1) + disc.f_abs[sl]
+    # In exact arithmetic sum(beta) = 0 term by term: f_sub and b_loc both
+    # sum to the element's source integral, k_loc's columns sum to zero and
+    # the boundary data's rows cancel (the basis is a partition of unity).
+    # In floating point each of these sums leaves rounding relative to the
+    # magnitudes it cancels: |f| for the sources, sum |k_loc| max |u - mean|
+    # for the stiffness rows and sum |e_term| for the boundary data. Under a
+    # steep kappa contrast the last two dwarf |beta|, so they set the scale.
+    u_dev = np.abs(u_loc - gauge[:, None]).max(axis=1)
+    scale = (np.linalg.norm(beta, axis=1) + disc.f_abs[sl]
+             + np.abs(disc.k_loc[sl]).sum(axis=(1, 2)) * u_dev
+             + np.abs(e_term).sum(axis=1))
     return disc.d_loc[sl], beta, gauge, defect, scale, bflux
 
 
@@ -167,8 +177,7 @@ def local_coefficients(field):
     return field.local_coeffs(slice(None))
 
 
-def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
-                    exactness=None):
+def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
     """Recover the conservative flux field on every element.
 
     Chunks of elements, sized by their boundary-segment points, are
@@ -179,7 +188,7 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
     """
     dualmesh._check_partitions(mesh, partitions, dofmap.degree)
     nthreads = _thread_count(threads)
-    disc = blocks(mesh, dofmap, problem, exactness)
+    disc = blocks(mesh, dofmap, problem)
     nt = mesh.n_triangles
     n = disc.n
     coeffs = np.empty((nt, n))
@@ -195,6 +204,9 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None,
 
     # Flux traces hold about ten values per boundary-segment point.
     chunks = solver._chunks(nt, disc.rseg.g_bd.shape[1])
+    # One thread stays off the pool: routing it through one worker raised
+    # the peak RSS of `solve --check all` (example 3, P2, levels 12,24,48)
+    # from 88.6 to 92.4 MiB, most likely by the worker's malloc arena.
     if nthreads == 1:
         for sl in chunks:
             work(sl)

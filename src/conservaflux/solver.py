@@ -71,7 +71,7 @@ class DofMap:
     kind: np.ndarray           # (ndofs,) vertex / edge / interior
     on_part: dict              # part label -> bool mask over dofs
     on_boundary: np.ndarray    # (ndofs,) geometric boundary membership
-    # Per-element blocks of the most recent problem and exactness; see blocks.
+    # Per-element blocks of the last problem, at `assemble`'s exactness.
     discretization: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -334,27 +334,32 @@ class Discretization:
         return np.stack(np.hsplit(out, 2)), det * (abs_f @ self.rseg.src_w)
 
 
-def blocks(mesh, dofmap, problem, exactness=None):
-    """The dof map's per-element blocks for `problem` (the same object) and
-    `exactness` (default 2k + 2): the ones it holds when they match, else
-    new ones, which replace them on the dof map. `assemble` builds them, so
-    `solve_problem` and the split `assemble` / `apply_dirichlet` / `solve`
-    path leave the same blocks for the recovery and the checks to read."""
+def blocks(mesh, dofmap, problem):
+    """The dof map's per-element blocks for `problem` (the same object), at
+    their own exactness; for another problem object, new ones at the held
+    exactness (2k + 2 when none is held), which replace them. Only
+    `assemble` sets the exactness, so the recovery and the checks always
+    share the solve's rules, on `solve_problem`'s path and the split one."""
+    held = dofmap.discretization
+    return _blocks(mesh, dofmap, problem, default_exactness(dofmap.degree)
+                   if held is None else held.exactness)
+
+
+def _blocks(mesh, dofmap, problem, exactness):
     if mesh is not dofmap.mesh:
         raise ValueError("the mesh is not the one the dof map was built on")
-    exactness = (default_exactness(dofmap.degree) if exactness is None
-                 else int(exactness))
     disc = dofmap.discretization
     if (disc is None or disc.problem is not problem
             or disc.exactness != exactness):
-        disc = Discretization(dofmap, problem, exactness)
-        dofmap.discretization = disc
+        disc = dofmap.discretization = Discretization(dofmap, problem,
+                                                      exactness)
     return disc
 
 
 def assemble(mesh, dofmap, problem, exactness=None):
     """Unconstrained global system (A, b) as (csr matrix, vector)."""
-    disc = blocks(mesh, dofmap, problem, exactness)
+    disc = _blocks(mesh, dofmap, problem, default_exactness(dofmap.degree)
+                   if exactness is None else int(exactness))
     n, n_dofs = disc.n, dofmap.n_dofs
     # scipy indexes with int32 whenever it can, and copies int64 input.
     cd = dofmap.cell_dofs.astype(np.int32 if n_dofs < 2 ** 31 else np.int64)

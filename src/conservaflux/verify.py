@@ -43,7 +43,7 @@ class LceReport:
         return float(np.abs(self.values).max()) if len(self.values) else 0.0
 
 
-def compute_lce(mesh, cv_index, partitions, field, problem, exactness=None):
+def compute_lce(mesh, cv_index, partitions, field, problem):
     """Control-volume conservation defects of a discrete field.
 
     The flux on each dual segment is the field's own one-sided gradient in
@@ -55,7 +55,7 @@ def compute_lce(mesh, cv_index, partitions, field, problem, exactness=None):
     dualmesh._check_partitions(mesh, partitions, dm.degree)
     if cv_index.n_dofs != dm.n_dofs:
         raise ValueError("control-volume index does not match the dof map")
-    disc = blocks(mesh, dm, problem, exactness)
+    disc = blocks(mesh, dm, problem)
     coeffs = local_coefficients(field)
     s_cv = (disc.d_loc @ coeffs[:, :, None])[:, :, 0]
     contrib = s_cv - disc.f_sub
@@ -70,14 +70,15 @@ def compute_lce(mesh, cv_index, partitions, field, problem, exactness=None):
                      values=lce[interior])
 
 
-def _h1_distance(mesh, coeffs, degree, exactness, exact_grad=None):
-    """H1 semi-norm of the elementwise polynomials whose nodal coefficients
-    on a slice `sl` of elements are `coeffs(sl)` (T, N), minus `exact_grad`
-    when one is given, summed chunk by chunk."""
-    if exactness is None:
-        exactness = solver.default_exactness(degree)
-    rule = triangle_rule(exactness)
-    tab = np.hstack(basis.eval_basis(degree, rule.points)[1])
+def _h1_distance(mesh, field, coeffs, exact_grad=None):
+    """H1 semi-norm of `field`'s elementwise polynomials with nodal
+    coefficients `coeffs(sl)` (T, N) on a slice `sl` of elements, minus
+    `exact_grad` when one is given, summed chunk by chunk on the triangle
+    rule of the field's blocks (2k + 2 when it has none)."""
+    disc = field.discretization
+    rule = triangle_rule(solver.default_exactness(field.degree)
+                         if disc is None else disc.exactness)
+    tab = np.hstack(basis.eval_basis(field.degree, rule.points)[1])
     v0, jac, inv, det = mesh.element_maps()
     total = 0.0
     # About ten values per point: gradients (T, Q, 2), points, exact ones.
@@ -91,13 +92,12 @@ def _h1_distance(mesh, coeffs, degree, exactness, exact_grad=None):
     return float(np.sqrt(total))
 
 
-def h1_seminorm_error(mesh, field, exact_grad, exactness=None):
+def h1_seminorm_error(mesh, field, exact_grad):
     """H1 semi-norm distance to a known gradient, by elementwise quadrature."""
-    return _h1_distance(mesh, field.local_coeffs, field.degree, exactness,
-                        exact_grad)
+    return _h1_distance(mesh, field, field.local_coeffs, exact_grad)
 
 
-def h1_seminorm_diff(mesh, field_a, field_b, exactness=None):
+def h1_seminorm_diff(mesh, field_a, field_b):
     """H1 semi-norm of the difference of two fields on the same mesh/degree.
 
     Elementwise additive constants (the recovery gauge) do not register.
@@ -105,8 +105,8 @@ def h1_seminorm_diff(mesh, field_a, field_b, exactness=None):
     if field_a.degree != field_b.degree:
         raise ValueError("fields have different degrees")
     return _h1_distance(
-        mesh, lambda sl: field_a.local_coeffs(sl) - field_b.local_coeffs(sl),
-        field_a.degree, exactness)
+        mesh, field_a,
+        lambda sl: field_a.local_coeffs(sl) - field_b.local_coeffs(sl))
 
 
 @dataclass
@@ -124,8 +124,7 @@ class ElementalConservationReport:
         return float((self.residuals / self.scales).max())
 
 
-def elemental_conservation_report(mesh, partitions, field, problem,
-                                  exactness=None):
+def elemental_conservation_report(mesh, partitions, field, problem):
     """Conservation residual of the recovered flux on every element.
 
     The recovered flux through an element's boundary is the sum of the
@@ -137,7 +136,7 @@ def elemental_conservation_report(mesh, partitions, field, problem,
         raise TypeError("elemental conservation is defined for the "
                         "postprocessed field")
     dualmesh._check_partitions(mesh, partitions, field.dofmap.degree)
-    disc = blocks(mesh, field.dofmap, problem, exactness)
+    disc = blocks(mesh, field.dofmap, problem)
     residuals = np.abs(field.boundary_flux.sum(axis=1)
                        - disc.f_sub.sum(axis=1))
     scales = np.maximum(1.0, np.abs(field.boundary_flux).sum(axis=1)
@@ -253,17 +252,19 @@ class ConvergenceTable:
 def solve_level(problem, degree, n, exactness=None, threads=None):
     """(mesh, u_h, partitions, recovered field) on the structured n x n
     mesh; the recovery reuses the blocks the solve built."""
+    # Not at module level: the benchmark's traced CLI run patches
+    # mesh.build_structured_mesh, and only a lookup at call time sees it.
     from .mesh import build_structured_mesh
 
     mesh = build_structured_mesh(n)
     u_h = solver.solve_problem(mesh, degree, problem, exactness)
     parts = dualmesh.build_partitions(mesh, degree)
     tilde = postprocess_all(mesh, u_h.dofmap, parts, u_h, problem,
-                            threads=threads, exactness=exactness)
+                            threads=threads)
     return mesh, u_h, parts, tilde
 
 
-def convergence_table(problem, degree, levels, level, exactness=None):
+def convergence_table(problem, degree, levels, level):
     """H1 errors over a mesh ladder, where `level(n)` returns mesh level n
     solved and recovered as by solve_level."""
     levels = [int(n) for n in levels]
@@ -275,11 +276,9 @@ def convergence_table(problem, degree, levels, level, exactness=None):
     for n in levels:
         mesh, u_h, _, tilde = level(n)
         hs.append(mesh.h)
-        err_uh.append(h1_seminorm_error(mesh, u_h, problem.exact_grad,
-                                        exactness))
-        err_tilde.append(h1_seminorm_error(mesh, tilde, problem.exact_grad,
-                                           exactness))
-        err_diff.append(h1_seminorm_diff(mesh, u_h, tilde, exactness))
+        err_uh.append(h1_seminorm_error(mesh, u_h, problem.exact_grad))
+        err_tilde.append(h1_seminorm_error(mesh, tilde, problem.exact_grad))
+        err_diff.append(h1_seminorm_diff(mesh, u_h, tilde))
     return ConvergenceTable(degree=degree, ns=np.array(levels),
                             hs=np.array(hs), err_uh=np.array(err_uh),
                             err_tilde=np.array(err_tilde),

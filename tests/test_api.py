@@ -38,7 +38,8 @@ DELETED = {
 }
 
 
-# Settable values with one value in use, now constants: (callable, parameter).
+# Settable values with one value in use, now constants, and settings that
+# belong to another owner: (callable, parameter).
 REMOVED_PARAMETERS = [
     ("solve", "rtol"), ("solve_problem", "rtol"),
     ("postprocess_all", "gauge_shift"), ("flux_along_polyline", "npoints"),
@@ -46,6 +47,11 @@ REMOVED_PARAMETERS = [
     ("TriMesh.locate", "tol"), ("f_l1_norm", "exactness"),
     ("true_solution_residual", "exactness"),
     ("convergence_study", "exactness"), ("convergence_study", "threads"),
+    # The quadrature exactness is the dof map's blocks', set by `assemble`.
+    ("postprocess_all", "exactness"), ("compute_lce", "exactness"),
+    ("elemental_conservation_report", "exactness"),
+    ("h1_seminorm_error", "exactness"), ("h1_seminorm_diff", "exactness"),
+    ("verify.convergence_table", "exactness"),
 ]
 
 

@@ -144,6 +144,28 @@ def test_check_all_solves_each_level_once(tmp_path, monkeypatch):
                 == (tmp_path / "each" / name).read_bytes()), name
 
 
+def test_quad_exactness_sets_every_level_rule(tmp_path, monkeypatch, capsys):
+    # --quad-exactness sets the rule of each level's one set of blocks, which
+    # the solve, the recovery, the checks and the H1 errors all read.
+    from conservaflux import solver
+    built = []
+
+    class Counted(solver.Discretization):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.exactness)
+
+    monkeypatch.setattr(solver, "Discretization", Counted)
+    assert main(["solve", "--example", "2", "--degree", "3", "--levels",
+                 "4,8,16", "--check", "all", "--quad-exactness", "5",
+                 "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert all(line.endswith("PASS") for line in lines
+               if "informational" not in line)
+    assert built == [5, 5, 5]
+
+
 def test_lce_check_samples_the_source_once_per_level(tmp_path, monkeypatch):
     # The lce tolerance's ||f||_1 comes from the level's own source pass,
     # not from a second pass over the composite rule.

@@ -362,20 +362,63 @@ def test_recovery_attaches_and_reuses_discretization():
     parts = build_partitions(mesh, 2)
     tilde = postprocess_all(mesh, dm, parts, u, prob)
     assert tilde.discretization is disc and u.discretization is disc
-    assert solver.blocks(mesh, dm, prob, exactness=6) is disc
-    # Another problem object or exactness builds new blocks in their place.
+    assert solver.blocks(mesh, dm, prob) is disc
+    # Another problem object builds new blocks in their place.
     other = postprocess_all(mesh, dm, parts, u, load_example(2))
     replaced = dm.discretization
-    assert replaced is not disc
+    assert replaced is not disc and replaced.exactness == 6
     assert np.array_equal(other.coeffs, tilde.coeffs)
-    postprocess_all(mesh, dm, parts, u, prob, exactness=8)
+    # Only assemble sets the exactness; the readers keep the held one, also
+    # when another problem object makes them build new blocks.
+    assemble(mesh, dm, prob, exactness=8)
     assert dm.discretization not in (disc, replaced)
+    assert dm.discretization.exactness == 8
+    postprocess_all(mesh, dm, parts, u, load_example(2))
     assert dm.discretization.exactness == 8
     # A mesh that is not the dof map's is an error, not a silent mix.
     twin = build_structured_mesh(3)
     for call in (solver.blocks, assemble):
         with pytest.raises(ValueError, match="mesh"):
             call(twin, dm, prob)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_library_flow_shares_the_solve_exactness(k, monkeypatch):
+    # The README library flow after a solve at exactness 5: the recovery and
+    # the checks read the solve's blocks, so the recovered flux stays
+    # conservative, and no call builds blocks at another exactness.
+    from conservaflux import (build_cv_index, compute_lce,
+                              elemental_conservation_report, f_l1_norm,
+                              h1_seminorm_diff, h1_seminorm_error)
+    built = []
+
+    class Counted(solver.Discretization):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.exactness)
+
+    monkeypatch.setattr(solver, "Discretization", Counted)
+    mesh = build_structured_mesh(8)
+    prob = load_example(2)
+    u = solve_problem(mesh, k, prob, exactness=5)
+    dm = u.dofmap
+    parts = build_partitions(mesh, k)
+    tilde = postprocess_all(mesh, dm, parts, u, prob)
+    assert dm.discretization.exactness == 5
+    cv = build_cv_index(mesh, dm, parts)
+    lce = compute_lce(mesh, cv, parts, tilde, prob)
+    for call in (lambda: compute_lce(mesh, cv, parts, u, prob),
+                 lambda: elemental_conservation_report(mesh, parts, tilde,
+                                                       prob),
+                 lambda: h1_seminorm_error(mesh, tilde, prob.exact_grad),
+                 lambda: h1_seminorm_diff(mesh, u, tilde),
+                 lambda: flux_along_polyline(mesh, tilde, prob,
+                                             [[0.5, 0.0], [0.5, 1.0]])):
+        assert dm.discretization.exactness == 5
+        call()
+    assert dm.discretization.exactness == 5
+    assert built == [5]
+    assert lce.max_abs <= 1e-10 * max(1.0, f_l1_norm(mesh, k, prob))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
