@@ -230,11 +230,10 @@ def flux_along_polyline(mesh, field, problem, points):
         raise ValueError("polyline needs at least two (x, y) points")
     srule = segment_rule(default_segment_points(field.degree))
     v0, _, inv, _ = mesh.element_maps()
-    e0 = mesh.vertices[mesh.edges[:, 0]]
-    e1 = mesh.vertices[mesh.edges[:, 1]]
+    edges = _edge_boxes(mesh)
     d = np.diff(pts, axis=0)
     pieces = [(i, a, b) for i in range(len(d))
-              for a, b in pairwise(_edge_crossings(pts[i], d[i], e0, e1))
+              for a, b in pairwise(_edge_crossings(pts[i], d[i], edges))
               if b - a >= 1e-14]
     mids = np.array([pts[i] + (a + b) / 2 * d[i] for i, a, b in pieces])
     elems = mesh.locate(mids)
@@ -258,8 +257,30 @@ def flux_along_polyline(mesh, field, problem, points):
     return out
 
 
-def _edge_crossings(p, d, e0, e1):
-    """Sorted parameters in [0, 1] where p + t d crosses any mesh edge."""
+def _edge_boxes(mesh):
+    """Mesh edge ends e0, e1 and bounding boxes lo, hi, sorted by lo[:, 0],
+    and the widest box. Each box is padded by its edge's own extent: a
+    crossing that `_edge_crossings`' tolerances accept lies well inside."""
+    e0 = mesh.vertices[mesh.edges[:, 0]]
+    e1 = mesh.vertices[mesh.edges[:, 1]]
+    pad = np.abs(e1 - e0)
+    lo, hi = np.minimum(e0, e1) - pad, np.maximum(e0, e1) + pad
+    order = np.argsort(lo[:, 0])
+    return e0[order], e1[order], lo[order], hi[order], np.max(hi - lo)
+
+
+def _edge_crossings(p, d, edges):
+    """Sorted parameters in [0, 1] where p + t d crosses any mesh edge. Only
+    the edges whose boxes meet the segment's are intersected: a run of the
+    x-sorted boxes, filtered. Each edge's arithmetic is its own, so the
+    parameters are the same floats as when intersecting every edge."""
+    e0, e1, lo, hi, width = edges
+    a, b = np.minimum(p, p + d), np.maximum(p, p + d)
+    run = slice(np.searchsorted(lo[:, 0], a[0] - width),
+                np.searchsorted(lo[:, 0], b[0], side="right"))
+    near = run.start + np.flatnonzero(
+        (hi[run, 0] >= a[0]) & (lo[run, 1] <= b[1]) & (hi[run, 1] >= a[1]))
+    e0, e1 = e0[near], e1[near]
     r = e1 - e0
     denom = d[0] * r[:, 1] - d[1] * r[:, 0]
     rel = e0 - p

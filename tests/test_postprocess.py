@@ -637,6 +637,39 @@ def test_polyline_flux_along_edges_ignores_element_numbering(k):
                               flux_along_polyline(rev, renumbered, prob, line))
 
 
+def test_polyline_crossings_match_all_edges_oracle(jittered_mesh,
+                                                   monkeypatch):
+    # Intersecting only the edges whose boxes meet a segment's gives the
+    # same floats as intersecting every edge; the polyline runs through
+    # vertices, along an edge, and around a circle.
+    from conservaflux import postprocess
+
+    def all_edges(p, d, edges):
+        e0, e1 = edges[:2]
+        r = e1 - e0
+        denom = d[0] * r[:, 1] - d[1] * r[:, 0]
+        rel = e0 - p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rel[:, 0] * r[:, 1] - rel[:, 1] * r[:, 0]) / denom
+            s = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / -denom
+        ok = (np.isfinite(t) & (t > 1e-12) & (t < 1 - 1e-12)
+              & (s >= -1e-12) & (s <= 1 + 1e-12))
+        return np.concatenate([[0.0], np.unique(t[ok]), [1.0]])
+
+    mesh = jittered_mesh(12, seed=5)
+    prob = load_example(2)
+    u = solve_problem(mesh, 2, prob)
+    th = np.linspace(0.0, 2.0 * np.pi, 41)
+    circle = np.column_stack([0.5 + 0.3 * np.cos(th), 0.5 + 0.35 * np.sin(th)])
+    a, b = mesh.vertices[mesh.edges[0]]
+    lines = [circle, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [a, b],
+             [[0.0, 0.5], [1.0, 0.5]]]
+    fast = [flux_along_polyline(mesh, u, prob, line) for line in lines]
+    monkeypatch.setattr(postprocess, "_edge_crossings", all_edges)
+    for line, got in zip(lines, fast):
+        assert np.array_equal(got, flux_along_polyline(mesh, u, prob, line))
+
+
 def test_polyline_needs_two_points():
     mesh = build_structured_mesh(2)
     prob = linear_problem()

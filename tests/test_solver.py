@@ -340,30 +340,61 @@ def test_pure_neumann_problem_fails_before_any_factorization(monkeypatch):
         solve_problem(mesh, 2, neumann)
 
 
-def test_singular_system_fails_after_one_direct_solve(monkeypatch):
-    # A singular system is not handed to an iterative solver: the one
-    # direct solve misses the residual check, which reports the residual.
+def test_singular_system_fails_after_one_factorization_and_capped_cg(
+        monkeypatch):
+    # A singular system costs one factorization of the coarse matrix and at
+    # most the capped number of CG iterations; the residual check reports
+    # the residual attained.
     import warnings
 
     import scipy.sparse.linalg as spla
-    system = pure_neumann_system(64, degree=2)
-    calls = []
 
-    def spsolve(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    from conservaflux import solver
+    system = pure_neumann_system(128, degree=2)
+    factored, iterations = [], []
+
+    def splu(a, **kwargs):
+        factored.append(a.shape)
+        return real_splu(a, **kwargs)
 
     def cg(*args, **kwargs):
-        pytest.fail("solve must not fall back to conjugate gradients")
+        assert kwargs["maxiter"] == solver._CG_MAXITER
+        return real_cg(*args, callback=lambda xk: iterations.append(1),
+                       **kwargs)
 
-    real = spla.spsolve
-    monkeypatch.setattr(spla, "spsolve", spsolve)
+    real_splu, real_cg = spla.splu, spla.cg
+    monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(spla, "cg", cg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SolverError, match="relative residual"):
             solve(system)
-    assert calls == [system.matrix.shape]
+    nv = system.mesh.n_vertices
+    assert factored == [(nv, nv)]
+    assert 0 < len(iterations) <= solver._CG_MAXITER
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_exactly_singular_coarse_factor_fails_at_the_residual_check(
+        k, monkeypatch):
+    # SuperLU raises on an exactly zero pivot; the solve then reports the
+    # residual as the relative residual check does, without iterating.
+    import scipy.sparse.linalg as spla
+
+    def splu(a, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    def cg(*args, **kwargs):
+        pytest.fail("no iteration without a coarse factor")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(spla, "cg", cg)
+    mesh = build_structured_mesh(4)
+    dm = build_dof_map(mesh, k)
+    prob = load_example(2)
+    system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
+    with pytest.raises(SolverError, match="relative residual nan exceeds"):
+        solve(system)
 
 
 def plain_solve(system):
@@ -372,24 +403,32 @@ def plain_solve(system):
                         permc_spec="MMD_AT_PLUS_A")
 
 
-def test_k3_direct_solve_factors_only_the_coupled_dofs(monkeypatch):
-    # The interior (bubble) dofs are condensed out before the direct solve.
+@pytest.mark.parametrize("k", [2, 3])
+def test_only_the_coarse_matrix_is_factored(k, monkeypatch):
+    # The one factor is A_0 = P^T S P on the free vertices (the bubbles are
+    # condensed out and the edge dofs are iterated on), solved once per CG
+    # iteration.
     import scipy.sparse.linalg as spla
     mesh = build_structured_mesh(4)
-    prob = load_example(2)
-    dm = build_dof_map(mesh, 3)
+    prob = load_example(3)  # Dirichlet data on two of the four sides
+    dm = build_dof_map(mesh, k)
     system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
     sizes = []
 
-    def spsolve(a, b, **kwargs):
+    def splu(a, **kwargs):
         sizes.append(a.shape)
-        return real(a, b, **kwargs)
+        return real(a, **kwargs)
 
-    real = spla.spsolve
+    def spsolve(*args, **kwargs):
+        pytest.fail("the whole system was factored")
+
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(spla, "spsolve", spsolve)
     solve(system)
-    nc = dm.n_dofs - mesh.n_triangles
-    assert sizes == [(nc, nc)]
+    nf = int(np.sum(~system.dirichlet_mask[:mesh.n_vertices]))
+    assert nf < mesh.n_vertices
+    assert sizes == [(nf, nf)]
 
 
 @pytest.mark.parametrize("example", [2, 3])
@@ -409,15 +448,30 @@ def test_k3_condensed_solve_matches_full_system(example, jittered_mesh):
         assert u.solve_residual <= 1e-10
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_k1_k2_solve_is_the_plain_direct_solve(k, jittered_mesh):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_matches_the_plain_direct_solve(k, jittered_mesh):
+    # The PCG solve (k = 2, 3) and the direct solve of the free dofs (k = 1)
+    # agree with one direct solve of the whole constrained system.
     mesh = jittered_mesh(6, seed=9)
     prob = load_example(2)
     dm = build_dof_map(mesh, k)
     system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
     ref = plain_solve(system)
-    assert np.array_equal(solve(system).values, ref)
-    assert np.array_equal(solve_problem(mesh, k, prob).values, ref)
+    for u in (solve(system), solve_problem(mesh, k, prob)):
+        assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(u.values[system.dirichlet_mask],
+                              system.dirichlet_values[system.dirichlet_mask])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solve_is_deterministic(k, jittered_mesh):
+    mesh = jittered_mesh(8, seed=3)
+    prob = load_example(2)
+    dm = build_dof_map(mesh, k)
+    system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
+    assert np.array_equal(solve(system).values, solve(system).values)
+    assert np.array_equal(solve_problem(mesh, k, prob).values,
+                          solve_problem(mesh, k, prob).values)
 
 
 def test_singular_pure_neumann_fails_with_residual():

@@ -57,6 +57,29 @@ def test_lce_contrast_before_and_after_recovery():
     assert rep_u.max_abs >= 1e-6
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lce_of_recovery_is_the_galerkin_residual(k):
+    # Summing a dof's elemental equations gives its control-volume balance:
+    # LCE(tilde) at every interior dof is (A u - b) there, for any u, so the
+    # recovered flux is exactly as conservative as the solve is accurate.
+    prob = load_example(2)
+    mesh = build_structured_mesh(16)
+    u = solve_problem(mesh, k, prob)
+    dm = u.dofmap
+    interior = ~dm.on_boundary
+    noise = np.random.default_rng(7).uniform(-1e-6, 1e-6, int(interior.sum()))
+    u = dataclasses.replace(u, values=u.values.copy())
+    u.values[interior] += noise
+    parts = build_partitions(mesh, k)
+    tilde = postprocess_all(mesh, dm, parts, u, prob)
+    report = compute_lce(mesh, build_cv_index(mesh, dm, parts), parts, tilde,
+                         prob)
+    a, b = solver.assemble(mesh, dm, prob)
+    residual = (a @ u.values - b)[report.dof_ids]
+    assert np.abs(residual).max() > 1e-8
+    assert np.abs(report.values - residual).max() <= 1e-13
+
+
 def test_lce_report_ordering_and_classes():
     prob = load_example(1)
     mesh, u, parts, tilde, cv = pipeline(prob, 3, 2)
