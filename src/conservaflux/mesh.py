@@ -54,14 +54,11 @@ class TriMesh:
         self._build_edges()
         self._label_boundary()
 
-        v = self.vertices
-        t = self.triangles
-        lengths = np.stack([
-            np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1),
-            np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1),
-            np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1),
-        ])
-        self.h = float(h) if h is not None else float(lengths.max())
+        if h is None:
+            v, t = self.vertices, self.triangles
+            h = max(np.linalg.norm(v[t[:, (m + 1) % 3]] - v[t[:, m]],
+                                   axis=1).max() for m in range(3))
+        self.h = float(h)
         self._geom = None
 
         nv, ne, nt = len(self.vertices), len(self.edges), len(self.triangles)
@@ -77,48 +74,48 @@ class TriMesh:
 
     def _build_edges(self):
         # Half-edge t*3 + m is facet m of triangle t. Edges are numbered in
-        # order of first appearance and list their triangles in that order.
-        tri = self.triangles
-        lo, hi = np.sort([tri, np.roll(tri, -1, axis=1)], axis=0).reshape(2, -1)
-        _, first, inv = np.unique(lo * len(self.vertices) + hi,
-                                  return_index=True, return_inverse=True)
-        eid = np.argsort(np.argsort(first))[inv.ravel()]
-        count = np.bincount(eid, minlength=len(first))
-        order = np.argsort(eid, kind="stable")     # half-edges grouped by edge
-        start = np.cumsum(count) - count
+        # order of first appearance and list their triangles in that order:
+        # a stable sort groups the half-edges by key lo * nv + hi, and one
+        # more sorts the groups by first appearance. Large temporaries are
+        # dropped once used: they set the peak of the mesh build.
+        tri, nv = self.triangles, len(self.vertices)
+        nxt = np.roll(tri, -1, axis=1)
+        key = np.minimum(tri, nxt) * nv + np.maximum(tri, nxt, out=nxt)
+        order = np.argsort(key, axis=None, kind="stable")
+        key = key.ravel()[order]
+        start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        count = np.diff(np.r_[start, len(order)])
         if np.any(count > 2):
-            third = order[start[count > 2] + 2].min()
-            raise MeshError(f"edge {(int(lo[third]), int(hi[third]))} "
+            third = start[count > 2] + 2
+            third = third[np.argmin(order[third])]
+            raise MeshError(f"edge {divmod(int(key[third]), nv)} "
                             "referenced by more than two triangles")
-        head = order[start]
-        second = order[np.minimum(start + 1, len(order) - 1)] // 3
-        self.edges = np.column_stack([lo[head], hi[head]])
-        self.edge_tris = np.column_stack(
-            [head // 3, np.where(count == 2, second, -1)])
+        by_first = np.argsort(order[start])
+        self.edges = np.column_stack(np.divmod(key[start[by_first]], nv))
+        edge, eid = np.empty_like(by_first), np.empty_like(order)
+        edge[by_first] = np.arange(len(by_first))
+        del nxt, key
+        eid[order] = np.repeat(edge, count)
         self.tri_edges = eid.reshape(-1, 3)
-
-        pair = self.edge_tris[self.tri_edges]              # (nt, 3, 2)
-        own = pair[..., 0] == np.arange(len(tri))[:, None]
-        self.tri_neighbors = np.where(own, pair[..., 1], pair[..., 0])
+        start, count = start[by_first], count[by_first]
+        second = order[np.minimum(start + 1, len(order) - 1)] // 3
+        self.edge_tris = np.column_stack(
+            [order[start] // 3, np.where(count == 2, second, -1)])
+        del order
+        # The triangle across facet m is the other one of its edge.
+        self.tri_neighbors = (self.edge_tris[self.tri_edges].sum(axis=2)
+                              - np.arange(len(tri))[:, None])
         self.boundary_edges = np.nonzero(self.edge_tris[:, 1] == -1)[0]
 
     def _label_boundary(self):
         # Geometric labeling for the unit square: a boundary edge gets the
-        # part whose coordinate both endpoints share to within 1e-12.
-        out = []
-        for eid in self.boundary_edges:
-            p, q = self.vertices[self.edges[eid]]
-            if abs(p[0]) < _GEO_TOL and abs(q[0]) < _GEO_TOL:
-                out.append("left")
-            elif abs(p[0] - 1) < _GEO_TOL and abs(q[0] - 1) < _GEO_TOL:
-                out.append("right")
-            elif abs(p[1]) < _GEO_TOL and abs(q[1]) < _GEO_TOL:
-                out.append("bottom")
-            elif abs(p[1] - 1) < _GEO_TOL and abs(q[1] - 1) < _GEO_TOL:
-                out.append("top")
-            else:
-                out.append("other")
-        self.boundary_labels = tuple(out)
+        # first part whose coordinate both endpoints share to within 1e-12.
+        ends = self.vertices[self.edges[self.boundary_edges]]     # (nb, 2, 2)
+        on = [np.all(np.abs(ends[:, :, axis] - at) < _GEO_TOL, axis=1)
+              for axis, at in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0))]
+        part = np.argmax(np.stack(on + [np.ones(len(ends), bool)]), axis=0)
+        names = ("left", "right", "bottom", "top", "other")
+        self.boundary_labels = tuple(names[i] for i in part)
 
     # -- queries ------------------------------------------------------------
 

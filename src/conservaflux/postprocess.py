@@ -57,6 +57,20 @@ def _thread_count(threads):
     return int(value)
 
 
+def _traces(disc, u_values, elems):
+    """kappa grad(u_h).n per unit reference weight at the element-boundary
+    Gauss points (T, B, ns) of the elements `elems` (slice or indices).
+    Here and in `_boundary_flux_terms` one BLAS call per element: a matrix
+    product's rounding depends on its row count, and a chunk's must not."""
+    rseg = disc.rseg
+    g = (u_values[disc.cell_dofs[elems]][:, None] @ rseg.g_bd).reshape(
+        -1, *rseg.bd_pts.shape)
+    mm = solver.normal_maps(disc.det_m[elems], rseg.bd_dir)[:, :, None]
+    q = g[..., 0] * mm[..., 0] + g[..., 1] * mm[..., 1]
+    q *= disc.kap_bd[elems]
+    return q
+
+
 def _boundary_flux_terms(disc, u_values, t0, t1):
     """Averaged normal-flux data on element-boundary segments.
 
@@ -65,28 +79,25 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
     phi_xi dl, shape (ct, N).
     """
     rseg = disc.rseg
-    mate = disc.mate[t0:t1]
-    nb = mate.shape[1]
-    paired = mate >= 0
-    # Traces of the chunk and of its facet neighbours in one pass. A
-    # neighbour's mated segment holds the same points in reverse order, and
-    # its normal is the opposite one.
-    elems, row = np.unique(
-        np.concatenate([np.arange(t0, t1), mate[paired] // nb]),
-        return_inverse=True)
-    g = (u_values[disc.cell_dofs[elems]] @ rseg.g_bd).reshape(
-        len(elems), nb, -1, 2)
-    mm = disc.mm_bd[elems]
-    q = g[..., 0] * mm[:, :, None, 0] + g[..., 1] * mm[:, :, None, 1]
-    q *= disc.kap_bd[elems]
-    q_own = q[row[:t1 - t0]]
-    q_nbr = q_own.copy()
-    q_nbr[paired] = -q[row[t1 - t0:], mate[paired] % nb, ::-1]
-    q_avg = 0.5 * (q_own + q_nbr)
+    q = _traces(disc, u_values, slice(t0, t1))
+    # A neighbour's mated segment holds the same points in reverse order,
+    # and its normal is the opposite one. Neighbours outside the chunk, one
+    # per facet its border cuts, get their traces computed here.
+    m, s = np.divmod(disc.mate[t0:t1], q.shape[1])
+    inside = (m >= t0) & (m < t1)
+    q_nbr = q.copy()
+    q_nbr[inside] = -q[m[inside] - t0, s[inside], ::-1]
+    by_facet = np.argsort(disc.ref.bd_facet, kind="stable").reshape(3, -1)
+    facet_m = m[:, by_facet[:, 0]]
+    tc, fc = np.nonzero((facet_m >= 0) & ((facet_m < t0) | (facet_m >= t1)))
+    tc, segs = tc[:, None], by_facet[fc]
+    q_out = _traces(disc, u_values, facet_m[tc[:, 0], fc])
+    q_nbr[tc, segs] = -q_out[np.arange(len(fc))[:, None], s[tc, segs], ::-1]
+    q_avg = 0.5 * (q + q_nbr)
 
     q_seg = q_avg @ rseg.sw
-    e_phi = ((q_avg * rseg.sw).reshape(t1 - t0, -1)
-             @ rseg.phi_bd.reshape(-1, disc.n))
+    e_phi = ((q_avg * rseg.sw).reshape(t1 - t0, 1, -1)
+             @ rseg.phi_bd.reshape(-1, disc.n))[:, 0]
     return q_seg, e_phi
 
 

@@ -10,11 +10,11 @@ at k = 2, 3. Singular systems fail at the residual check.
 
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which the dof map owns (see `blocks`):
-stiffness, load, subcell f and element |f| integrals, the dual-segment
-flux matrices of the elemental systems, and kappa samples, normal maps and
-the facet pairing on the element-boundary segments, all from one chunked
-pass: products of coefficient samples with reference tables tabulated once
-per degree and exactness, scaled by det J > 0 after the product. Source
+stiffness, load, subcell f and element |f| integrals, the dual-segment flux
+matrices of the elemental systems, kappa samples and the facet pairing on
+the element-boundary segments, and det J invJ invJ^T, whose product with
+rot(d) is the normal map invJ rot(J d) of a reference direction d, all from
+one chunked pass of coefficient samples times reference tables. Source
 integrals use the composite subcell rule of the dual partition, over which
 the recovery integrates f per subcell: one shared pass keeps the elemental
 compatibility sums at rounding level instead of at quadrature-error level.
@@ -193,6 +193,14 @@ def _pair_table(left, right):
     return np.hstack([lr[:, 0], lr[:, 3], lr[:, 1] + lr[:, 2]])
 
 
+def normal_maps(det_m, ref_dir):
+    """Normal maps invJ rot(J d) = det M rot(d) (T, S, 2) of reference
+    directions d (S, 2), rot the -90 degree turn, from `det_m` (T, 3):
+    grad(phi).n dl is refgrad(phi).map per unit reference weight."""
+    (r0, r1), (xx, yy, xy) = dualmesh._rot(ref_dir).T, det_m.T[:, :, None]
+    return np.stack([xx * r0 + xy * r1, xy * r0 + yy * r1], axis=-1)
+
+
 class _RefSegments:
     """Reference tables of one (degree, exactness); each element kernel is a
     product of per-element samples with one of them. Element rule: points
@@ -261,9 +269,9 @@ class Discretization:
     * `f_abs` (nt,): the integral of |f| over every element;
     * `d_loc` (nt, N, N): flux of every basis function through the dual
       segments of every subcell, the matrix of the elemental systems;
-    * `kap_bd` (nt, B, ns): kappa at the Gauss points of the
-      element-boundary segments, and `mm_bd` (nt, B, 2) their normal maps;
-    * `mate` (nt, B): the facet pairing of the element-boundary segments.
+    * `kap_bd` (nt, B, ns): kappa at the element-boundary Gauss points;
+    * `mate` (nt, B): their facet pairing, int32 below 2^31 segments;
+    * `det_m` (nt, 3): det J invJ invJ^T as [xx, yy, xy] (`normal_maps`).
 
     `rseg` holds the reference tables. Everything is read-only, so
     chunks of elements can be processed concurrently.
@@ -278,13 +286,14 @@ class Discretization:
         self.exactness = exactness
         self.ref = ref = dualmesh._ref_dual(k)
         self.rseg = rseg = _ref_segments(k, exactness)
-        self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
+        self.v0, self.jac, _, self.det_jac = mesh.element_maps()
         nt = mesh.n_triangles
         nb, ns = rseg.bd_pts.shape[:2]
         self.k_loc = np.empty((nt, n, n))
         self.d_loc = np.empty((nt, n, n))
         self.kap_bd = np.empty((nt, nb, ns))
-        self.mm_bd, self.mate = np.empty((nt, nb, 2)), np.empty((nt, nb), int)
+        self.det_m = np.empty((nt, 3))
+        self.mate = np.empty((nt, nb), np.int32 if nt * nb < 2 ** 31 else int)
         src, self.f_abs = np.empty((2, nt, n)), np.empty(nt)
         nbr, edges = mesh.tri_neighbors, mesh.tri_edges
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
@@ -294,16 +303,16 @@ class Discretization:
         size = width * min(nt, max(1, _BUDGET // width))
         phys_buf, abs_buf = np.empty(2 * size), np.empty(size)
         for sl in _chunks(nt, width):
+            # det J invJ invJ^T = adj(J) adj(J)^T / det J, in closed form.
+            (a, b), (c, d) = self.jac[sl].transpose(1, 2, 0)
+            self.det_m[sl] = np.column_stack([b * b + d * d, a * a + c * c,
+                                              -(a * b + c * d)])
+            self.det_m[sl] /= self.det_jac[sl, None]
             self.k_loc[sl] = self._kappa_blocks(sl, rseg.q_pts, rseg.stiff)
             src[:, sl], self.f_abs[sl] = self._sources(sl, phys_buf, abs_buf)
             self.d_loc[sl] = self._kappa_blocks(sl, rseg.cv_pts, rseg.dual)
             self.kap_bd[sl] = sample(problem.kappa, basis.map_points(
                 self.v0[sl], self.jac[sl], rseg.bd_pts))
-            # Normal maps mm = invJ rot(J d), rot the -90 degree turn, so
-            # that grad(phi).n dl is refgrad(phi).mm per unit weight.
-            rotd = dualmesh._rot(basis.map_points(None, self.jac[sl],
-                                                  rseg.bd_dir))
-            self.mm_bd[sl] = np.einsum("tab,tsb->tsa", self.inv_jac[sl], rotd)
             # Facet pairing: mate[t, s] = m * B + s' where segment s' of the
             # neighbour m holds segment s's points in reverse order; -1 on
             # the domain boundary. TriMesh is counterclockwise and manifold,
@@ -316,9 +325,9 @@ class Discretization:
         self.b_loc, self.f_sub = src
 
     def _kappa_blocks(self, sl, ref_pts, table):
-        """(T, N, N) blocks det * sum_c M_c (kappa @ table_c) of a chunk,
-        M = invJ invJ^T, with kappa sampled at the mapped points of a pair
-        table; a nonpositive kappa is an error."""
+        """(T, N, N) blocks sum_c det_m_c (kappa @ table_c) of a chunk,
+        with kappa sampled at the mapped points of a pair table; a
+        nonpositive kappa is an error."""
         phys = basis.map_points(self.v0[sl], self.jac[sl],
                                 ref_pts.reshape(-1, 2))
         kap = sample(self.problem.kappa, phys)
@@ -327,10 +336,8 @@ class Discretization:
             raise SolverError(
                 f"kappa must be positive; got {kap[t, q]:g} at "
                 f"({phys[t, q, 0]:.6g}, {phys[t, q, 1]:.6g})")
-        inv = self.inv_jac[sl]
-        m = (inv @ inv.transpose(0, 2, 1)).reshape(-1, 4)[:, [0, 3, 1]]
-        k = m[:, None, :] @ (kap @ table).reshape(len(m), 3, -1)
-        return self.det_jac[sl, None, None] * k.reshape(-1, self.n, self.n)
+        k = self.det_m[sl, None, :] @ (kap @ table).reshape(len(kap), 3, -1)
+        return k.reshape(-1, self.n, self.n)
 
     def _sources(self, sl, phys_buf, abs_buf):
         """Load blocks and subcell integrals of f (2, T, N) and element

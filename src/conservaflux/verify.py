@@ -183,10 +183,11 @@ def true_solution_residual(mesh, degree, problem):
     def exact_flux(ref_pts, ref_dir):
         """Exact gradient dotted with the length-scaled outward normal at
         the mapped Gauss points (nt, S, ns) of reference segments, and
-        those points."""
+        those points: g.rot(J d) is (g J).(det M rot(d)), the normal map."""
         phys = basis.map_points(v0, jac, ref_pts)
-        rotd = dualmesh._rot(basis.map_points(None, jac, ref_dir))
-        return np.einsum("tsia,tsa->tsi", exact_grad_at(phys), rotd), phys
+        mm = solver.normal_maps(disc.det_m, ref_dir)
+        g = exact_grad_at(phys) @ jac[:, None]
+        return np.einsum("tsia,tsa->tsi", g, mm), phys
 
     # Dual-segment flux rows of the exact field.
     g_cv, phys = exact_flux(rseg.cv_pts, rseg.cv_dir)

@@ -73,6 +73,67 @@ def test_rejects_edge_shared_by_three_triangles():
         TriMesh(vertices, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
 
 
+def unique_topology(triangles, nv):
+    """Reference edge topology built with np.unique and two argsorts, as
+    TriMesh built it before its single-sort version; a MeshError for an
+    edge referenced more than twice, with the same text."""
+    tri = np.asarray(triangles, dtype=np.int64)
+    lo, hi = np.sort([tri, np.roll(tri, -1, axis=1)], axis=0).reshape(2, -1)
+    _, first, inv = np.unique(lo * nv + hi, return_index=True,
+                              return_inverse=True)
+    eid = np.argsort(np.argsort(first))[inv.ravel()]
+    count = np.bincount(eid, minlength=len(first))
+    order = np.argsort(eid, kind="stable")
+    start = np.cumsum(count) - count
+    if np.any(count > 2):
+        third = order[start[count > 2] + 2].min()
+        raise MeshError(f"edge {(int(lo[third]), int(hi[third]))} "
+                        "referenced by more than two triangles")
+    head = order[start]
+    second = order[np.minimum(start + 1, len(order) - 1)] // 3
+    edge_tris = np.column_stack([head // 3, np.where(count == 2, second, -1)])
+    tri_edges = eid.reshape(-1, 3)
+    pair = edge_tris[tri_edges]
+    own = pair[..., 0] == np.arange(len(tri))[:, None]
+    return {"edges": np.column_stack([lo[head], hi[head]]),
+            "edge_tris": edge_tris, "tri_edges": tri_edges,
+            "tri_neighbors": np.where(own, pair[..., 1], pair[..., 0]),
+            "boundary_edges": np.nonzero(edge_tris[:, 1] == -1)[0]}
+
+
+@pytest.mark.parametrize("case", ["structured", "jittered", "shuffled",
+                                  "file"])
+def test_topology_matches_unique_based_oracle(case, jittered_mesh, tmp_path):
+    if case == "file":
+        path = tmp_path / "mesh.txt"
+        write_mesh_file(shuffled(jittered_mesh(9, seed=2), 6), path)
+        mesh = read_mesh_file(path)
+    else:
+        mesh = {"structured": lambda: build_structured_mesh(23),
+                "jittered": lambda: jittered_mesh(17, seed=8),
+                "shuffled": lambda: shuffled(build_structured_mesh(14), 9),
+                }[case]()
+    expected = unique_topology(mesh.triangles, mesh.n_vertices)
+    for name, ref in expected.items():
+        got = getattr(mesh, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("triangles", [
+    [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
+    [[0, 1, 2], [1, 0, 3], [2, 1, 4], [1, 2, 3], [0, 1, 4]],
+    [[0, 1, 2], [1, 0, 3], [0, 1, 4], [2, 1, 4], [1, 2, 3]],
+])
+def test_overreferenced_edge_error_matches_unique_based_oracle(triangles):
+    vertices = [[0, 0], [1, 0], [0, 1], [0.5, -1], [0.5, 2]]
+    with pytest.raises(MeshError) as oracle:
+        unique_topology(triangles, len(vertices))
+    with pytest.raises(MeshError) as got:
+        TriMesh(vertices, triangles)
+    assert str(got.value) == str(oracle.value)
+
+
 def test_structured_triangles_match_cell_loop():
     n = 5
     mesh = build_structured_mesh(n)
@@ -196,6 +257,34 @@ def test_boundary_labels_geometric():
         else:
             raise AssertionError(f"unexpected label {label}")
     assert set(mesh.boundary_labels) == {"left", "right", "bottom", "top"}
+
+
+def loop_labels(mesh):
+    """Reference labels, one boundary edge at a time: the first side of
+    the unit square both endpoints lie on to within 1e-12, else "other"."""
+    out = []
+    for eid in mesh.boundary_edges:
+        p, q = mesh.vertices[mesh.edges[eid]]
+        sides = [(0, 0.0, "left"), (0, 1.0, "right"), (1, 0.0, "bottom"),
+                 (1, 1.0, "top")]
+        out.append(next((name for a, at, name in sides
+                         if abs(p[a] - at) < 1e-12 and abs(q[a] - at) < 1e-12),
+                        "other"))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("cut", [2.0, 1.3, 1.0, 0.7])
+def test_boundary_labels_match_loop_oracle(cut, jittered_mesh):
+    # Triangles whose centroid has x + y < cut, renumbered: a staircase
+    # boundary part labeled "other" below cut = 2, the whole square there.
+    base = jittered_mesh(7, seed=3)
+    keep = base.triangles[base.vertices[base.triangles].mean(1).sum(1) < cut]
+    used, tris = np.unique(keep, return_inverse=True)
+    mesh = TriMesh(base.vertices[used], tris.reshape(-1, 3))
+    labels = mesh.boundary_labels
+    assert labels == loop_labels(mesh)
+    assert all(type(label) is str for label in labels)
+    assert ("other" in labels) == (cut < 2.0)
 
 
 def test_rejects_clockwise_triangle():

@@ -9,6 +9,7 @@ from conservaflux.basis import map_points
 from conservaflux import solver
 from conservaflux.dualmesh import (CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY,
                                    _rot)
+from conservaflux.mesh import TriMesh
 from conservaflux.postprocess import (PostprocessError, _boundary_flux_terms,
                                       _elemental_blocks, _solve_chunk)
 from conservaflux.problems import ProblemSpec
@@ -451,6 +452,34 @@ def test_serial_parallel_bit_identity(monkeypatch):
     parallel = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=4)
     assert np.array_equal(serial.coeffs, parallel.coeffs)
     assert np.array_equal(serial.boundary_flux, parallel.boundary_flux)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunk_borders_cutting_facets_match_one_chunk_run(k, jittered_mesh,
+                                                          monkeypatch):
+    # Neighbours outside a chunk get their traces computed apart from the
+    # chunk's own; the result must not depend on where the borders fall.
+    # The triangles are shuffled, so most facets cross a border.
+    base = jittered_mesh(8, seed=7)
+    order = np.random.default_rng(5).permutation(base.n_triangles)
+    mesh = TriMesh(base.vertices, base.triangles[order])
+    prob = load_example(2)
+    u = solve_problem(mesh, k, prob)
+    parts = build_partitions(mesh, k)
+    width = u.discretization.rseg.g_bd.shape[1]
+    assert mesh.n_triangles <= solver._BUDGET // width     # one chunk
+    whole = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=1)
+    step = 5
+    monkeypatch.setattr(solver, "_BUDGET", step * width)
+    t = np.arange(mesh.n_triangles)[:, None]
+    nbr = mesh.tri_neighbors
+    for border in range(step, mesh.n_triangles, step):
+        assert np.any((t < border) & (nbr >= border)), border
+    for threads in (1, 2):
+        got = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=threads)
+        for name in ("coeffs", "boundary_flux", "defects"):
+            assert np.array_equal(getattr(got, name), getattr(whole, name)), (
+                name, threads)
 
 
 def test_threads_env_variable(monkeypatch):

@@ -281,11 +281,29 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
         "f_abs": np.abs(coef).sum(axis=1),
         "d_loc": np.einsum("is,tsj->tij", rseg.sgn_cv, flux),
         "kap_bd": prob.kappa(phys[..., 0], phys[..., 1]),
-        "mm_bd": np.einsum("tab,tsb->tsa", inv, rotd),
+        "normal_maps": np.einsum("tab,tsb->tsa", inv, rotd),
     }
+    # The blocks hold det M, not the normal maps: rebuild them from it.
+    got = {"normal_maps": solver.normal_maps(disc.det_m, rseg.bd_dir)}
     for name, ref in expected.items():
-        got = getattr(disc, name)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), name
+        val = got[name] if name in got else getattr(disc, name)
+        assert np.abs(val - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+@pytest.mark.parametrize("k, per_element", [(1, 392), (2, 1136), (3, 2584)])
+def test_block_bytes_per_element(k, per_element):
+    # Every array the blocks hold but the mesh and the dof map do not:
+    # k_loc, d_loc, b_loc, f_sub, f_abs, kap_bd, det_m and an int32 mate.
+    mesh = build_structured_mesh(4)
+    disc = blocks(mesh, build_dof_map(mesh, k), load_example(2))
+    shared = [*mesh.element_maps(), disc.cell_dofs]
+    own = {name: a for name, a in vars(disc).items()
+           if isinstance(a, np.ndarray) and all(a is not b for b in shared)}
+    assert sorted(own) == sorted(["k_loc", "d_loc", "b_loc", "f_sub", "f_abs",
+                                  "kap_bd", "det_m", "mate"])
+    assert disc.mate.dtype == np.int32
+    total = sum(a.nbytes for a in own.values())
+    assert total == per_element * mesh.n_triangles
 
 
 @pytest.mark.parametrize("example", [2, 3])
