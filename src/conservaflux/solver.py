@@ -4,9 +4,10 @@ The weak form is a(u, w) = int kappa grad(u).grad(w), l(w) = int f w, posed
 on C0 Lagrange spaces of degree 1 to 3. Dirichlet conditions are imposed by
 row/column elimination, which keeps the constrained matrix symmetric and
 leaves the interior equations exactly satisfied by the solution. The free
-dofs are solved for with the bubbles condensed at k = 3: directly at k = 1,
-and by conjugate gradients preconditioned on the P1 space of the same mesh
-at k = 2, 3. Singular systems fail at the residual check.
+dofs are solved for with the bubbles condensed at k = 3: directly at k = 1
+up to `_COARSEST` dofs, else by conjugate gradients under a V-cycle over the
+P1 space (k = 2, 3) and smoothed-aggregation levels, of which only the last
+is factored. Singular systems fail at the residual check.
 
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which the dof map owns (see `blocks`):
@@ -37,15 +38,21 @@ DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
 DOF_KIND_NAMES = {DOF_VERTEX: "vertex", DOF_EDGE: "edge", DOF_INTERIOR: "interior"}
 _BUDGET = 2 ** 17  # quadrature points per chunk of every per-element pass
 _SOLVE_RTOL = 1e-10  # relative residual a solve must reach on the full system
-_JACOBI = 0.5  # damping of the Jacobi smoother of the two-level PCG
+_JACOBI = 0.5  # damping of the Jacobi smoother of the PCG's V-cycle
+# Most rows of the factored level, the measured crossover of the k = 1 solve
+# of example 2 (ms, factored vs aggregated, median of 7 fresh processes):
+# 31.8 vs 34.0 at 10,609 rows, 38.8 vs 35.9 at 12,321, 63.4 vs 53.5 at
+# 16,129, where the factor also adds 11.8 MiB of RSS (README).
+_COARSEST = 10000
 # PCG stop, relative to the condensed right-hand side. LCE(tilde) is the
 # interior residual: at 1e-13 it rose from 2.9e-14 to 1.6e-12 (k=3 n=128).
 _CG_RTOL = 1e-15
-# PCG cap, the measured maximum plus a margin: at most 42 iterations on
-# examples 1-3 and structured kappa checkerboards, 410 where a contrast of
-# 1e3 cuts through jittered elements (k=3), whose residual stays near 1 for
-# 40 iterations first, so a rule that stops on a stalled residual would
-# fail it. A singular system fails the residual check after at most this.
+# PCG cap, the measured maximum plus a margin: at most 54 iterations on
+# examples 1-3, 81 on structured kappa checkerboards, 122 where jumps cut
+# through jittered elements at k = 1 and 410 at k = 3, whose residual stays
+# near 1 for 40 iterations first, so a rule that stops on a stalled
+# residual would fail it. A singular system fails the residual check after
+# at most this.
 _CG_MAXITER = 500
 
 
@@ -456,13 +463,16 @@ def solve(system):
     are numbered last and each couples only to its own element, so their
     block D is diagonal: they are condensed to the Schur complement
     S = A_cc - A_ci D^-1 A_ic on the free coupled dofs and follow exactly
-    as (b_i - A_ic x_c) / D. The one matrix factored is A_0 = P^T S P, P
-    from `_coarse_map`; with no edge dofs (k = 1) P = I and that factor is
-    the direct solve. Otherwise CG solves S to rounding level with Xu's
-    auxiliary-space two-level preconditioner, since the recovered flux's
-    control-volume defect is exactly this solve's interior residual. The
-    relative residual of the returned solution on the full system is at
-    most 1e-10; otherwise a SolverError reports the residual attained.
+    as (b_i - A_ic x_c) / D. S is the first level of a short hierarchy; at
+    k = 2, 3 the next is A_0 = P^T S P, P from `_coarse_map`. While a level
+    has more than `_COARSEST` rows, a smoothed-aggregation level goes under
+    it (`_aggregate`). Only the last level is factored: with one level
+    (k = 1, at most `_COARSEST` rows) that factor is the direct solve.
+    Otherwise CG solves S to rounding level, preconditioned by one
+    symmetric V-cycle, since the recovered flux's control-volume defect is
+    exactly this solve's interior residual. The relative residual of the
+    returned solution on the full system is at most 1e-10; otherwise a
+    SolverError reports the residual attained.
     """
     a, b = system.matrix.tocsr(), system.rhs
     dm, mask = system.dofmap, system.dirichlet_mask
@@ -474,18 +484,28 @@ def solve(system):
     a_ci, a_ic, d = rows[:, nc:], a[nc:][:, free], a.diagonal()[nc:]
     s = (rows[:, free] - a_ci @ (sp.diags(1.0 / d) @ a_ic)).tocsr()
     rhs = r[free] - a_ci @ (r[nc:] / d)
-    p = None if dm is None or dm.degree == 1 else _coarse_map(dm, free, nc)
-    a0 = s if p is None else p.T @ s @ p
+    levels, maps = [s], []
+    if dm is not None and dm.degree > 1:
+        maps.append(_coarse_map(dm, free, nc))
+        levels.append(maps[0].T @ s @ maps[0])
+    if dm is not None and levels[-1].shape[0] > _COARSEST:
+        xy = dm.mesh.vertices[free[free < dm.mesh.n_vertices]]
+        box = np.floor((xy - xy.min(0)) / (3 * dm.mesh.h)).astype(np.int64)
+        while levels[-1].shape[0] > _COARSEST:
+            p, box = _aggregate(levels[-1], box)
+            maps.append(p)
+            levels.append(p.T @ levels[-1] @ p)
     try:
-        # A_0 is symmetric positive definite: diagonal pivots keep the
-        # symmetric ordering's fill (partial pivoting: 247 s, not 0.65 s).
-        lu = spla.splu(a0.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        # The last level is symmetric positive definite: diagonal pivots
+        # keep the symmetric ordering's fill (partial pivoting: 247 s, not
+        # 0.65 s, on a 65,025-row A_0).
+        lu = spla.splu(levels[-1].tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular: fail at the residual check
         x[free] = np.nan
     else:
-        x[free] = lu.solve(rhs) if p is None else _pcg(s, rhs, p, lu)
+        x[free] = lu.solve(rhs) if not maps else _pcg(levels, maps, lu, rhs)
     x[nc:] = (r[nc:] - a_ic @ x[free]) / d
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(a @ x - b) / (bnorm if bnorm > 0 else 1.0))
@@ -496,19 +516,40 @@ def solve(system):
                     solve_residual=res)
 
 
-def _pcg(s, rhs, p, lu):
-    """CG on S x = rhs with the symmetric two-level preconditioner: damped
-    Jacobi, the coarse correction P A_0^-1 P^T, damped Jacobi again."""
-    dinv, pt = _JACOBI / s.diagonal(), p.T.tocsr()
+def _aggregate(a, box):
+    """Smoothed aggregation (Vanek, Mandel & Brezina 1996) of the level `a`
+    whose rows sit in the integer boxes `box` (rows, 2): the box indicator
+    T smoothed by damped Jacobi, (I - 2/3 D^-1 A) T, is the prolongation.
+    Returns it and the boxes three times wider, which nest."""
+    _, first, agg = np.unique(box[:, 0] * (box[:, 1].max() + 1) + box[:, 1],
+                              return_index=True, return_inverse=True)
+    t = sp.csr_matrix((np.ones(len(agg)), (np.arange(len(agg)), agg)),
+                      shape=(len(agg), len(first)))
+    return t - sp.diags(2 / 3 / a.diagonal()) @ (a @ t), box[first] // 3
 
-    def precondition(r):
-        z = dinv * r
-        z += p @ lu.solve(pt @ (r - s @ z))
-        return z + dinv * (r - s @ z)
 
-    x, _ = spla.cg(s, rhs, rtol=_CG_RTOL, maxiter=_CG_MAXITER,
-                   M=spla.LinearOperator(s.shape, precondition, dtype=float))
+def _pcg(levels, maps, lu, rhs):
+    """CG on S x = rhs, preconditioned by one symmetric V-cycle over the
+    levels; the factor `lu` of the last level closes the recursion."""
+    steps = [(a, _JACOBI / a.diagonal(), p, p.T.tocsr())
+             for a, p in zip(levels, maps)]
+    s = levels[0]
+    m = spla.LinearOperator(s.shape, lambda r: _vcycle(steps, lu, r),
+                            dtype=float)
+    x, _ = spla.cg(s, rhs, rtol=_CG_RTOL, maxiter=_CG_MAXITER, M=m)
     return x
+
+
+def _vcycle(steps, lu, r):
+    """Damped Jacobi, the coarse correction P (V-cycle below) P^T, damped
+    Jacobi again. Not a closure: one that calls itself is a reference cycle,
+    which keeps every level alive until the garbage collector runs."""
+    if not steps:
+        return lu.solve(r)
+    a, dinv, p, pt = steps[0]
+    z = dinv * r
+    z += p @ _vcycle(steps[1:], lu, pt @ (r - a @ z))
+    return z + dinv * (r - a @ z)
 
 
 def solve_problem(mesh, degree, problem, exactness=None):

@@ -124,18 +124,23 @@ def test_criteria_1_to_3_on_jittered_meshes(ex, k, seed, jittered_mesh,
                          f"{lce_uh:.1e}; elemental {cons:.1e} <= 1e-10", ok)
 
 
-def _checkerboard_gates(mesh, contrast, k, uh_visible):
-    """Criteria 1-3 with kappa = contrast on the dark squares of a 4 x 4
-    checkerboard, f = 1 and zero Dirichlet data; LCE(u_h) must exceed the
-    tolerance when `uh_visible`."""
+def _checkerboard(contrast):
+    """kappa = contrast on the dark squares of a 4 x 4 checkerboard, f = 1
+    and zero Dirichlet data."""
     def kappa(x, y):
         dark = (np.floor(4 * x) + np.floor(4 * y)) % 2 == 1
         return np.where(dark, contrast, 1.0)
 
     zero = lambda x, y: np.zeros_like(x)  # noqa: E731
-    prob = ProblemSpec(kappa=kappa, source=lambda x, y: np.ones_like(x),
+    return ProblemSpec(kappa=kappa, source=lambda x, y: np.ones_like(x),
                        dirichlet={p: zero for p in
                                   ("left", "right", "bottom", "top")})
+
+
+def _checkerboard_gates(mesh, contrast, k, uh_visible):
+    """Criteria 1-3 on `_checkerboard(contrast)`; LCE(u_h) must exceed the
+    tolerance when `uh_visible`."""
+    prob = _checkerboard(contrast)
     u = solve_problem(mesh, k, prob)
     parts = build_partitions(mesh, k)
     tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
@@ -174,6 +179,38 @@ def test_criteria_1_to_3_with_kappa_jumps_inside_elements(k, jittered_mesh,
     ok, text = _checkerboard_gates(read_mesh_file(tmp_path / "mesh.txt"),
                                    1e3, k, uh_visible=True)
     assert report("1-3", "jittered 16x16, " + text, ok)
+
+
+@pytest.mark.parametrize("contrast", [1e3, 1e6])
+@pytest.mark.parametrize("jittered", [False, True])
+def test_kappa_jumps_on_the_aggregation_path(contrast, jittered,
+                                             jittered_mesh, monkeypatch):
+    # k = 1 with smoothed-aggregation levels forced under S (225 -> 16 -> 4
+    # rows structured, 225 -> 9 -> 1 jittered): CG takes at most 49
+    # iterations. On the jittered mesh at contrast 1e6, LCE(tilde) sits at
+    # its rounding floor above the absolute 1e-10 (2.3e-10 with the direct
+    # solve, 4.3e-10 here), so there only the solve is gated.
+    import scipy.sparse.linalg as spla
+    iterations = []
+
+    def cg(*args, **kwargs):
+        return real_cg(*args, callback=lambda xk: iterations.append(1),
+                       **kwargs)
+
+    real_cg = spla.cg
+    monkeypatch.setattr(spla, "cg", cg)
+    monkeypatch.setattr(solver, "_COARSEST", 8)
+    mesh = jittered_mesh(16, 1) if jittered else build_structured_mesh(16)
+    if jittered and contrast == 1e6:
+        u = solve_problem(mesh, 1, _checkerboard(contrast))
+        ok = u.solve_residual <= 1e-10
+        text = f"solve residual {u.solve_residual:.1e} <= 1e-10"
+    else:
+        ok, text = _checkerboard_gates(mesh, contrast, 1, uh_visible=jittered)
+    ok &= 0 < len(iterations) <= 60
+    name = "jittered" if jittered else "structured"
+    assert report("1-3", f"aggregation path, {name} 16x16, "
+                         f"{len(iterations)} CG iterations <= 60, " + text, ok)
 
 
 def test_criterion_4_compatibility_and_rank(solved):

@@ -360,7 +360,7 @@ def test_pure_neumann_problem_fails_before_any_factorization(monkeypatch):
 
 def test_singular_system_fails_after_one_factorization_and_capped_cg(
         monkeypatch):
-    # A singular system costs one factorization of the coarse matrix and at
+    # A singular system costs one factorization of the last level and at
     # most the capped number of CG iterations; the residual check reports
     # the residual attained.
     import warnings
@@ -368,7 +368,6 @@ def test_singular_system_fails_after_one_factorization_and_capped_cg(
     import scipy.sparse.linalg as spla
 
     from conservaflux import solver
-    system = pure_neumann_system(128, degree=2)
     factored, iterations = [], []
 
     def splu(a, **kwargs):
@@ -383,13 +382,21 @@ def test_singular_system_fails_after_one_factorization_and_capped_cg(
     real_splu, real_cg = spla.splu, spla.cg
     monkeypatch.setattr(spla, "splu", splu)
     monkeypatch.setattr(spla, "cg", cg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(SolverError, match="relative residual"):
-            solve(system)
-    nv = system.mesh.n_vertices
-    assert factored == [(nv, nv)]
-    assert 0 < len(iterations) <= solver._CG_MAXITER
+    for k in (1, 2):
+        system = pure_neumann_system(128, degree=k)
+        factored.clear()
+        iterations.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SolverError, match="relative residual"):
+                solve(system)
+        # All 16,641 vertices are free: S (k = 1) or A_0 (k = 2) is
+        # aggregated once, into 31 x 31 boxes of 3 h.
+        nv = system.mesh.n_vertices
+        assert last_level_rows(system.mesh, np.arange(nv),
+                               solver._COARSEST) == 31 ** 2
+        assert factored == [(31 ** 2, 31 ** 2)]
+        assert 0 < len(iterations) <= solver._CG_MAXITER
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -490,6 +497,68 @@ def test_solve_is_deterministic(k, jittered_mesh):
     assert np.array_equal(solve(system).values, solve(system).values)
     assert np.array_equal(solve_problem(mesh, k, prob).values,
                           solve_problem(mesh, k, prob).values)
+
+
+def last_level_rows(mesh, free_vertices, coarsest):
+    """Rows of the one factored level: while more than `coarsest` remain,
+    the free vertices are binned into boxes 3 h wide, then three times
+    wider per further level."""
+    xy = mesh.vertices[free_vertices]
+    box = np.floor((xy - xy.min(0)) / (3 * mesh.h)).astype(int)
+    rows = len(box)
+    while rows > coarsest:
+        box = np.unique(box, axis=0)
+        rows, box = len(box), box // 3
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("jittered", [False, True])
+def test_aggregation_levels_match_the_plain_direct_solve(k, jittered,
+                                                         jittered_mesh,
+                                                         monkeypatch):
+    # With a small `_COARSEST`, smoothed-aggregation levels go under S
+    # (k = 1) or A_0 (k = 2, 3), and only the last, small one is factored.
+    import scipy.sparse.linalg as spla
+
+    from conservaflux import solver
+    monkeypatch.setattr(solver, "_COARSEST", 8)
+    mesh = jittered_mesh(16, seed=5) if jittered else build_structured_mesh(16)
+    prob = load_example(2)
+    dm = build_dof_map(mesh, k)
+    system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
+    ref = plain_solve(system)
+    factored = []
+
+    def splu(a, **kwargs):
+        factored.append(a.shape)
+        return real(a, **kwargs)
+
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", splu)
+    u = solve(system)
+    free = np.flatnonzero(~system.dirichlet_mask[:mesh.n_vertices])
+    rows = last_level_rows(mesh, free, 8)
+    # The first aggregation level alone keeps more than 8 rows: two run.
+    assert rows <= 8 < last_level_rows(mesh, free, len(free) - 1)
+    assert factored == [(rows, rows)]
+    assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(solve(system).values, u.values)
+
+
+def test_no_free_dof_takes_the_direct_path(monkeypatch):
+    # One element row of the unit square: every vertex is on the boundary.
+    import scipy.sparse.linalg as spla
+
+    from conservaflux import solver
+
+    def cg(*args, **kwargs):
+        pytest.fail("a system without free dofs was iterated on")
+
+    monkeypatch.setattr(solver, "_COARSEST", 0)
+    monkeypatch.setattr(spla, "cg", cg)
+    u = solve_problem(build_structured_mesh(1), 1, linear_problem())
+    assert np.array_equal(u.values, u.dofmap.coords.sum(axis=1))
 
 
 def test_singular_pure_neumann_fails_with_residual():
