@@ -193,9 +193,12 @@ def run(config):
 
 def _parse_levels(text):
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        levels = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
+        levels = []
+    if not levels:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}")
+    return levels
 
 
 def _add_common(p):

@@ -159,7 +159,7 @@ def _ref_dual(degree):
     mid = 0.5 * (bd_start + bd_end)
     par = np.choose(bd_facet, [mid[:, 0], mid[:, 1], 1.0 - mid[:, 1]])
     slot = np.rint(2 * k * par - 0.5).astype(np.int64)
-    at = np.empty((3, 2 * k), dtype=np.int64)
+    at = np.empty((3, 2 * k), dtype=np.int32)
     at[bd_facet, slot] = np.arange(len(bd_facet))
 
     ref = _RefDual(

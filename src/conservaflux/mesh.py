@@ -44,6 +44,10 @@ class TriMesh:
         if self.triangles.size and (self.triangles.min() < 0
                                     or self.triangles.max() >= len(self.vertices)):
             raise MeshError("triangle vertex index out of range")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:  # a NaN signed area would pass the check below
+            x, y = self.vertices[bad[0]]
+            raise MeshError(f"vertex {bad[0]} is not finite: ({x:g}, {y:g})")
 
         areas = self.signed_areas()
         bad = np.nonzero(areas <= 0.0)[0]

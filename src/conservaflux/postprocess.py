@@ -71,6 +71,16 @@ def _traces(disc, u_values, elems):
     return q
 
 
+def _facet_copies(disc, t0, t1):
+    """Neighbour m (ct, B) across each boundary segment of elements t0..t1-1
+    (-1 on the domain boundary) and m's copy bd_mate[segment, m's facet],
+    as int32 (2^31 elements would need terabytes of blocks)."""
+    ref, nbr, edges = disc.ref, disc.tri_neighbors[t0:t1], disc.tri_edges
+    back = np.argmax(edges[np.maximum(nbr, 0)] == edges[t0:t1, :, None], 2)
+    return (nbr[:, ref.bd_facet].astype(np.int32),
+            ref.bd_mate[np.arange(len(ref.bd_facet)), back[:, ref.bd_facet]])
+
+
 def _boundary_flux_terms(disc, u_values, t0, t1):
     """Averaged normal-flux data on element-boundary segments.
 
@@ -80,19 +90,18 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
     """
     rseg = disc.rseg
     q = _traces(disc, u_values, slice(t0, t1))
-    # A neighbour's mated segment holds the same points in reverse order,
-    # and its normal is the opposite one. Neighbours outside the chunk, one
-    # per facet its border cuts, get their traces computed here.
-    m, s = np.divmod(disc.mate[t0:t1], q.shape[1])
+    # A copy holds the same points reversed, with the opposite normal. One
+    # gather at rows `at` reads those inside the chunk; domain-boundary
+    # segments keep their own trace, and outside neighbours are traced once.
+    m, s = _facet_copies(disc, t0, t1)
     inside = (m >= t0) & (m < t1)
-    q_nbr = q.copy()
-    q_nbr[inside] = -q[m[inside] - t0, s[inside], ::-1]
-    by_facet = np.argsort(disc.ref.bd_facet, kind="stable").reshape(3, -1)
-    facet_m = m[:, by_facet[:, 0]]
-    tc, fc = np.nonzero((facet_m >= 0) & ((facet_m < t0) | (facet_m >= t1)))
-    tc, segs = tc[:, None], by_facet[fc]
-    q_out = _traces(disc, u_values, facet_m[tc[:, 0], fc])
-    q_nbr[tc, segs] = -q_out[np.arange(len(fc))[:, None], s[tc, segs], ::-1]
+    at = np.where(inside, (m - t0) * m.shape[1] + s, 0).ravel()
+    q_nbr = q.reshape(len(at), -1)[at, ::-1].reshape(q.shape)
+    q_nbr *= -1.0
+    q_nbr[m < 0] = q[m < 0]
+    outside = (m >= 0) & ~inside
+    out, at = np.unique(m[outside], return_inverse=True)
+    q_nbr[outside] = -_traces(disc, u_values, out)[at, s[outside], ::-1]
     q_avg = 0.5 * (q + q_nbr)
 
     q_seg = q_avg @ rseg.sw

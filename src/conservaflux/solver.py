@@ -12,13 +12,13 @@ is factored. Singular systems fail at the residual check.
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which the dof map owns (see `blocks`):
 stiffness, load, subcell f and element |f| integrals, the dual-segment flux
-matrices of the elemental systems, kappa samples and the facet pairing on
-the element-boundary segments, and det J invJ invJ^T, whose product with
-rot(d) is the normal map invJ rot(J d) of a reference direction d, all from
-one chunked pass of coefficient samples times reference tables. Source
-integrals use the composite subcell rule of the dual partition, over which
-the recovery integrates f per subcell: one shared pass keeps the elemental
-compatibility sums at rounding level instead of at quadrature-error level.
+matrices of the elemental systems, kappa samples on the element-boundary
+segments, and det J invJ invJ^T, whose product with rot(d) is the normal
+map invJ rot(J d) of a reference direction d, all from one chunked pass of
+coefficient samples times reference tables. Source integrals use the
+composite subcell rule of the dual partition, over which the recovery
+integrates f per subcell: one shared pass keeps the elemental compatibility
+sums at rounding level instead of at quadrature-error level.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from . import basis, dualmesh
 from ._table import coords, numbers, write_table
-from .quadrature import segment_rule, triangle_rule
+from .quadrature import _checked_exactness, segment_rule, triangle_rule
 
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
 DOF_KIND_NAMES = {DOF_VERTEX: "vertex", DOF_EDGE: "edge", DOF_INTERIOR: "interior"}
@@ -277,10 +277,10 @@ class Discretization:
     * `d_loc` (nt, N, N): flux of every basis function through the dual
       segments of every subcell, the matrix of the elemental systems;
     * `kap_bd` (nt, B, ns): kappa at the element-boundary Gauss points;
-    * `mate` (nt, B): their facet pairing, int32 below 2^31 segments;
     * `det_m` (nt, 3): det J invJ invJ^T as [xx, yy, xy] (`normal_maps`).
 
-    `rseg` holds the reference tables. Everything is read-only, so
+    `rseg` holds the reference tables; the element maps, `tri_neighbors`
+    and `tri_edges` are the mesh's own arrays. Everything is read-only, so
     chunks of elements can be processed concurrently.
     """
 
@@ -291,18 +291,16 @@ class Discretization:
         self.problem = problem
         self.n = n = basis.N_NODES[k]
         self.exactness = exactness
-        self.ref = ref = dualmesh._ref_dual(k)
+        self.ref = dualmesh._ref_dual(k)
         self.rseg = rseg = _ref_segments(k, exactness)
         self.v0, self.jac, _, self.det_jac = mesh.element_maps()
+        self.tri_neighbors, self.tri_edges = mesh.tri_neighbors, mesh.tri_edges
         nt = mesh.n_triangles
-        nb, ns = rseg.bd_pts.shape[:2]
         self.k_loc = np.empty((nt, n, n))
         self.d_loc = np.empty((nt, n, n))
-        self.kap_bd = np.empty((nt, nb, ns))
+        self.kap_bd = np.empty((nt, *rseg.bd_pts.shape[:2]))
         self.det_m = np.empty((nt, 3))
-        self.mate = np.empty((nt, nb), np.int32 if nt * nb < 2 ** 31 else int)
         src, self.f_abs = np.empty((2, nt, n)), np.empty(nt)
-        nbr, edges = mesh.tri_neighbors, mesh.tri_edges
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
         # The source pass writes its mapped points and |f| into two buffers
         # sized for the largest chunk, so no chunk faults in fresh pages.
@@ -320,15 +318,6 @@ class Discretization:
             self.d_loc[sl] = self._kappa_blocks(sl, rseg.cv_pts, rseg.dual)
             self.kap_bd[sl] = sample(problem.kappa, basis.map_points(
                 self.v0[sl], self.jac[sl], rseg.bd_pts))
-            # Facet pairing: mate[t, s] = m * B + s' where segment s' of the
-            # neighbour m holds segment s's points in reverse order; -1 on
-            # the domain boundary. TriMesh is counterclockwise and manifold,
-            # so the neighbour always has such a segment.
-            f_nbr = np.argmax(edges[np.maximum(nbr[sl], 0)]
-                              == edges[sl, :, None], 2)
-            m, f = nbr[sl, ref.bd_facet], f_nbr[:, ref.bd_facet]
-            self.mate[sl] = np.where(
-                m >= 0, m * nb + ref.bd_mate[np.arange(nb), f], -1)
         self.b_loc, self.f_sub = src
 
     def _kappa_blocks(self, sl, ref_pts, table):
@@ -359,21 +348,15 @@ class Discretization:
         return np.stack(np.hsplit(out, 2)), det * (abs_f @ self.rseg.src_w)
 
 
-def blocks(mesh, dofmap, problem):
-    """The dof map's per-element blocks for `problem` (the same object), at
-    their own exactness; for another problem object, new ones at the held
-    exactness (2k + 2 when none is held), which replace them. Only
-    `assemble` sets the exactness, so the recovery and the checks always
-    share the solve's rules, on `solve_problem`'s path and the split one."""
-    held = dofmap.discretization
-    return _blocks(mesh, dofmap, problem, default_exactness(dofmap.degree)
-                   if held is None else held.exactness)
-
-
-def _blocks(mesh, dofmap, problem, exactness):
+def blocks(mesh, dofmap, problem, exactness=None):
+    """The dof map's blocks for `problem` (the same object) at `exactness`,
+    rebuilt if either differs. `None` keeps the held exactness (2k + 2 if
+    none is held): only `assemble` passes one, and every reader shares it."""
     if mesh is not dofmap.mesh:
         raise ValueError("the mesh is not the one the dof map was built on")
     disc = dofmap.discretization
+    held = default_exactness(dofmap.degree) if disc is None else disc.exactness
+    exactness = _checked_exactness(held if exactness is None else exactness)
     if (disc is None or disc.problem is not problem
             or disc.exactness != exactness):
         disc = dofmap.discretization = Discretization(dofmap, problem,
@@ -383,8 +366,8 @@ def _blocks(mesh, dofmap, problem, exactness):
 
 def assemble(mesh, dofmap, problem, exactness=None):
     """Unconstrained global system (A, b) as (csr matrix, vector)."""
-    disc = _blocks(mesh, dofmap, problem, default_exactness(dofmap.degree)
-                   if exactness is None else int(exactness))
+    disc = blocks(mesh, dofmap, problem, default_exactness(dofmap.degree)
+                  if exactness is None else exactness)
     n, n_dofs = disc.n, dofmap.n_dofs
     # scipy indexes with int32 whenever it can, and copies int64 input.
     cd = dofmap.cell_dofs.astype(np.int32 if n_dofs < 2 ** 31 else np.int64)
@@ -459,36 +442,36 @@ def _coarse_map(dofmap, free, nc):
 def solve(system):
     """Solve for the free dofs; a singular system fails the residual check.
 
-    Dirichlet dofs keep their values exactly. Element-interior dofs (k = 3)
-    are numbered last and each couples only to its own element, so their
-    block D is diagonal: they are condensed to the Schur complement
-    S = A_cc - A_ci D^-1 A_ic on the free coupled dofs and follow exactly
-    as (b_i - A_ic x_c) / D. S is the first level of a short hierarchy; at
-    k = 2, 3 the next is A_0 = P^T S P, P from `_coarse_map`. While a level
-    has more than `_COARSEST` rows, a smoothed-aggregation level goes under
-    it (`_aggregate`). Only the last level is factored: with one level
-    (k = 1, at most `_COARSEST` rows) that factor is the direct solve.
-    Otherwise CG solves S to rounding level, preconditioned by one
-    symmetric V-cycle, since the recovered flux's control-volume defect is
-    exactly this solve's interior residual. The relative residual of the
-    returned solution on the full system is at most 1e-10; otherwise a
-    SolverError reports the residual attained.
+    Dirichlet dofs keep their values exactly. The system's dof map numbers
+    element-interior dofs (k = 3) last, and each couples only to its own
+    element, so their block D is diagonal: they are condensed to the Schur
+    complement S = A_cc - A_ci D^-1 A_ic on the free coupled dofs and
+    follow exactly as (b_i - A_ic x_c) / D. S is the first level of a short
+    hierarchy; at k = 2, 3 the next is A_0 = P^T S P, with P from the dof
+    map (`_coarse_map`). While a level has more than `_COARSEST` rows, a
+    smoothed-aggregation level goes under it (`_aggregate`). Only the last
+    level is factored: with one level (k = 1, at most `_COARSEST` rows)
+    that factor is the direct solve. Otherwise CG solves S to rounding
+    level, preconditioned by one symmetric V-cycle, since the recovered
+    flux's control-volume defect is exactly this solve's interior residual.
+    The relative residual of the returned solution on the full system is at
+    most 1e-10; otherwise a SolverError reports the residual attained.
     """
     a, b = system.matrix.tocsr(), system.rhs
     dm, mask = system.dofmap, system.dirichlet_mask
     x = np.where(mask, system.dirichlet_values, 0.0)
     r = b - a @ x
-    nc = len(b) - (0 if dm is None else int(np.sum(dm.kind == DOF_INTERIOR)))
+    nc = len(b) - int(np.sum(dm.kind == DOF_INTERIOR))
     free = np.flatnonzero(~mask[:nc])
     rows = a[free]
     a_ci, a_ic, d = rows[:, nc:], a[nc:][:, free], a.diagonal()[nc:]
     s = (rows[:, free] - a_ci @ (sp.diags(1.0 / d) @ a_ic)).tocsr()
     rhs = r[free] - a_ci @ (r[nc:] / d)
     levels, maps = [s], []
-    if dm is not None and dm.degree > 1:
+    if dm.degree > 1:
         maps.append(_coarse_map(dm, free, nc))
         levels.append(maps[0].T @ s @ maps[0])
-    if dm is not None and levels[-1].shape[0] > _COARSEST:
+    if levels[-1].shape[0] > _COARSEST:
         xy = dm.mesh.vertices[free[free < dm.mesh.n_vertices]]
         box = np.floor((xy - xy.min(0)) / (3 * dm.mesh.h)).astype(np.int64)
         while levels[-1].shape[0] > _COARSEST:

@@ -99,6 +99,19 @@ def test_short_convergence_ladder_is_a_usage_error(command, args, value,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["solve"], ["convergence"]])
+@pytest.mark.parametrize("value", ["", ","])
+def test_empty_level_list_is_a_usage_error(command, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--example", "1", "--degree", "1", "--levels", value,
+                        "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.endswith(f"bad level list {value!r}")
+    assert not out.exists()
+
+
 def test_run_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(example=5, degree=1, levels=[4], out_dir=tmp_path,

@@ -292,6 +292,17 @@ def test_rejects_clockwise_triangle():
         TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_vertex(bad, tmp_path):
+    # A NaN vertex gives a NaN signed area, which passes `areas <= 0`.
+    msg = re.escape(f"vertex 2 is not finite: (0.5, {bad:g})")
+    with pytest.raises(MeshError, match=msg):
+        TriMesh([[0, 0], [1, 0], [0.5, bad], [0, 1]], [[0, 1, 3], [1, 2, 3]])
+    path = edit_mesh_file(tmp_path, set_line(3, f"0.5 {bad}"))
+    with pytest.raises(MeshError, match=msg):
+        read_mesh_file(path)
+
+
 def test_mesh_arrays_frozen():
     mesh = build_structured_mesh(2)
     with pytest.raises(ValueError):

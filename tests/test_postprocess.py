@@ -11,7 +11,8 @@ from conservaflux.dualmesh import (CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY,
                                    _rot)
 from conservaflux.mesh import TriMesh
 from conservaflux.postprocess import (PostprocessError, _boundary_flux_terms,
-                                      _elemental_blocks, _solve_chunk)
+                                      _elemental_blocks, _facet_copies,
+                                      _solve_chunk)
 from conservaflux.problems import ProblemSpec
 from conservaflux.quadrature import segment_rule, triangle_rule
 from conservaflux.solver import default_segment_points, sample
@@ -734,11 +735,13 @@ def test_export_postprocessed_csv(tmp_path):
 def test_facet_mates_pair_reversed_gauss_points(k, jittered_mesh):
     for mesh in (jittered_mesh(6, seed=5), build_structured_mesh(6)):
         disc = solve_problem(mesh, k, load_example(2)).discretization
-        nt, nb = disc.mate.shape
-        mate = disc.mate.ravel()
+        nt, nb = disc.kap_bd.shape[:2]
+        m, s = _facet_copies(disc, 0, nt)
+        # The pairing as flat segment indices m * B + s, -1 unpaired.
+        mate = np.where(m >= 0, m * nb + s, -1).ravel()
         paired = mate >= 0
         nbr = mesh.tri_neighbors[:, disc.ref.bd_facet]
-        assert np.array_equal(disc.mate < 0, nbr < 0)     # boundary facets
+        assert np.array_equal(m < 0, nbr < 0)             # boundary facets
         assert np.all(mate[~paired] == -1)
         assert np.array_equal(mate[mate[paired]], np.nonzero(paired)[0])
         assert np.array_equal(mate[paired] // nb, nbr.ravel()[paired])
@@ -765,7 +768,7 @@ def test_neighbour_trace_matches_mapped_point_reference(k, jittered_mesh):
         _, grads = eval_basis(k, (pts - v0[t]) @ inv[t].T)
         return (np.einsum("pnd,n->pd", grads, coeffs[t]) @ inv[t]) @ rot
 
-    nt, nb = disc.mate.shape
+    nt, nb = disc.kap_bd.shape[:2]
     q_avg = np.empty(disc.kap_bd.shape)
     for t in range(nt):
         for s in range(nb):

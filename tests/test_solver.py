@@ -208,21 +208,49 @@ def test_h1_error_decreases_second_order_for_k2():
     assert all(abs(r - 2.0) < 0.2 for r in rate)
 
 
-def test_solve_reports_singular_system():
+def test_solve_reports_singular_system(monkeypatch):
     import warnings
 
     import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
     from conservaflux.solver import ConstrainedSystem
-    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    system = ConstrainedSystem(matrix=a, rhs=np.array([1.0, 0.0]), mesh=None,
-                               dofmap=None,
-                               dirichlet_mask=np.zeros(2, dtype=bool),
-                               dirichlet_values=np.zeros(2))
+    mesh = build_structured_mesh(1)
+    dm = build_dof_map(mesh, 1)
+    n = dm.n_dofs
+    system = ConstrainedSystem(matrix=sp.csr_matrix(np.ones((n, n))),
+                               rhs=np.arange(1.0, n + 1.0), mesh=mesh,
+                               dofmap=dm, dirichlet_mask=np.zeros(n, bool),
+                               dirichlet_values=np.zeros(n))
+    errors = []
+
+    def splu(a, **kwargs):
+        try:
+            return real(a, **kwargs)
+        except RuntimeError as err:
+            errors.append(str(err))
+            raise
+
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", splu)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SolverError, match="residual"):
             solve(system)
+    assert errors == ["Factor is exactly singular"]
+
+
+@pytest.mark.parametrize("exactness", [6.9, "7"])
+def test_malformed_exactness_is_rejected(exactness):
+    # Not rounded down or parsed: the same check as triangle_rule's.
+    mesh = build_structured_mesh(2)
+    prob = load_example(2)
+    with pytest.raises(ValueError,
+                       match="unsupported triangle exactness request"):
+        assemble(mesh, build_dof_map(mesh, 1), prob, exactness)
+    with pytest.raises(ValueError,
+                       match="unsupported triangle exactness request"):
+        solve_problem(mesh, 1, prob, exactness=exactness)
 
 
 def test_solution_csv_export(tmp_path):
@@ -290,18 +318,19 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
         assert np.abs(val - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
-@pytest.mark.parametrize("k, per_element", [(1, 392), (2, 1136), (3, 2584)])
+@pytest.mark.parametrize("k, per_element", [(1, 368), (2, 1088), (3, 2512)])
 def test_block_bytes_per_element(k, per_element):
     # Every array the blocks hold but the mesh and the dof map do not:
-    # k_loc, d_loc, b_loc, f_sub, f_abs, kap_bd, det_m and an int32 mate.
+    # k_loc, d_loc, b_loc, f_sub, f_abs, kap_bd and det_m. The facet
+    # pairing is not stored: the recovery reads the mesh's topology.
     mesh = build_structured_mesh(4)
     disc = blocks(mesh, build_dof_map(mesh, k), load_example(2))
-    shared = [*mesh.element_maps(), disc.cell_dofs]
+    shared = [*mesh.element_maps(), disc.cell_dofs, mesh.tri_neighbors,
+              mesh.tri_edges]
     own = {name: a for name, a in vars(disc).items()
            if isinstance(a, np.ndarray) and all(a is not b for b in shared)}
     assert sorted(own) == sorted(["k_loc", "d_loc", "b_loc", "f_sub", "f_abs",
-                                  "kap_bd", "det_m", "mate"])
-    assert disc.mate.dtype == np.int32
+                                  "kap_bd", "det_m"])
     total = sum(a.nbytes for a in own.values())
     assert total == per_element * mesh.n_triangles
 
