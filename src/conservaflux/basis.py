@@ -1,8 +1,10 @@
 """Lagrange reference elements on the unit triangle, degrees 1 to 3.
 
-Node ordering per degree: the three vertices (0,0), (1,0), (0,1), then the
-edge nodes walking edges (v0,v1), (v1,v2), (v2,v0) away from the first
-vertex of each edge, then the interior node (cubic only).
+`node_lattice` alone fixes the node order: the three vertices (0,0), (1,0),
+(0,1), then the edge nodes walking edges (v0,v1), (v1,v2), (v2,v0) away
+from the first vertex of each edge, then the interior node (cubic only).
+The basis function of each node is Silvester's product over the node's
+barycentric multi-index, so one formula serves every degree.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 N_NODES = {1: 3, 2: 6, 3: 10}
-
-_EDGE_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 # Barycentric gradients on the reference triangle.
 _DL = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -28,18 +28,11 @@ def _check_degree(degree):
 def node_lattice(degree):
     """Integer lattice positions (i, j) of the nodes; coordinates are (i, j)/k."""
     _check_degree(degree)
-    k = degree
-    verts = [(0, 0), (k, 0), (0, k)]
-    lattice = list(verts)
-    for a, b in _EDGE_PAIRS:
-        pa, pb = verts[a], verts[b]
-        for j in range(1, k):
-            lattice.append((pa[0] + (pb[0] - pa[0]) * j // k,
-                            pa[1] + (pb[1] - pa[1]) * j // k))
-    for i in range(1, k):
-        for j in range(1, k - i):
-            lattice.append((i, j))
-    return tuple(lattice)
+    k, v = degree, ((0, 0), (degree, 0), (0, degree))
+    edges = tuple(tuple((p * (k - j) + q * j) // k for p, q in zip(v[a], v[b]))
+                  for a, b in ((0, 1), (1, 2), (2, 0)) for j in range(1, k))
+    return v + edges + tuple((i, j) for i in range(1, k)
+                             for j in range(1, k - i))
 
 
 @lru_cache(maxsize=None)
@@ -50,57 +43,40 @@ def ref_nodes(degree):
     return pts
 
 
+@lru_cache(maxsize=None)
+def _multi_index(degree):
+    """Barycentric multi-indices (k - i - j, i, j) of the nodes, (N, 3)."""
+    ij = np.array(node_lattice(degree))
+    return np.column_stack([degree - ij.sum(axis=1), ij])
+
+
 def eval_basis(degree, points):
     """Nodal basis values and gradients at reference points.
 
-    Returns (values, gradients) with shapes (P, N) and (P, N, 2). The basis
-    satisfies the Kronecker property at the nodes, sums to one, and its
-    gradients sum to zero at every point.
+    Returns (values, gradients) with shapes (P, N) and (P, N, 2). The node
+    at lattice position (i, j) has the multi-index a = (k - i - j, i, j)
+    over lambda = (1 - x - y, x, y), and the function
+    prod_c L_{a_c}(lambda_c) (Silvester), where L_0 = 1 and L_{m+1} =
+    L_m (k lambda - m) / (m + 1) vanishes at lambda = 0, 1/k, ..., m/k; the
+    gradient is sum_c dphi/dlambda_c grad(lambda_c). The basis satisfies the
+    Kronecker property at the nodes, sums to one, and its gradients sum to
+    zero at every point.
     """
-    _check_degree(degree)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x, y = pts[:, 0], pts[:, 1]
-    lam = np.stack([1.0 - x - y, x, y], axis=1)          # (P, 3)
-    npts = len(pts)
-    n = N_NODES[degree]
-    vals = np.empty((npts, n))
-    grads = np.empty((npts, n, 2))
-
-    if degree == 1:
-        vals[:] = lam
-        grads[:] = _DL[None, :, :]
-        return vals, grads
-
-    if degree == 2:
-        for i in range(3):
-            li = lam[:, i]
-            vals[:, i] = li * (2.0 * li - 1.0)
-            grads[:, i] = (4.0 * li - 1.0)[:, None] * _DL[i]
-        for m, (a, b) in enumerate(_EDGE_PAIRS):
-            la, lb = lam[:, a], lam[:, b]
-            vals[:, 3 + m] = 4.0 * la * lb
-            grads[:, 3 + m] = 4.0 * (lb[:, None] * _DL[a] + la[:, None] * _DL[b])
-        return vals, grads
-
-    for i in range(3):
-        li = lam[:, i]
-        vals[:, i] = 0.5 * li * (3.0 * li - 1.0) * (3.0 * li - 2.0)
-        grads[:, i] = (0.5 * (27.0 * li * li - 18.0 * li + 2.0))[:, None] * _DL[i]
-    for m, (a, b) in enumerate(_EDGE_PAIRS):
-        la, lb = lam[:, a], lam[:, b]
-        c = 3 + 2 * m
-        vals[:, c] = 4.5 * la * lb * (3.0 * la - 1.0)
-        grads[:, c] = 4.5 * ((lb * (6.0 * la - 1.0))[:, None] * _DL[a]
-                             + (la * (3.0 * la - 1.0))[:, None] * _DL[b])
-        vals[:, c + 1] = 4.5 * la * lb * (3.0 * lb - 1.0)
-        grads[:, c + 1] = 4.5 * ((lb * (3.0 * lb - 1.0))[:, None] * _DL[a]
-                                 + (la * (6.0 * lb - 1.0))[:, None] * _DL[b])
-    l0, l1, l2 = lam[:, 0], lam[:, 1], lam[:, 2]
-    vals[:, 9] = 27.0 * l0 * l1 * l2
-    grads[:, 9] = 27.0 * ((l1 * l2)[:, None] * _DL[0]
-                          + (l0 * l2)[:, None] * _DL[1]
-                          + (l0 * l1)[:, None] * _DL[2])
-    return vals, grads
+    a = _multi_index(degree)
+    x, y = np.atleast_2d(np.asarray(points, dtype=float)).T
+    lam = np.stack([1.0 - x - y, x, y])                  # (3, P)
+    ls, dls = [np.ones_like(lam)], [np.zeros_like(lam)]
+    for m in range(degree):
+        s = degree * lam - m
+        dls.append((dls[m] * s + degree * ls[m]) / (m + 1))
+        ls.append(ls[m] * s / (m + 1))
+    f, df = (np.array(t)[a, [0, 1, 2]] for t in (ls, dls))  # (N, 3, P)
+    # Row c of the (N, 3, 3, P) stack holds the factors with the c-th
+    # differentiated: its product is dphi/dlambda_c.
+    dphi = np.where(np.eye(3, dtype=bool)[:, :, None], df[:, None],
+                    f[:, None]).prod(axis=2)
+    return (np.ascontiguousarray(f.prod(axis=1).T),
+            dphi.transpose(2, 0, 1) @ _DL)
 
 
 def map_points(v0, jac, ref, out=None):

@@ -39,7 +39,8 @@ DEFAULT_LADDERS_EX3 = {
     3: [12, 24, 48],
 }
 
-RATE_WINDOWS = {1: 0.15, 2: 0.15, 3: 0.2}  # widened to 0.2 for example 3
+# H1 rate window by degree; `rate_window` widens it to 0.2 for example 3.
+RATE_WINDOWS = {1: 0.15, 2: 0.15, 3: 0.2}
 
 
 @dataclass

@@ -233,8 +233,7 @@ class DualGeometry:
     """
 
     def __init__(self, mesh, degree):
-        if degree not in basis.N_NODES:
-            raise ValueError(f"unsupported degree {degree!r}; supported: 1, 2, 3")
+        basis._check_degree(degree)
         self.mesh = mesh
         self.degree = degree
         self.ref = _ref_dual(degree)

@@ -25,13 +25,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
 from . import basis, dualmesh, solver
 from ._table import coords, numbers, write_table
-from .dualmesh import _rot
 from .mesh import _GEO_TOL
 from .quadrature import segment_rule
 from .solver import FemField, blocks, default_segment_points, sample
@@ -243,7 +241,8 @@ def flux_along_polyline(mesh, field, problem, points):
     Segments are split where they cross mesh edges, and each piece is
     integrated with its element, or with the mean of both elements' fluxes
     on an interior edge (as in the recovery's facet data). The normal is
-    the -90 degree rotation of the walking direction.
+    the -90 degree rotation of the walking direction, of the segment's
+    length: a repeated point makes a segment of flux 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -252,29 +251,43 @@ def flux_along_polyline(mesh, field, problem, points):
     v0, _, inv, _ = mesh.element_maps()
     edges = _edge_boxes(mesh)
     d = np.diff(pts, axis=0)
-    pieces = [(i, a, b) for i in range(len(d))
-              for a, b in pairwise(_edge_crossings(pts[i], d[i], edges))
-              if b - a >= 1e-14]
-    mids = np.array([pts[i] + (a + b) / 2 * d[i] for i, a, b in pieces])
+    cuts = [_edge_crossings(p, dp, edges) for p, dp in zip(pts, d)]
+    seg = np.repeat(np.arange(len(d)), [len(c) for c in cuts])
+    t = np.concatenate(cuts)
+    keep = np.flatnonzero((seg[1:] == seg[:-1]) & (np.diff(t) >= 1e-14))
+    seg, a, b = seg[keep], t[keep], t[keep + 1]
+    mids = pts[seg] + ((a + b) / 2)[:, None] * d[seg]
     elems = mesh.locate(mids)
+    if np.any(elems < 0):
+        raise ValueError(f"polyline leaves the mesh near {mids[elems < 0][0]}")
     # A midpoint on facet m (the barycentric coordinate of vertex (m + 2) % 3
-    # within locate's tolerance) puts its whole piece on that facet.
+    # within locate's tolerance) puts its whole piece on that facet, whose
+    # two elements are the piece's two sides; elsewhere both are its element.
     r = np.einsum("pab,pb->pa", inv[elems], mids - v0[elems])
     lam = np.column_stack([r[:, 1], 1.0 - r.sum(axis=1), r[:, 0]])
-    mates = np.where(np.abs(lam) <= _GEO_TOL, mesh.tri_neighbors[elems], -1)
-
-    out = np.zeros(len(d))
-    for (i, a, b), t, m, mid in zip(pieces, elems, mates.max(axis=1), mids):
-        if t < 0:
-            raise ValueError(f"polyline leaves the mesh near {mid}")
-        seg_len = np.linalg.norm(d[i])
-        normal = _rot(d[i]) / seg_len
-        gpts = pts[i] + (a + srule.points * (b - a))[:, None] * d[i]
-        sides = (t,) if m < 0 else (t, m)
-        flux = np.mean([-sample(problem.kappa, gpts) * (field.grad_on(
-            e, (gpts - v0[e]) @ inv[e].T) @ normal) for e in sides], axis=0)
-        out[i] += seg_len * (b - a) * float(srule.weights @ flux)
-    return out
+    mates = np.where(np.abs(lam) <= _GEO_TOL, mesh.tri_neighbors[elems],
+                     -1).max(axis=1)
+    sides = np.column_stack([elems, np.where(mates < 0, elems, mates)])
+    flux = np.empty(len(seg))
+    width = 2 * srule.points.size * basis.N_NODES[field.degree]
+    for sl in solver._chunks(len(seg), width):
+        e, ds = sides[sl], d[seg[sl], None]
+        gpts = pts[seg[sl], None] + (a[sl, None] + srule.points * (
+            b - a)[sl, None])[..., None] * ds
+        # invJ x per side, entry by entry (no rounding depends on the
+        # batch): reference points, and invJ rot(d), with which the
+        # reference gradient gives grad(u).rot(d)
+        m = inv[e][:, :, None]                          # (c, 2, 1, 2, 2)
+        x = gpts[:, None] - v0[e][:, :, None]
+        ref = m[..., 0] * x[..., :1] + m[..., 1] * x[..., 1:]
+        nv = m[..., 0] * ds[..., 1:, None] - m[..., 1] * ds[..., :1, None]
+        _, g = basis.eval_basis(field.degree, ref.reshape(-1, 2))
+        g = (g.reshape(*ref.shape[:3], -1, 2)
+             * field.local_coeffs(e)[:, :, None, :, None]).sum(axis=3)
+        q = g[..., 0] * nv[..., 0] + g[..., 1] * nv[..., 1]
+        q = -sample(problem.kappa, gpts) * (0.5 * (q[:, 0] + q[:, 1]))
+        flux[sl] = (q * srule.weights).sum(axis=1)
+    return np.bincount(seg, weights=(b - a) * flux, minlength=len(d))
 
 
 def _edge_boxes(mesh):
@@ -306,7 +319,7 @@ def _edge_crossings(p, d, edges):
     rel = e0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (rel[:, 0] * r[:, 1] - rel[:, 1] * r[:, 0]) / denom
-        s = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / -denom
+        s = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / denom
     ok = np.isfinite(t) & (t > 1e-12) & (t < 1 - 1e-12) & (s >= -1e-12) \
         & (s <= 1 + 1e-12)
     return np.concatenate([[0.0], np.unique(t[ok]), [1.0]])

@@ -48,11 +48,11 @@ _COARSEST = 10000
 # interior residual: at 1e-13 it rose from 2.9e-14 to 1.6e-12 (k=3 n=128).
 _CG_RTOL = 1e-15
 # PCG cap, the measured maximum plus a margin: at most 54 iterations on
-# examples 1-3, 81 on structured kappa checkerboards, 122 where jumps cut
-# through jittered elements at k = 1 and 410 at k = 3, whose residual stays
-# near 1 for 40 iterations first, so a rule that stops on a stalled
-# residual would fail it. A singular system fails the residual check after
-# at most this.
+# examples 1-3, 81 on structured kappa checkerboards; where jumps cut
+# through jittered elements, 97 at k = 1 and 131 at k = 2 (n = 128) and
+# 410 at k = 3 (n = 16), whose residual stays near 1 for 40 iterations
+# first, so a rule that stops on a stalled residual would fail it. A
+# singular system fails the residual check after at most this.
 _CG_MAXITER = 500
 
 
@@ -98,8 +98,7 @@ class DofMap:
 
 
 def build_dof_map(mesh, degree):
-    if degree not in basis.N_NODES:
-        raise ValueError(f"unsupported degree {degree!r}; supported: 1, 2, 3")
+    basis._check_degree(degree)
     k = degree
     nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
     n_edge_dofs = (k - 1) * ne
@@ -472,8 +471,11 @@ def solve(system):
         maps.append(_coarse_map(dm, free, nc))
         levels.append(maps[0].T @ s @ maps[0])
     if levels[-1].shape[0] > _COARSEST:
-        xy = dm.mesh.vertices[free[free < dm.mesh.n_vertices]]
-        box = np.floor((xy - xy.min(0)) / (3 * dm.mesh.h)).astype(np.int64)
+        # Boxes 3 median element diameters wide: the longest edge of the
+        # mesh, `h`, would widen every box.
+        xy = dm.coords[free[free < dm.mesh.n_vertices]]
+        box = np.floor((xy - xy.min(0)) / (3 * dm.mesh._h_median))
+        box = box.astype(np.int64)
         while levels[-1].shape[0] > _COARSEST:
             p, box = _aggregate(levels[-1], box)
             maps.append(p)

@@ -186,10 +186,10 @@ def test_criteria_1_to_3_with_kappa_jumps_inside_elements(k, jittered_mesh,
 def test_kappa_jumps_on_the_aggregation_path(contrast, jittered,
                                              jittered_mesh, monkeypatch):
     # k = 1 with smoothed-aggregation levels forced under S (225 -> 16 -> 4
-    # rows structured, 225 -> 9 -> 1 jittered): CG takes at most 49
-    # iterations. On the jittered mesh at contrast 1e6, LCE(tilde) sits at
-    # its rounding floor above the absolute 1e-10 (2.3e-10 with the direct
-    # solve, 4.3e-10 here), so there only the solve is gated.
+    # rows on both meshes): CG takes at most 46 iterations. On the jittered
+    # mesh at contrast 1e6, LCE(tilde) sits at its rounding floor above the
+    # absolute 1e-10 (2.3e-10 with the direct solve and here), so there
+    # only the solve is gated.
     import scipy.sparse.linalg as spla
     iterations = []
 
@@ -211,6 +211,38 @@ def test_kappa_jumps_on_the_aggregation_path(contrast, jittered,
     name = "jittered" if jittered else "structured"
     assert report("1-3", f"aggregation path, {name} 16x16, "
                          f"{len(iterations)} CG iterations <= 60, " + text, ok)
+
+
+@pytest.mark.parametrize("contrast", [1e3, 1e9])
+def test_aggregation_boxes_follow_the_typical_element(contrast,
+                                                      jittered_mesh,
+                                                      monkeypatch):
+    # k = 1 at n = 128 aggregates S once, in boxes 3 median element
+    # diameters wide, so the jittered mesh gets the structured mesh's
+    # 30 x 30 boxes. Sized from the longest edge, its boxes were wider
+    # (484 rows) and CG took 96-122 iterations, not 73-97 (69-70
+    # structured).
+    import scipy.sparse.linalg as spla
+    factored, iterations = [], []
+
+    def splu(a, **kwargs):
+        factored.append(a.shape[0])
+        return real_splu(a, **kwargs)
+
+    def cg(*args, **kwargs):
+        return real_cg(*args, callback=lambda xk: iterations.append(1),
+                       **kwargs)
+
+    real_splu, real_cg = spla.splu, spla.cg
+    monkeypatch.setattr(spla, "splu", splu)
+    monkeypatch.setattr(spla, "cg", cg)
+    u = solve_problem(jittered_mesh(128, 1), 1, _checkerboard(contrast))
+    ok = (factored == [900] and len(iterations) <= 100
+          and u.solve_residual <= 1e-10)
+    assert report("1-3", f"jittered 128x128, contrast {contrast:g}: coarse "
+                         f"{factored} == [900], {len(iterations)} CG "
+                         f"iterations <= 100, solve residual "
+                         f"{u.solve_residual:.1e}", ok)
 
 
 def test_criterion_4_compatibility_and_rank(solved):

@@ -48,28 +48,34 @@ def test_p3_barycenter_is_interior_node():
     assert np.abs(grads[0].sum(axis=0)).max() < 1e-13
 
 
-def test_p3_against_symbolic_lagrange():
-    # independent oracle: construct the cubic Lagrange basis exactly with
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_against_symbolic_lagrange(k):
+    # independent oracle: construct the degree-k Lagrange basis exactly with
     # rational arithmetic and compare values and gradients at random points
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
-    monos = [x ** i * y ** j for i in range(4) for j in range(4 - i)]
-    nodes = [(sympy.Rational(i, 3), sympy.Rational(j, 3))
-             for (i, j) in __import__("conservaflux").basis.node_lattice(3)]
+    monos = [x ** i * y ** j for i in range(k + 1) for j in range(k + 1 - i)]
+    nodes = [(sympy.Rational(i, k), sympy.Rational(j, k))
+             for (i, j) in __import__("conservaflux").basis.node_lattice(k)]
     vander = sympy.Matrix([[m.subs({x: nx, y: ny}) for m in monos]
                            for nx, ny in nodes])
     coeffs = vander.inv()
     rng = np.random.default_rng(7)
     pts = random_ref_points(rng, 12)
-    vals, grads = eval_basis(3, pts)
-    for i in range(10):
-        phi = sum(coeffs[j, i] * monos[j] for j in range(10))
+    vals, grads = eval_basis(k, pts)
+    n = N_NODES[k]
+    for i in range(n):
+        phi = sum(coeffs[j, i] * monos[j] for j in range(n))
         fn = sympy.lambdify((x, y), phi, "numpy")
         gx = sympy.lambdify((x, y), sympy.diff(phi, x), "numpy")
         gy = sympy.lambdify((x, y), sympy.diff(phi, y), "numpy")
-        assert np.abs(vals[:, i] - fn(pts[:, 0], pts[:, 1])).max() < 1e-12
-        assert np.abs(grads[:, i, 0] - gx(pts[:, 0], pts[:, 1])).max() < 1e-11
-        assert np.abs(grads[:, i, 1] - gy(pts[:, 0], pts[:, 1])).max() < 1e-11
+        shape = (len(pts),)
+        assert np.abs(vals[:, i] - np.broadcast_to(
+            fn(pts[:, 0], pts[:, 1]), shape)).max() < 1e-12
+        assert np.abs(grads[:, i, 0] - np.broadcast_to(
+            gx(pts[:, 0], pts[:, 1]), shape)).max() < 1e-11
+        assert np.abs(grads[:, i, 1] - np.broadcast_to(
+            gy(pts[:, 0], pts[:, 1]), shape)).max() < 1e-11
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -667,24 +667,105 @@ def test_polyline_flux_along_edges_ignores_element_numbering(k):
                               flux_along_polyline(rev, renumbered, prob, line))
 
 
+def all_edge_crossings(p, d, edges):
+    """Sorted parameters in [0, 1] where p + t d crosses any of the edges
+    from e0 to e1 (`edges[:2]`), every edge intersected."""
+    e0, e1 = edges[:2]
+    r = e1 - e0
+    denom = d[0] * r[:, 1] - d[1] * r[:, 0]
+    rel = e0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rel[:, 0] * r[:, 1] - rel[:, 1] * r[:, 0]) / denom
+        s = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / denom
+    ok = (np.isfinite(t) & (t > 1e-12) & (t < 1 - 1e-12)
+          & (s >= -1e-12) & (s <= 1 + 1e-12))
+    return np.concatenate([[0.0], np.unique(t[ok]), [1.0]])
+
+
+def per_piece_polyline_flux(mesh, field, prob, points):
+    """Oracle of `flux_along_polyline`, one piece at a time: split each
+    segment at every edge crossing, find the elements whose closed triangle
+    holds the piece's midpoint (two on an edge) by testing all of them, and
+    average -kappa grad(field).rot(d) over them with `grad_on`. Also returns
+    each segment's integral of kappa |grad(field)| |d|, the scale of the
+    flux's rounding."""
+    v0, _, inv, _ = mesh.element_maps()
+    edges = (mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]])
+    srule = segment_rule(default_segment_points(field.degree))
+    pts = np.asarray(points, dtype=float)
+    out, scale = np.zeros(len(pts) - 1), np.zeros(len(pts) - 1)
+    for i, (p, d) in enumerate(zip(pts, np.diff(pts, axis=0))):
+        cuts = all_edge_crossings(p, d, edges)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if b - a < 1e-14:
+                continue
+            r = np.einsum("tab,tb->ta", inv, p + (a + b) / 2 * d - v0)
+            owners = np.flatnonzero((r.min(axis=1) >= -1e-10)
+                                    & (r.sum(axis=1) <= 1 + 1e-10))
+            assert 1 <= len(owners) <= 2
+            gpts = p + (a + srule.points * (b - a))[:, None] * d
+            kap = sample(prob.kappa, gpts)
+            grads = [field.grad_on(e, (gpts - v0[e]) @ inv[e].T)
+                     for e in owners]
+            flux = np.mean([-kap * (g @ [d[1], -d[0]]) for g in grads], 0)
+            out[i] += (b - a) * (srule.weights @ flux)
+            scale[i] += (b - a) * (srule.weights @ (kap * np.linalg.norm(
+                grads[0], axis=1))) * np.linalg.norm(d)
+    return out, scale
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_polyline_matches_per_piece_oracle(k, jittered_mesh):
+    # The probe evaluates all pieces in batches; the oracle one at a time.
+    # The lines run around a circle, through vertices, along an edge, and
+    # across the mesh.
+    mesh = jittered_mesh(12, seed=4)
+    prob = load_example(2)
+    u = solve_problem(mesh, k, prob)
+    tilde = postprocess_all(mesh, u.dofmap, build_partitions(mesh, k), u,
+                            prob)
+    th = np.linspace(0.0, 2.0 * np.pi, 31)
+    circle = np.column_stack([0.5 + 0.3 * np.cos(th), 0.5 + 0.35 * np.sin(th)])
+    a, b = mesh.vertices[mesh.edges[40]]
+    lines = [circle, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [a, b],
+             [[0.0, 0.5], [1.0, 0.5]]]
+    for field in (u, tilde):
+        for line in lines:
+            ref, scale = per_piece_polyline_flux(mesh, field, prob, line)
+            got = flux_along_polyline(mesh, field, prob, line)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+def test_polyline_splits_at_every_edge_it_crosses():
+    # y = 0.4 crosses the n = 4 grid's verticals at 1/4, 1/2, 3/4 and its
+    # diagonals at 0.15, 0.4, 0.65, 0.9; the top boundary is cut at its
+    # vertices. Each crossing lies on its edge, not on the edge's extension.
+    from conservaflux.postprocess import _edge_boxes, _edge_crossings
+    edges = _edge_boxes(build_structured_mesh(4))
+    got = _edge_crossings(np.array([0.0, 0.4]), np.array([1.0, 0.0]), edges)
+    assert np.allclose(got, [0, 0.15, 0.25, 0.4, 0.5, 0.65, 0.75, 0.9, 1],
+                       rtol=0, atol=1e-15)
+    got = _edge_crossings(np.array([1.0, 1.0]), np.array([-1.0, 0.0]), edges)
+    assert np.allclose(got, [0, 0.25, 0.5, 0.75, 1], rtol=0, atol=1e-15)
+
+
+def test_polyline_repeated_point_has_zero_flux():
+    mesh = build_structured_mesh(8)
+    prob = load_example(2)
+    u = solve_problem(mesh, 1, prob)
+    out = flux_along_polyline(mesh, u, prob, [[0.5, 0.5], [0.5, 0.5],
+                                              [0.7, 0.5]])
+    assert out[0] == 0.0
+    assert out[1] == flux_along_polyline(mesh, u, prob,
+                                         [[0.5, 0.5], [0.7, 0.5]])[0]
+
+
 def test_polyline_crossings_match_all_edges_oracle(jittered_mesh,
                                                    monkeypatch):
     # Intersecting only the edges whose boxes meet a segment's gives the
     # same floats as intersecting every edge; the polyline runs through
     # vertices, along an edge, and around a circle.
     from conservaflux import postprocess
-
-    def all_edges(p, d, edges):
-        e0, e1 = edges[:2]
-        r = e1 - e0
-        denom = d[0] * r[:, 1] - d[1] * r[:, 0]
-        rel = e0 - p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (rel[:, 0] * r[:, 1] - rel[:, 1] * r[:, 0]) / denom
-            s = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / -denom
-        ok = (np.isfinite(t) & (t > 1e-12) & (t < 1 - 1e-12)
-              & (s >= -1e-12) & (s <= 1 + 1e-12))
-        return np.concatenate([[0.0], np.unique(t[ok]), [1.0]])
 
     mesh = jittered_mesh(12, seed=5)
     prob = load_example(2)
@@ -695,7 +776,7 @@ def test_polyline_crossings_match_all_edges_oracle(jittered_mesh,
     lines = [circle, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [a, b],
              [[0.0, 0.5], [1.0, 0.5]]]
     fast = [flux_along_polyline(mesh, u, prob, line) for line in lines]
-    monkeypatch.setattr(postprocess, "_edge_crossings", all_edges)
+    monkeypatch.setattr(postprocess, "_edge_crossings", all_edge_crossings)
     for line, got in zip(lines, fast):
         assert np.array_equal(got, flux_along_polyline(mesh, u, prob, line))
 

@@ -530,10 +530,13 @@ def test_solve_is_deterministic(k, jittered_mesh):
 
 def last_level_rows(mesh, free_vertices, coarsest):
     """Rows of the one factored level: while more than `coarsest` remain,
-    the free vertices are binned into boxes 3 h wide, then three times
-    wider per further level."""
+    the free vertices are binned into boxes 3 median element diameters (an
+    element's longest edge) wide, then three times wider per further
+    level."""
     xy = mesh.vertices[free_vertices]
-    box = np.floor((xy - xy.min(0)) / (3 * mesh.h)).astype(int)
+    tri = mesh.vertices[mesh.triangles]
+    diam = np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2).max(axis=1)
+    box = np.floor((xy - xy.min(0)) / (3 * np.median(diam))).astype(int)
     rows = len(box)
     while rows > coarsest:
         box = np.unique(box, axis=0)
