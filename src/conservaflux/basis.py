@@ -3,8 +3,9 @@
 `node_lattice` alone fixes the node order: the three vertices (0,0), (1,0),
 (0,1), then the edge nodes walking edges (v0,v1), (v1,v2), (v2,v0) away
 from the first vertex of each edge, then the interior node (cubic only).
-The basis function of each node is Silvester's product over the node's
-barycentric multi-index, so one formula serves every degree.
+Everything else reads a node's barycentric multi-index: the basis (one
+Silvester product for every degree), the facets of the subcell segments,
+and the dof map's kinds, edge slots and P1 interpolation weights.
 """
 
 from __future__ import annotations
@@ -45,9 +46,16 @@ def ref_nodes(degree):
 
 @lru_cache(maxsize=None)
 def _multi_index(degree):
-    """Barycentric multi-indices (k - i - j, i, j) of the nodes, (N, 3)."""
+    """Barycentric multi-indices (k - i - j, i, j) of the nodes, (N, 3):
+    node n lies at sum_c a[n, c] / k times vertex c."""
     ij = np.array(node_lattice(degree))
     return np.column_stack([degree - ij.sum(axis=1), ij])
+
+
+def node_facets(degree):
+    """(N, 3) mask: node n lies on facet m, the edge from vertex m to
+    vertex (m + 1) % 3, where its index at vertex (m + 2) % 3 is 0."""
+    return np.roll(_multi_index(degree) == 0, 1, axis=1)
 
 
 def eval_basis(degree, points):

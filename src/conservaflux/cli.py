@@ -131,7 +131,7 @@ def _check_conservation(config, problem, out, level):
 
 def _check_convergence(config, problem, out, level):
     levels = config.levels
-    if len(levels) < 3:
+    if len(set(levels)) < 3:
         levels = default_ladder(config.example, config.degree)
     table = verify.convergence_table(problem, config.degree, levels, level)
     verify.write_convergence_csv(
@@ -218,12 +218,12 @@ def _add_common(p):
 
 def _levels_from_args(args, check):
     """The run's mesh levels; a convergence ladder given on the command
-    line must have at least 3 levels (`--check all` falls back to the
-    default ladder instead)."""
+    line must have at least 3 distinct levels (`--check all` falls back to
+    the default ladder instead)."""
     if check == "convergence":
-        if args.levels and len(args.levels) < 3:
-            raise ValueError(f"convergence needs at least 3 levels, got "
-                             f"--levels {','.join(map(str, args.levels))}")
+        if args.levels and len(set(args.levels)) < 3:
+            raise ValueError(f"convergence needs at least 3 distinct levels, "
+                             f"got --levels {','.join(map(str, args.levels))}")
         if not args.levels and args.n is not None:
             raise ValueError(f"convergence needs --levels a,b,c (at least "
                              f"3), got --n {args.n}")

@@ -56,7 +56,6 @@ class _RefDual:
     counterclockwise for `cv_plus` (so the rotated direction is that owner's
     outward normal); `cv_minus` is the owner on the other side.
     """
-    degree: int
     cv_start: np.ndarray     # (S, 2)
     cv_end: np.ndarray       # (S, 2)
     cv_plus: np.ndarray      # (S,)
@@ -72,24 +71,13 @@ class _RefDual:
     quad_owner: np.ndarray   # (P,)
 
 
-def _facet_of(lat_a, lat_b, k):
-    """Facet id if the lattice segment lies on the reference boundary, else -1."""
-    if lat_a[1] == 0 and lat_b[1] == 0:
-        return 0
-    if lat_a[0] + lat_a[1] == k and lat_b[0] + lat_b[1] == k:
-        return 1
-    if lat_a[0] == 0 and lat_b[0] == 0:
-        return 2
-    return -1
-
-
 @lru_cache(maxsize=None)
 def _ref_dual(degree):
     k = degree
-    lattice = basis.node_lattice(k)
-    index = {p: i for i, p in enumerate(lattice)}
+    index = {p: i for i, p in enumerate(basis.node_lattice(k))}
     xy = basis.ref_nodes(k)
     n = basis.N_NODES[k]
+    on = basis.node_facets(k)
 
     subtris = []
     for i in range(k):
@@ -121,6 +109,9 @@ def _ref_dual(degree):
             loop_edges[plus].append((mids[m], bc))
             loop_edges[minus].append((bc, mids[m]))
 
+        # Sub-edge m lies on the facets both its ends lie on (at most one).
+        facets = [np.flatnonzero(on[ids[m]] & on[ids[(m + 1) % 3]])
+                  for m in range(3)]
         for c in range(3):
             owner = ids[c]
             m_next = mids[c]            # midpoint of sub-edge (c, c+1)
@@ -130,20 +121,14 @@ def _ref_dual(degree):
 
             # Half-edges of the sub-triangle boundary. Interior ones separate
             # two quadrilaterals of the same node and are dropped.
-            fct = _facet_of(lat[c], lat[(c + 1) % 3], k)
-            if fct >= 0:
-                bd_start.append(p[c])
-                bd_end.append(m_next)
-                bd_owner.append(owner)
-                bd_facet.append(fct)
-                loop_edges[owner].append((p[c], m_next))
-            fct = _facet_of(lat[(c + 2) % 3], lat[c], k)
-            if fct >= 0:
-                bd_start.append(m_prev)
-                bd_end.append(p[c])
-                bd_owner.append(owner)
-                bd_facet.append(fct)
-                loop_edges[owner].append((m_prev, p[c]))
+            for fct, seg in ((facets[c], (p[c], m_next)),
+                             (facets[(c + 2) % 3], (m_prev, p[c]))):
+                if fct.size:
+                    bd_start.append(seg[0])
+                    bd_end.append(seg[1])
+                    bd_owner.append(owner)
+                    bd_facet.append(fct[0])
+                    loop_edges[owner].append(seg)
 
     loops = tuple(_chain_loop(edges) for edges in loop_edges)
     quads = np.array(quads)
@@ -163,7 +148,6 @@ def _ref_dual(degree):
     at[bd_facet, slot] = np.arange(len(bd_facet))
 
     ref = _RefDual(
-        degree=k,
         cv_start=np.array(cv_start), cv_end=np.array(cv_end),
         cv_plus=np.array(cv_plus, dtype=np.int64),
         cv_minus=np.array(cv_minus, dtype=np.int64),

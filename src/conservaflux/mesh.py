@@ -267,9 +267,12 @@ def read_mesh_file(path):
     def fields(i, types, form):
         no, r = rows[i]
         try:
-            if len(r) != len(types):
+            vals = [t(x) for t, x in zip(types, r)]
+            # Every integer field is a count or a 0-based vertex index.
+            if len(r) != len(types) or any(t is int and v < 0
+                                           for t, v in zip(types, vals)):
                 raise ValueError
-            return [t(x) for t, x in zip(types, r)]
+            return vals
         except ValueError:
             raise MeshError(f"mesh file {path}, line {no}: expected "
                             f"'{form}', found {' '.join(r)!r}") from None

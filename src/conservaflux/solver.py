@@ -77,9 +77,11 @@ class DofMap:
     """Global Lagrange degree-of-freedom numbering for one mesh and degree.
 
     Dofs are ordered vertices first, then edge dofs (edge index major,
-    position along the edge minor), then element-interior dofs. Shared dofs
-    receive the same global index from every adjacent element, which is
-    what makes the space C0-conforming.
+    distance from the edge's lower-numbered vertex minor), then
+    element-interior dofs. Shared dofs receive the same global index from
+    every adjacent element, which is what makes the space C0-conforming.
+    Row g of the P1 interpolation `p1` holds dof g's barycentric weights on
+    its element's vertices, so `coords` is `p1 @ vertices`.
     """
     mesh: object
     degree: int
@@ -89,65 +91,57 @@ class DofMap:
     kind: np.ndarray           # (ndofs,) vertex / edge / interior
     on_part: dict              # part label -> bool mask over dofs
     on_boundary: np.ndarray    # (ndofs,) geometric boundary membership
+    p1: sp.csr_matrix = field(repr=False)  # (ndofs, nv) P1 interpolation
     # Per-element blocks of the last problem, at `assemble`'s exactness.
     discretization: object = field(default=None, repr=False, compare=False)
 
-    @property
-    def boundary_parts(self):
-        return set(self.on_part)
-
 
 def build_dof_map(mesh, degree):
+    """The dof map of `mesh` at `degree`, read off each local node's
+    barycentric multi-index a: its count of nonzero indices minus 1 is its
+    kind, an edge node's facet is where it lies, a / k its P1 weights."""
     basis._check_degree(degree)
-    k = degree
-    nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_triangles
-    n_edge_dofs = (k - 1) * ne
-    n_interior = nt if k == 3 else 0
-    n_dofs = nv + n_edge_dofs + n_interior
+    k, tri, nv = degree, mesh.triangles, mesh.n_vertices
+    a = basis._multi_index(k)
+    node_kind = np.count_nonzero(a, axis=1) - 1
+    vert, edge, inner = (np.flatnonzero(node_kind == c) for c in range(3))
+    nc = nv + (k - 1) * mesh.n_edges  # vertex and edge dofs
+    n_dofs = nc + len(inner) * len(tri)
 
-    cell_dofs = np.empty((nt, basis.N_NODES[k]), dtype=np.int64)
-    cell_dofs[:, :3] = mesh.triangles
-    if k >= 2:
-        for m, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-            va = mesh.triangles[:, a]
-            eid = mesh.tri_edges[:, m]
-            forward = va == mesh.edges[eid, 0]
-            for j in range(1, k):
-                col = 3 + m * (k - 1) + (j - 1)
-                slot = np.where(forward, j - 1, k - 1 - j)
-                cell_dofs[:, col] = nv + eid * (k - 1) + slot
-    if k == 3:
-        cell_dofs[:, 9] = nv + n_edge_dofs + np.arange(nt)
+    cell_dofs = np.empty((len(tri), len(a)), dtype=np.int64)
+    cell_dofs[:, vert] = tri[:, np.argmax(a[vert], axis=1)]
+    # An edge node on facet m of edge (lo, hi) has slot (index at hi) - 1.
+    m = np.argmax(basis.node_facets(k)[edge], axis=1)
+    eid = mesh.tri_edges[:, m]
+    at_hi = np.where(tri[:, m] == mesh.edges[eid, 1], a[edge, m],
+                     a[edge, (m + 1) % 3])
+    cell_dofs[:, edge] = nv + (k - 1) * eid + at_hi - 1
+    cell_dofs[:, inner] = np.arange(nc, n_dofs).reshape(len(tri), len(inner))
 
-    coords = np.empty((n_dofs, 2))
+    # Every element holding a dof gives it the same kind and P1 row, so
+    # whichever one the scatter keeps will do.
+    owner = np.empty(n_dofs, dtype=np.int64)
+    owner[cell_dofs.ravel()] = np.arange(cell_dofs.size)
+    t, n = np.divmod(owner, len(a))
+    w = (a / k)[n].ravel()
+    nz, indptr = w > 0, np.r_[0, np.cumsum(node_kind[n] + 1)]
+    p1 = sp.csr_matrix((w[nz], tri[t].ravel()[nz], indptr), (n_dofs, nv))
+    p1.sort_indices()
+    coords = p1 @ mesh.vertices
     coords[:nv] = mesh.vertices
-    kind = np.empty(n_dofs, dtype=np.int64)
-    kind[:nv] = DOF_VERTEX
-    if k >= 2:
-        lo = mesh.vertices[mesh.edges[:, 0]]
-        hi = mesh.vertices[mesh.edges[:, 1]]
-        for j in range(1, k):
-            coords[nv + j - 1:nv + n_edge_dofs:k - 1] = lo + (hi - lo) * (j / k)
-        kind[nv:nv + n_edge_dofs] = DOF_EDGE
-    if k == 3:
-        coords[nv + n_edge_dofs:] = mesh.vertices[mesh.triangles].mean(axis=1)
-        kind[nv + n_edge_dofs:] = DOF_INTERIOR
 
-    on_part = {}
-    on_boundary = np.zeros(n_dofs, dtype=bool)
-    for eid, label in zip(mesh.boundary_edges, mesh.boundary_labels):
-        mask = on_part.setdefault(label, np.zeros(n_dofs, dtype=bool))
-        a, b = mesh.edges[eid]
-        mask[a] = mask[b] = True
-        if k >= 2:
-            s = nv + eid * (k - 1)
-            mask[s:s + k - 1] = True
-    for mask in on_part.values():
-        on_boundary |= mask
+    # The dofs of each boundary edge: its two ends, then its edge dofs.
+    be, labels = mesh.boundary_edges, np.asarray(mesh.boundary_labels)
+    on_edge = np.hstack([mesh.edges[be],
+                         nv + (k - 1) * be[:, None] + np.arange(k - 1)])
+    on_part = {label: np.bincount(on_edge[labels == label].ravel(),
+                                  minlength=n_dofs) > 0
+               for label in dict.fromkeys(mesh.boundary_labels)}
+    on_boundary = np.bincount(on_edge.ravel(), minlength=n_dofs) > 0
 
     return DofMap(mesh=mesh, degree=k, n_dofs=n_dofs, cell_dofs=cell_dofs,
-                  coords=coords, kind=kind, on_part=on_part,
-                  on_boundary=on_boundary)
+                  coords=coords, kind=node_kind[n], on_part=on_part,
+                  on_boundary=on_boundary, p1=p1)
 
 
 @dataclass
@@ -397,11 +391,11 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
     stays symmetric. Boundary parts missing from the problem's Dirichlet
     map are homogeneous Neumann; at least one part must be Dirichlet.
     """
-    unknown = set(problem.dirichlet) - dofmap.boundary_parts
+    unknown = set(problem.dirichlet) - dofmap.on_part.keys()
     if unknown:
         raise SolverError(
             f"Dirichlet data given for unlabeled boundary part(s) "
-            f"{sorted(unknown)}; mesh has {sorted(dofmap.boundary_parts)}")
+            f"{sorted(unknown)}; mesh has {sorted(dofmap.on_part)}")
     mask = np.zeros(dofmap.n_dofs, dtype=bool)
     g = np.zeros(dofmap.n_dofs)
     for part in sorted(problem.dirichlet):
@@ -422,22 +416,6 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
                              dirichlet_values=g)
 
 
-def _coarse_map(dofmap, free, nc):
-    """Prolongation P from P1 on the same mesh to the free coupled dofs
-    `free` (of the first `nc` dofs): vertex dofs map to themselves, edge dof
-    j of edge (a, b) to (1 - j/k) a + (j/k) b; columns are free vertices."""
-    mesh, k = dofmap.mesh, dofmap.degree
-    nv = mesh.n_vertices
-    t = np.tile(np.arange(1, k) / k, mesh.n_edges)
-    p = sp.csr_matrix((
-        np.concatenate([np.ones(nv), np.column_stack([1.0 - t, t]).ravel()]),
-        (np.concatenate([np.arange(nv), np.repeat(np.arange(nv, nc), 2)]),
-         np.concatenate([np.arange(nv),
-                         np.repeat(mesh.edges, k - 1, axis=0).ravel()]))),
-        shape=(nc, nv))
-    return p[free][:, free[free < nv]]
-
-
 def solve(system):
     """Solve for the free dofs; a singular system fails the residual check.
 
@@ -446,8 +424,9 @@ def solve(system):
     element, so their block D is diagonal: they are condensed to the Schur
     complement S = A_cc - A_ci D^-1 A_ic on the free coupled dofs and
     follow exactly as (b_i - A_ic x_c) / D. S is the first level of a short
-    hierarchy; at k = 2, 3 the next is A_0 = P^T S P, with P from the dof
-    map (`_coarse_map`). While a level has more than `_COARSEST` rows, a
+    hierarchy; at k = 2, 3 the next is A_0 = P^T S P, where P is the dof
+    map's P1 interpolation `p1` restricted to the free coupled dofs and
+    the free vertices. While a level has more than `_COARSEST` rows, a
     smoothed-aggregation level goes under it (`_aggregate`). Only the last
     level is factored: with one level (k = 1, at most `_COARSEST` rows)
     that factor is the direct solve. Otherwise CG solves S to rounding
@@ -467,13 +446,14 @@ def solve(system):
     s = (rows[:, free] - a_ci @ (sp.diags(1.0 / d) @ a_ic)).tocsr()
     rhs = r[free] - a_ci @ (r[nc:] / d)
     levels, maps = [s], []
+    free_v = free[free < dm.mesh.n_vertices]
     if dm.degree > 1:
-        maps.append(_coarse_map(dm, free, nc))
+        maps.append(dm.p1[free][:, free_v])
         levels.append(maps[0].T @ s @ maps[0])
     if levels[-1].shape[0] > _COARSEST:
         # Boxes 3 median element diameters wide: the longest edge of the
         # mesh, `h`, would widen every box.
-        xy = dm.coords[free[free < dm.mesh.n_vertices]]
+        xy = dm.coords[free_v]
         box = np.floor((xy - xy.min(0)) / (3 * dm.mesh._h_median))
         box = box.astype(np.int64)
         while levels[-1].shape[0] > _COARSEST:

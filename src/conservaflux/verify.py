@@ -269,8 +269,9 @@ def convergence_table(problem, degree, levels, level):
     """H1 errors over a mesh ladder, where `level(n)` returns mesh level n
     solved and recovered as by solve_level."""
     levels = [int(n) for n in levels]
-    if len(levels) < 3:
-        raise ValueError("a convergence study needs at least 3 mesh levels")
+    if len(set(levels)) < 3:  # else the rate fit is rank-deficient
+        raise ValueError(f"a convergence study needs at least 3 distinct "
+                         f"mesh levels, got {levels}")
     if problem.exact_grad is None:
         raise ValueError("convergence study requires the exact gradient")
     hs, err_uh, err_tilde, err_diff = [], [], [], []

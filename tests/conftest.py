@@ -25,3 +25,18 @@ def jittered_mesh():
                 triangles += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
         return TriMesh(vertices, np.array(triangles))
     return build
+
+
+@pytest.fixture
+def shuffled():
+    """Factory for a mesh's triangulation with its triangles permuted and
+    each one's vertex list rotated (which keeps it counterclockwise) by a
+    seeded generator: an element's local vertex 0 is then not always the
+    lower end of its edges."""
+    def build(mesh, seed):
+        rng = np.random.default_rng(seed)
+        tris = mesh.triangles[rng.permutation(mesh.n_triangles)]
+        shift = rng.integers(0, 3, size=len(tris))
+        tris = np.array([np.roll(t, -s) for t, s in zip(tris, shift)])
+        return TriMesh(mesh.vertices, tris)
+    return build

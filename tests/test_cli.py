@@ -86,7 +86,9 @@ def test_convergence_requires_ladder_with_n():
 @pytest.mark.parametrize("command", [["solve", "--check", "convergence"],
                                      ["convergence"]])
 @pytest.mark.parametrize("args, value", [(["--levels", "4,8"], "--levels 4,8"),
-                                         (["--n", "4"], "--n 4")])
+                                         (["--n", "4"], "--n 4"),
+                                         (["--levels", "8,8,8"],
+                                          "--levels 8,8,8")])
 def test_short_convergence_ladder_is_a_usage_error(command, args, value,
                                                    tmp_path, capsys):
     out = tmp_path / "out"
@@ -131,6 +133,15 @@ def test_default_ladders_shape():
         ladder = default_ladder(3, k)
         assert all(n % 3 == 0 for n in ladder)
         assert len(ladder) >= 3
+
+
+def test_check_all_short_ladder_falls_back_to_default(tmp_path, capsys):
+    # Three copies of one level are one level: the rates need the default.
+    assert main(["solve", "--example", "1", "--degree", "3", "--levels",
+                 "4,4,4", "--check", "all", "--out", str(tmp_path)]) == 0
+    conv = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("check=convergence")]
+    assert len(conv) == 1 and " levels=4,8,16 " in conv[0]
 
 
 def test_check_all_solves_each_level_once(tmp_path, monkeypatch):

@@ -42,19 +42,9 @@ def loop_topology(triangles):
             "boundary_edges": np.nonzero(edge_tris[:, 1] == -1)[0]}
 
 
-def shuffled(mesh, seed):
-    """The same triangulation with its triangles permuted and each one's
-    vertex list rotated, which keeps it counterclockwise."""
-    rng = np.random.default_rng(seed)
-    tris = mesh.triangles[rng.permutation(mesh.n_triangles)]
-    shift = rng.integers(0, 3, size=len(tris))
-    tris = np.array([np.roll(t, -s) for t, s in zip(tris, shift)])
-    return TriMesh(mesh.vertices, tris)
-
-
 @pytest.mark.parametrize("case", [f"structured-{n}" for n in range(1, 9)]
                          + ["jittered-7", "shuffled-5"])
-def test_topology_matches_loop_oracle(case, jittered_mesh):
+def test_topology_matches_loop_oracle(case, jittered_mesh, shuffled):
     kind, n = case.split("-")
     mesh = {"structured": lambda: build_structured_mesh(int(n)),
             "jittered": lambda: jittered_mesh(int(n), seed=3),
@@ -103,7 +93,8 @@ def unique_topology(triangles, nv):
 
 @pytest.mark.parametrize("case", ["structured", "jittered", "shuffled",
                                   "file"])
-def test_topology_matches_unique_based_oracle(case, jittered_mesh, tmp_path):
+def test_topology_matches_unique_based_oracle(case, jittered_mesh, shuffled,
+                                              tmp_path):
     if case == "file":
         path = tmp_path / "mesh.txt"
         write_mesh_file(shuffled(jittered_mesh(9, seed=2), 6), path)
@@ -358,8 +349,14 @@ def set_line(i, text):
     (set_line(3, "0.5"), 4, "'0.5'"),
     (set_line(10, "0 1 x"), 11, "'0 1 x'"),
     (set_line(-1, "1 2"), 26, "'1 2'"),
+    (set_line(0, "9 -8 24"), 1, "'9 -8 24'"),
+    (set_line(0, "9 8 -8"), 1, "'9 8 -8'"),
+    (set_line(0, "-1 8 19"), 1, "'-1 8 19'"),
+    (set_line(-1, "-1 8 top"), 26, "'-1 8 top'"),
 ], ids=["empty", "short-header", "blank-then-short-header",
-        "one-coordinate", "bad-index", "short-label-line"])
+        "one-coordinate", "bad-index", "short-label-line",
+        "negative-triangle-count", "negative-edge-count",
+        "negative-vertex-count", "negative-label-index"])
 def test_file_malformed_line_names_file_and_line(tmp_path, edit, line, found):
     # Line numbers count the file's own lines, blank ones included.
     path = edit_mesh_file(tmp_path, edit)

@@ -48,24 +48,50 @@ def test_dof_count_formula(n, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_conformity_shared_dof_coordinates(k):
-    # a shared dof index must mean the same physical point from both sides
+def test_conformity_shared_dof_coordinates(k, jittered_mesh, shuffled):
+    # a shared dof index must mean the same physical point from both sides;
+    # on the shuffled mesh an element's local vertex 0 is not always the
+    # lower end of its edges
     from conservaflux import ref_nodes
     from conservaflux.basis import map_points
-    mesh = build_structured_mesh(3)
+    for mesh in (build_structured_mesh(3), shuffled(jittered_mesh(4, 2), 3)):
+        dm = build_dof_map(mesh, k)
+        v0, jac, _, _ = mesh.element_maps()
+        phys = map_points(v0, jac, ref_nodes(k))
+        seen = {}
+        for t in range(mesh.n_triangles):
+            for local, g in enumerate(dm.cell_dofs[t]):
+                if g in seen:
+                    assert np.linalg.norm(seen[g] - phys[t, local]) < 1e-12
+                else:
+                    seen[g] = phys[t, local]
+        assert len(seen) == dm.n_dofs
+        for g, p in seen.items():
+            assert np.linalg.norm(dm.coords[g] - p) < 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_p1_interpolation_is_exact_for_linear_functions(k, jittered_mesh,
+                                                         shuffled):
+    # Row g of p1 holds dof g's barycentric weights on its element's
+    # vertices: from the vertex values of a linear function it gives the
+    # function's value at every node of every element that holds dof g.
+    from conservaflux import ref_nodes
+    from conservaflux.basis import map_points
+    mesh = shuffled(jittered_mesh(5, 4), 7)
     dm = build_dof_map(mesh, k)
+    assert dm.p1.shape == (dm.n_dofs, mesh.n_vertices)
+    assert np.array_equal(np.diff(dm.p1.indptr), dm.kind + 1)
+    assert np.array_equal(dm.coords[:mesh.n_vertices], mesh.vertices)
+
+    def lin(xy):
+        return 0.3 - 1.7 * xy[..., 0] + 2.9 * xy[..., 1]
+
     v0, jac, _, _ = mesh.element_maps()
-    phys = map_points(v0, jac, ref_nodes(k))
-    seen = {}
-    for t in range(mesh.n_triangles):
-        for local, g in enumerate(dm.cell_dofs[t]):
-            if g in seen:
-                assert np.linalg.norm(seen[g] - phys[t, local]) < 1e-12
-            else:
-                seen[g] = phys[t, local]
-    assert len(seen) == dm.n_dofs
-    for g, p in seen.items():
-        assert np.linalg.norm(dm.coords[g] - p) < 1e-12
+    nodes = lin(map_points(v0, jac, ref_nodes(k)))          # (nt, N)
+    interp = dm.p1 @ lin(mesh.vertices)
+    assert np.abs(interp[dm.cell_dofs] - nodes).max() < 1e-14
+    assert np.abs(interp - lin(dm.coords)).max() < 1e-14
 
 
 def test_dof_ordering_vertices_edges_interior():
@@ -75,6 +101,14 @@ def test_dof_ordering_vertices_edges_interior():
     assert np.all(kinds[:9] == 0)
     assert np.all(kinds[9:9 + 32] == 1)
     assert np.all(kinds[9 + 32:] == 2)
+    # Edge dof j of edge (lo, hi) lies j/3 of the way from lo to hi; the
+    # bubble of element t is its centroid.
+    lo, hi = (mesh.vertices[mesh.edges[:, c]] for c in (0, 1))
+    for j in (1, 2):
+        assert np.abs(dm.coords[9 + j - 1:9 + 32:2]
+                      - (lo + (hi - lo) * j / 3)).max() < 1e-15
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    assert np.abs(dm.coords[9 + 32:] - centroids).max() < 1e-15
 
 
 def test_local_stiffness_unit_right_triangle():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from conservaflux import (build_cv_index, build_dof_map, build_partitions,
                           subcell_quadrature, triangle_rule,
                           true_solution_residual,
                           write_convergence_csv, write_lce_csv)
-from conservaflux import solver
+from conservaflux import solver, verify
 from conservaflux.problems import ProblemSpec
 from conservaflux.solver import FemField
 
@@ -361,6 +362,18 @@ def test_true_solution_residual_quadrature_limited():
 def test_convergence_study_needs_three_levels():
     with pytest.raises(ValueError):
         convergence_study(load_example(1), 1, [4, 8])
+
+
+@pytest.mark.parametrize("levels", [[8, 8, 8], [4, 8, 8, 4]])
+def test_convergence_table_needs_three_distinct_levels(levels):
+    # Fewer than three distinct levels make the rate fit rank-deficient;
+    # the table is refused before any level is solved.
+    def level(n):
+        raise AssertionError("no level should be solved")
+
+    msg = re.escape(f"at least 3 distinct mesh levels, got {levels}")
+    with pytest.raises(ValueError, match=msg):
+        verify.convergence_table(load_example(1), 1, levels, level)
 
 
 def test_convergence_study_exact_flag():
