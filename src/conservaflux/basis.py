@@ -49,7 +49,9 @@ def _multi_index(degree):
     """Barycentric multi-indices (k - i - j, i, j) of the nodes, (N, 3):
     node n lies at sum_c a[n, c] / k times vertex c."""
     ij = np.array(node_lattice(degree))
-    return np.column_stack([degree - ij.sum(axis=1), ij])
+    a = np.column_stack([degree - ij.sum(axis=1), ij])
+    a.setflags(write=False)
+    return a
 
 
 def node_facets(degree):
@@ -101,7 +103,7 @@ def map_points(v0, jac, ref, out=None):
     if v0 is not None:
         a = np.concatenate([v0.T[:, :, None], a], axis=2)
         r = np.vstack([np.ones(r.shape[1]), r])
-    a = a.reshape(2 * len(jac), -1)
+    a = a.reshape(2 * len(jac), a.shape[-1])
     if out is not None:
         out = out[:a.shape[0] * r.shape[1]].reshape(a.shape[0], -1)
     out = np.matmul(a, r, out=out)

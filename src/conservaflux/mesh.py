@@ -70,7 +70,7 @@ class TriMesh:
         mid = np.argsort(diam, kind="stable")[(len(diam) - 1) // 2:
                                               len(diam) // 2 + 1]
         self.h, self._h_median = float(diam.max()), float(diam[mid].mean())
-        self._geom = None
+        self._geom = self._grid = self._boxes = None  # built on first use
 
         nv, ne, nt = len(self.vertices), len(self.edges), len(self.triangles)
         if nv - ne + nt != 1:
@@ -174,42 +174,74 @@ class TriMesh:
             self._geom = (v0, jac, inv, det)
         return self._geom
 
+    def _bucket_grid(self):
+        """`locate`'s search structure, built on first use: the element
+        bounding boxes, widened by _GEO_TOL in reference coordinates plus a
+        rounding margin, bucketed on a uniform grid (origin, cell size,
+        shape) of about nt / 2 cells; cell c's elements are
+        slot[start[c]:start[c + 1]]."""
+        if self._grid is None:
+            v0, jac, _, _ = self.element_maps()
+            pad = (2 * _GEO_TOL + 1e-9) * np.abs(jac).sum(axis=2)
+            lo = v0 + np.minimum(np.minimum(jac[..., 0], jac[..., 1]), 0) - pad
+            hi = v0 + np.maximum(np.maximum(jac[..., 0], jac[..., 1]), 0) + pad
+            origin, ext = lo.min(axis=0), hi.max(axis=0) - lo.min(axis=0)
+            size = math.sqrt(2.0 * ext.prod() / len(lo))
+            shape = np.ceil(ext / size).astype(np.int64)
+            c0 = _cell(lo, origin, size, shape)
+            span = _cell(hi, origin, size, shape) - c0 + 1
+            elem, rank = _expand(span.prod(axis=1))
+            key = ((c0[elem, 1] + rank // span[elem, 0]) * shape[0]
+                   + c0[elem, 0] + rank % span[elem, 0])
+            order = np.argsort(key)
+            start = np.searchsorted(key[order], np.arange(shape.prod() + 1))
+            slot = elem[order]
+            for a in (origin, shape, start, slot):
+                a.setflags(write=False)
+            self._grid = (origin, size, shape, start, slot)
+        return self._grid
+
     def locate(self, points):
         """Triangle index containing each query point to within _GEO_TOL
         in reference coordinates (-1 if outside); a point on shared edges
-        or vertices goes to the lowest index."""
+        or vertices goes to the lowest index. A point is tested against
+        the elements of its cell of `_bucket_grid` only."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        # Bucket the element bounding boxes, widened by _GEO_TOL in reference
-        # coordinates plus a rounding margin, on a uniform grid of about
-        # nt / 2 cells; a point is tested against its cell's elements only.
-        v0, jac, inv, _ = self.element_maps()
-        pad = (2 * _GEO_TOL + 1e-9) * np.abs(jac).sum(axis=2)
-        lo = v0 + np.minimum(np.minimum(jac[..., 0], jac[..., 1]), 0) - pad
-        hi = v0 + np.maximum(np.maximum(jac[..., 0], jac[..., 1]), 0) + pad
-        origin, ext = lo.min(axis=0), hi.max(axis=0) - lo.min(axis=0)
-        size = math.sqrt(2.0 * ext.prod() / len(lo))
-        shape = np.ceil(ext / size).astype(np.int64)
-
-        def cell(x):
-            ij = np.clip(np.nan_to_num((x - origin) // size), 0, shape - 1)
-            return ij.astype(np.int64)
-
-        c0 = cell(lo)
-        span = cell(hi) - c0 + 1
-        elem, rank = _expand(span.prod(axis=1))
-        key = ((c0[elem, 1] + rank // span[elem, 0]) * shape[0]
-               + c0[elem, 0] + rank % span[elem, 0])
-        order = np.argsort(key)
-        start = np.searchsorted(key[order], np.arange(shape.prod() + 1))
-        pc = cell(pts) @ [1, shape[0]]
+        v0, _, inv, _ = self.element_maps()
+        origin, size, shape, start, slot = self._bucket_grid()
+        pc = _cell(pts, origin, size, shape) @ [1, shape[0]]
         pi, rank = _expand(start[pc + 1] - start[pc])
-        e = elem[order[start[pc[pi]] + rank]]
+        e = slot[start[pc[pi]] + rank]
         r = np.einsum("pab,pb->pa", inv[e], pts[pi] - v0[e])
         tol = _GEO_TOL
         ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(1) <= 1 + tol)
-        out = np.full(len(pts), len(lo))
+        nt = self.n_triangles
+        out = np.full(len(pts), nt)
         np.minimum.at(out, pi[ok], e[ok])
-        return np.where(out < len(lo), out, -1)
+        return np.where(out < nt, out, -1)
+
+    def _edge_boxes(self):
+        """Edge ends e0, e1 and bounding boxes lo, hi, sorted by lo[:, 0],
+        and the widest box, built on first use. Each box is padded by its
+        edge's own extent: a crossing that the polyline flux's tolerances
+        accept lies well inside."""
+        if self._boxes is None:
+            e0 = self.vertices[self.edges[:, 0]]
+            e1 = self.vertices[self.edges[:, 1]]
+            pad = np.abs(e1 - e0)
+            lo, hi = np.minimum(e0, e1) - pad, np.maximum(e0, e1) + pad
+            order = np.argsort(lo[:, 0])
+            boxes = (e0[order], e1[order], lo[order], hi[order])
+            for a in boxes:
+                a.setflags(write=False)
+            self._boxes = (*boxes, np.max(hi - lo))
+        return self._boxes
+
+
+def _cell(x, origin, size, shape):
+    """Grid cell (i, j) of points x (P, 2), clamped to the grid."""
+    ij = np.clip(np.nan_to_num((x - origin) // size), 0, shape - 1)
+    return ij.astype(np.int64)
 
 
 def _expand(counts):
@@ -264,30 +296,36 @@ def read_mesh_file(path):
     with open(path) as f:
         rows = [(no, ln.split()) for no, ln in enumerate(f, 1) if ln.strip()]
 
-    def fields(i, types, form):
+    def fields(i, types, form, below=None):
         no, r = rows[i]
         try:
             vals = [t(x) for t, x in zip(types, r)]
-            # Every integer field is a count or a 0-based vertex index.
-            if len(r) != len(types) or any(t is int and v < 0
-                                           for t, v in zip(types, vals)):
+            # Every integer field is a count or a 0-based vertex index, the
+            # latter below `below` where given.
+            ints = [v for t, v in zip(types, vals) if t is int]
+            if len(r) != len(types) or any(
+                    v < 0 or below is not None and v >= below for v in ints):
                 raise ValueError
             return vals
         except ValueError:
             raise MeshError(f"mesh file {path}, line {no}: expected "
                             f"'{form}', found {' '.join(r)!r}") from None
 
-    def table(lo, hi, types, form):
-        """Lines lo..hi-1 as one array, parsed by numpy in bulk; on failure
-        `fields` finds the first malformed line."""
+    def table(lo, hi, types, form, below=None):
+        """Lines lo..hi-1 as one array, parsed by numpy in bulk, integers
+        in [0, below); on failure `fields` finds the first malformed line."""
         words = [r for _, r in rows[lo:hi]]
         try:
             if any(len(r) != len(types) for r in words):
                 raise ValueError
-            return np.array(words, dtype=types[0])
+            arr = np.array(words, dtype=types[0])
+            if below is not None and arr.size and (arr.min() < 0
+                                                   or arr.max() >= below):
+                raise ValueError
+            return arr
         except ValueError:
             for i in range(lo, hi):
-                fields(i, types, form)
+                fields(i, types, form, below)
             raise
 
     if not rows:
@@ -298,7 +336,7 @@ def read_mesh_file(path):
         raise MeshError(f"mesh file {path}: expected {1 + nv + nt + ne} lines, "
                         f"found {len(rows)}")
     vertices = table(1, 1 + nv, (float, float), "x y")
-    triangles = table(1 + nv, 1 + nv + nt, (int, int, int), "v0 v1 v2")
+    triangles = table(1 + nv, 1 + nv + nt, (int, int, int), "v0 v1 v2", nv)
     labeled = {}
     for i in range(1 + nv + nt, len(rows)):
         a, b, label = fields(i, (int, int, str), "v0 v1 label")

@@ -23,7 +23,8 @@ the conservation defect down to rounding level.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +59,17 @@ def _thread_count(threads):
 def _traces(disc, u_values, elems):
     """kappa grad(u_h).n per unit reference weight at the element-boundary
     Gauss points (T, B, ns) of the elements `elems` (slice or indices).
-    Here and in `_boundary_flux_terms` one BLAS call per element: a matrix
+    kappa is sampled here, at the mapped points: each is a sum of three
+    products, whose rounding no chunk size changes. Here and in
+    `_boundary_flux_terms` one BLAS call per element: a longer matrix
     product's rounding depends on its row count, and a chunk's must not."""
     rseg = disc.rseg
     g = (u_values[disc.cell_dofs[elems]][:, None] @ rseg.g_bd).reshape(
         -1, *rseg.bd_pts.shape)
     mm = solver.normal_maps(disc.det_m[elems], rseg.bd_dir)[:, :, None]
     q = g[..., 0] * mm[..., 0] + g[..., 1] * mm[..., 1]
-    q *= disc.kap_bd[elems]
+    q *= sample(disc.problem.kappa, basis.map_points(
+        disc.v0[elems], disc.jac[elems], rseg.bd_pts))
     return q
 
 
@@ -199,9 +203,11 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
     """Recover the conservative flux field on every element.
 
     Chunks of elements, sized by their boundary-segment points, are
-    independent and may run on a thread pool (capped by CONSERVAFLUX_THREADS
-    when `threads` is None); results go to disjoint slices, so the output is
-    bit-identical for any thread count. The per-element blocks are the dof
+    independent: the calling thread and `threads` - 1 helper threads
+    (`threads` None: CONSERVAFLUX_THREADS, else 1) take them in order from
+    one queue. Results go to disjoint slices, so the output is bit-identical
+    for any thread count, and a failure raises the error of the first
+    failing chunk, as one thread would. The per-element blocks are the dof
     map's (see `solver.blocks`).
     """
     dualmesh._check_partitions(mesh, partitions, dofmap.degree)
@@ -212,25 +218,43 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
     coeffs = np.empty((nt, n))
     bflux = np.empty((nt, n))
     defects = np.empty(nt)
-
-    def work(sl):
-        mats, beta, gauge, defect, scale, bf = _elemental_blocks(
-            disc, u_h.values, sl.start, sl.stop)
-        coeffs[sl] = _solve_chunk(mats, beta, gauge, defect, scale, sl.start)
-        bflux[sl] = bf
-        defects[sl] = defect
-
     # Flux traces hold about ten values per boundary-segment point.
-    chunks = solver._chunks(nt, disc.rseg.g_bd.shape[1])
-    # One thread stays off the pool: routing it through one worker raised
-    # the peak RSS of `solve --check all` (example 3, P2, levels 12,24,48)
-    # from 88.6 to 92.4 MiB, most likely by the worker's malloc arena.
-    if nthreads == 1:
-        for sl in chunks:
-            work(sl)
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(work, chunks))
+    chunks = deque(enumerate(solver._chunks(nt, disc.rseg.g_bd.shape[1])))
+    failed = []
+
+    def drain():
+        # popleft is atomic: each chunk goes to one thread. After a failure
+        # no chunk is taken; those taken before it, all earlier, finish.
+        while not failed:
+            try:
+                i, sl = chunks.popleft()
+            except IndexError:
+                return
+            try:
+                mats, beta, gauge, defect, scale, bf = _elemental_blocks(
+                    disc, u_h.values, sl.start, sl.stop)
+                coeffs[sl] = _solve_chunk(mats, beta, gauge, defect, scale,
+                                          sl.start)
+            except Exception as err:
+                failed.append((i, err))
+                return
+            bflux[sl] = bf
+            defects[sl] = defect
+
+    # The caller works too: a pool of `threads` workers beside an idle
+    # caller holds one more malloc arena (p1-structured, 2 threads: 101.0
+    # MiB peak RSS, against 94.4 MiB on one).
+    helpers = [threading.Thread(target=drain) for _ in range(nthreads - 1)]
+    for h in helpers:
+        h.start()
+    try:
+        drain()
+    finally:
+        chunks.clear()  # if the caller was interrupted, helpers stop too
+        for h in helpers:
+            h.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     return PostprocessedField(mesh=mesh, dofmap=dofmap, coeffs=coeffs,
                               boundary_flux=bflux, defects=defects)
 
@@ -249,7 +273,7 @@ def flux_along_polyline(mesh, field, problem, points):
         raise ValueError("polyline needs at least two (x, y) points")
     srule = segment_rule(default_segment_points(field.degree))
     v0, _, inv, _ = mesh.element_maps()
-    edges = _edge_boxes(mesh)
+    edges = mesh._edge_boxes()
     d = np.diff(pts, axis=0)
     cuts = [_edge_crossings(p, dp, edges) for p, dp in zip(pts, d)]
     seg = np.repeat(np.arange(len(d)), [len(c) for c in cuts])
@@ -288,18 +312,6 @@ def flux_along_polyline(mesh, field, problem, points):
         q = -sample(problem.kappa, gpts) * (0.5 * (q[:, 0] + q[:, 1]))
         flux[sl] = (q * srule.weights).sum(axis=1)
     return np.bincount(seg, weights=(b - a) * flux, minlength=len(d))
-
-
-def _edge_boxes(mesh):
-    """Mesh edge ends e0, e1 and bounding boxes lo, hi, sorted by lo[:, 0],
-    and the widest box. Each box is padded by its edge's own extent: a
-    crossing that `_edge_crossings`' tolerances accept lies well inside."""
-    e0 = mesh.vertices[mesh.edges[:, 0]]
-    e1 = mesh.vertices[mesh.edges[:, 1]]
-    pad = np.abs(e1 - e0)
-    lo, hi = np.minimum(e0, e1) - pad, np.maximum(e0, e1) + pad
-    order = np.argsort(lo[:, 0])
-    return e0[order], e1[order], lo[order], hi[order], np.max(hi - lo)
 
 
 def _edge_crossings(p, d, edges):

@@ -12,13 +12,14 @@ is factored. Singular systems fail at the residual check.
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which the dof map owns (see `blocks`):
 stiffness, load, subcell f and element |f| integrals, the dual-segment flux
-matrices of the elemental systems, kappa samples on the element-boundary
-segments, and det J invJ invJ^T, whose product with rot(d) is the normal
-map invJ rot(J d) of a reference direction d, all from one chunked pass of
-coefficient samples times reference tables. Source integrals use the
-composite subcell rule of the dual partition, over which the recovery
-integrates f per subcell: one shared pass keeps the elemental compatibility
-sums at rounding level instead of at quadrature-error level.
+matrices of the elemental systems, and det J invJ invJ^T, whose product with
+rot(d) is the normal map invJ rot(J d) of a reference direction d, all from
+one chunked pass of coefficient samples times reference tables. Source
+integrals use the composite subcell rule of the dual partition, over which
+the recovery integrates f per subcell: one shared pass keeps the elemental
+compatibility sums at rounding level instead of at quadrature-error level.
+Kappa on the element boundaries is not kept: the recovery samples it per
+chunk.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import scipy.sparse.linalg as spla
 
 from . import basis, dualmesh
 from ._table import coords, numbers, write_table
+from .mesh import _expand
 from .quadrature import _checked_exactness, segment_rule, triangle_rule
 
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
@@ -269,7 +271,6 @@ class Discretization:
     * `f_abs` (nt,): the integral of |f| over every element;
     * `d_loc` (nt, N, N): flux of every basis function through the dual
       segments of every subcell, the matrix of the elemental systems;
-    * `kap_bd` (nt, B, ns): kappa at the element-boundary Gauss points;
     * `det_m` (nt, 3): det J invJ invJ^T as [xx, yy, xy] (`normal_maps`).
 
     `rseg` holds the reference tables; the element maps, `tri_neighbors`
@@ -291,7 +292,6 @@ class Discretization:
         nt = mesh.n_triangles
         self.k_loc = np.empty((nt, n, n))
         self.d_loc = np.empty((nt, n, n))
-        self.kap_bd = np.empty((nt, *rseg.bd_pts.shape[:2]))
         self.det_m = np.empty((nt, 3))
         src, self.f_abs = np.empty((2, nt, n)), np.empty(nt)
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
@@ -309,8 +309,6 @@ class Discretization:
             self.k_loc[sl] = self._kappa_blocks(sl, rseg.q_pts, rseg.stiff)
             src[:, sl], self.f_abs[sl] = self._sources(sl, phys_buf, abs_buf)
             self.d_loc[sl] = self._kappa_blocks(sl, rseg.cv_pts, rseg.dual)
-            self.kap_bd[sl] = sample(problem.kappa, basis.map_points(
-                self.v0[sl], self.jac[sl], rseg.bd_pts))
         self.b_loc, self.f_sub = src
 
     def _kappa_blocks(self, sl, ref_pts, table):
@@ -407,10 +405,24 @@ def apply_dirichlet(a_glob, b_glob, dofmap, problem):
                           f"{sorted(dofmap.on_part)}): the system is singular")
     b_c = b_glob - a_glob @ g
     b_c[mask] = g[mask]
+    # One copy of A, edited in place: the constrained rows and columns are
+    # zeroed, their stored diagonal set to 1 and the zeros dropped. These
+    # are the CSR arrays of keep A keep + diag(mask), without its copies.
     a_c = sp.csr_matrix(a_glob, copy=True)
-    rows = np.repeat(mask, np.diff(a_c.indptr))
-    a_c.data[rows | mask[a_c.indices]] = 0.0
-    a_c = a_c + sp.diags(mask.astype(float))
+    a_c.sum_duplicates()
+    # The entries `at` of the constrained rows, each in row `row`.
+    row, rank = _expand(np.diff(a_c.indptr)[mask])
+    row = np.flatnonzero(mask)[row]
+    at = a_c.indptr[row] + rank
+    diag = at[a_c.indices[at] == row]
+    a_c.data[mask[a_c.indices]] = 0.0
+    a_c.data[at] = 0.0
+    a_c.data[diag] = 1.0
+    missing = mask.copy()
+    missing[a_c.indices[diag]] = False
+    a_c.eliminate_zeros()
+    if missing.any():  # a constrained row without a stored diagonal
+        a_c = a_c + sp.diags(missing.astype(float))
     return ConstrainedSystem(matrix=a_c, rhs=b_c, mesh=dofmap.mesh,
                              dofmap=dofmap, dirichlet_mask=mask,
                              dirichlet_values=g)
@@ -443,8 +455,13 @@ def solve(system):
     free = np.flatnonzero(~mask[:nc])
     rows = a[free]
     a_ci, a_ic, d = rows[:, nc:], a[nc:][:, free], a.diagonal()[nc:]
-    s = (rows[:, free] - a_ci @ (sp.diags(1.0 / d) @ a_ic)).tocsr()
     rhs = r[free] - a_ci @ (r[nc:] / d)
+    # Each gather of A goes once used: S = A_cc - A_ci (D^-1 A_ic) sets
+    # the peak of the solve, and the PCG needs none of them.
+    rows = rows[:, free]
+    a_ci = a_ci @ (sp.diags(1.0 / d) @ a_ic)
+    s = (rows - a_ci).tocsr()
+    del rows, a_ci
     levels, maps = [s], []
     free_v = free[free < dm.mesh.n_vertices]
     if dm.degree > 1:

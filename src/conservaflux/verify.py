@@ -206,7 +206,8 @@ def true_solution_residual(mesh, degree, problem):
     a_rows = np.einsum("tq,tqa,tqia->ti", c, g_ex, g_phi)
 
     # Boundary data rows with the exact (one-sided) flux.
-    q_bd = disc.kap_bd * exact_flux(rseg.bd_pts, rseg.bd_dir)[0]
+    g_bd, phys = exact_flux(rseg.bd_pts, rseg.bd_dir)
+    q_bd = sample(problem.kappa, phys) * g_bd
     q_bseg = np.einsum("tsi,i->ts", q_bd, rseg.sw)
     e_char = np.einsum("xs,ts->tx", rseg.own_bd, q_bseg)
     e_phi = np.einsum("tsi,i,six->tx", q_bd, rseg.sw, rseg.phi_bd)

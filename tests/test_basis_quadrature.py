@@ -275,6 +275,25 @@ def test_map_points_into_buffer_matches_allocating_call(with_v0):
         assert np.array_equal(got, map_points(*args))
 
 
+@pytest.mark.parametrize("with_v0", [True, False])
+def test_map_points_of_no_elements_is_empty(with_v0):
+    # A chunk may have no outside neighbours: T = 0 maps to (0, ..., 2).
+    ref = random_ref_points(np.random.default_rng(6), 5).reshape(5, 1, 2)
+    got = map_points(np.empty((0, 2)) if with_v0 else None,
+                     np.empty((0, 2, 2)), ref)
+    assert got.shape == (0, 5, 1, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multi_index_is_read_only(k):
+    # The table is cached: a write would change every later caller's basis.
+    from conservaflux.basis import _multi_index
+    a = _multi_index(k)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 7
+
+
 def test_degenerate_triangle_rejected_at_construction():
     from conservaflux.mesh import MeshError
     with pytest.raises(MeshError):

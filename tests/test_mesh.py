@@ -353,10 +353,13 @@ def set_line(i, text):
     (set_line(0, "9 8 -8"), 1, "'9 8 -8'"),
     (set_line(0, "-1 8 19"), 1, "'-1 8 19'"),
     (set_line(-1, "-1 8 top"), 26, "'-1 8 top'"),
+    (set_line(10, "-1 1 4"), 11, "'-1 1 4'"),
+    (set_line(10, "0 1 99"), 11, "'0 1 99'"),
 ], ids=["empty", "short-header", "blank-then-short-header",
         "one-coordinate", "bad-index", "short-label-line",
         "negative-triangle-count", "negative-edge-count",
-        "negative-vertex-count", "negative-label-index"])
+        "negative-vertex-count", "negative-label-index",
+        "negative-triangle-vertex", "triangle-vertex-past-last"])
 def test_file_malformed_line_names_file_and_line(tmp_path, edit, line, found):
     # Line numbers count the file's own lines, blank ones included.
     path = edit_mesh_file(tmp_path, edit)
@@ -427,6 +430,26 @@ def test_polyline_flux_equal_on_structured_and_plain_mesh():
     line = [[0.5, 0.0], [0.5, 1.0], [0.3, 0.5]]
     assert np.array_equal(flux_along_polyline(mesh, u, prob, line),
                           flux_along_polyline(plain, u, prob, line))
+
+
+def test_polyline_probes_share_the_mesh_search_structures(jittered_mesh):
+    # The first probe builds locate's bucket grid and the edge boxes, read
+    # only; the second reuses them and agrees bit for bit, as does a probe
+    # on a fresh copy of the mesh.
+    from conservaflux import flux_along_polyline, load_example, solve_problem
+    mesh = jittered_mesh(10, seed=3)
+    prob = load_example(2)
+    u = solve_problem(mesh, 2, prob)
+    line = [[0.05, 0.1], [0.9, 0.55], [0.2, 0.95], [0.5, 0.5]]
+    first = flux_along_polyline(mesh, u, prob, line)
+    grid, boxes = mesh._grid, mesh._boxes
+    assert grid is not None and boxes is not None
+    assert not any(a.flags.writeable for a in (*grid, *boxes)
+                   if isinstance(a, np.ndarray))
+    assert np.array_equal(flux_along_polyline(mesh, u, prob, line), first)
+    assert mesh._grid is grid and mesh._boxes is boxes
+    fresh = TriMesh(mesh.vertices, mesh.triangles)
+    assert np.array_equal(flux_along_polyline(fresh, u, prob, line), first)
 
 
 def test_locate_generic_matches_brute_force(jittered_mesh):

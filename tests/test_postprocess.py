@@ -455,6 +455,67 @@ def test_serial_parallel_bit_identity(monkeypatch):
     assert np.array_equal(serial.boundary_flux, parallel.boundary_flux)
 
 
+def test_chunk_queue_gives_each_chunk_to_one_thread(monkeypatch):
+    # More threads than cores and a short switch interval: every chunk of
+    # the queue is taken exactly once, and the result is the serial one.
+    import sys
+    from conservaflux import postprocess
+    mesh = build_structured_mesh(6)
+    prob = load_example(2)
+    u = solve_problem(mesh, 2, prob)
+    parts = build_partitions(mesh, 2)
+    monkeypatch.setattr(solver, "_BUDGET",
+                        3 * u.discretization.rseg.g_bd.shape[1])
+    serial = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=1)
+    taken, real = [], postprocess._elemental_blocks
+
+    def spy(disc, u_values, t0, t1):
+        taken.append(t0)
+        return real(disc, u_values, t0, t1)
+
+    monkeypatch.setattr(postprocess, "_elemental_blocks", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            taken.clear()
+            got = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=8)
+            assert sorted(taken) == list(range(0, mesh.n_triangles, 3))
+            for name in ("coeffs", "boundary_flux", "defects"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(serial, name)), name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_incompatible_element_fails_alike_on_any_thread_count(monkeypatch):
+    # Elements 20 and 50 of 72, in the second and third of five chunks, are
+    # made incompatible. Every thread count reports element 20, as one
+    # thread does, and returns: no helper waits on a chunk never taken.
+    import threading
+    mesh = build_structured_mesh(6)
+    prob = load_example(2)
+    u = solve_problem(mesh, 2, prob)
+    parts = build_partitions(mesh, 2)
+    monkeypatch.setattr(solver, "_BUDGET",
+                        17 * u.discretization.rseg.g_bd.shape[1])
+    u.discretization.f_sub[[20, 50], 0] += 1.0
+    messages, running = {}, threading.active_count()
+    for threads in (1, 2, 4):
+        def run():
+            try:
+                postprocess_all(mesh, u.dofmap, parts, u, prob, threads=threads)
+            except PostprocessError as err:
+                messages[threads] = str(err)
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), threads
+        assert threading.active_count() == running, threads
+    assert messages[1].startswith("element 20: compatibility defect")
+    assert messages[2] == messages[1] and messages[4] == messages[1]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_chunk_borders_cutting_facets_match_one_chunk_run(k, jittered_mesh,
                                                           monkeypatch):
@@ -740,8 +801,8 @@ def test_polyline_splits_at_every_edge_it_crosses():
     # y = 0.4 crosses the n = 4 grid's verticals at 1/4, 1/2, 3/4 and its
     # diagonals at 0.15, 0.4, 0.65, 0.9; the top boundary is cut at its
     # vertices. Each crossing lies on its edge, not on the edge's extension.
-    from conservaflux.postprocess import _edge_boxes, _edge_crossings
-    edges = _edge_boxes(build_structured_mesh(4))
+    from conservaflux.postprocess import _edge_crossings
+    edges = build_structured_mesh(4)._edge_boxes()
     got = _edge_crossings(np.array([0.0, 0.4]), np.array([1.0, 0.0]), edges)
     assert np.allclose(got, [0, 0.15, 0.25, 0.4, 0.5, 0.65, 0.75, 0.9, 1],
                        rtol=0, atol=1e-15)
@@ -816,7 +877,7 @@ def test_export_postprocessed_csv(tmp_path):
 def test_facet_mates_pair_reversed_gauss_points(k, jittered_mesh):
     for mesh in (jittered_mesh(6, seed=5), build_structured_mesh(6)):
         disc = solve_problem(mesh, k, load_example(2)).discretization
-        nt, nb = disc.kap_bd.shape[:2]
+        nt, nb = mesh.n_triangles, len(disc.ref.bd_facet)
         m, s = _facet_copies(disc, 0, nt)
         # The pairing as flat segment indices m * B + s, -1 unpaired.
         mate = np.where(m >= 0, m * nb + s, -1).ravel()
@@ -849,14 +910,15 @@ def test_neighbour_trace_matches_mapped_point_reference(k, jittered_mesh):
         _, grads = eval_basis(k, (pts - v0[t]) @ inv[t].T)
         return (np.einsum("pnd,n->pd", grads, coeffs[t]) @ inv[t]) @ rot
 
-    nt, nb = disc.kap_bd.shape[:2]
-    q_avg = np.empty(disc.kap_bd.shape)
+    kap = sample(load_example(2).kappa, phys)
+    nt, nb = kap.shape[:2]
+    q_avg = np.empty(kap.shape)
     for t in range(nt):
         for s in range(nb):
             own = flux(t, phys[t, s], rotd[t, s])
             m = mesh.tri_neighbors[t, disc.ref.bd_facet[s]]
             other = own if m < 0 else flux(m, phys[t, s], rotd[t, s])
-            q_avg[t, s] = disc.kap_bd[t, s] * 0.5 * (own + other)
+            q_avg[t, s] = kap[t, s] * 0.5 * (own + other)
     q_ref = q_avg @ rseg.sw
     e_ref = np.einsum("tsi,i,six->tx", q_avg, rseg.sw, rseg.phi_bd)
 

@@ -334,7 +334,6 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
         len(det), *rseg.cv_pts.shape[:2], -1, 2)
     rotd = _rot(np.einsum("tab,sb->tsa", jac, rseg.cv_dir))
     flux = np.einsum("q,tsq,tsqja,tsa->tsj", rseg.sw, kap, g_cv, rotd)
-    phys = v0[:, None, None, :] + np.einsum("tab,snb->tsna", jac, rseg.bd_pts)
     rotd = _rot(np.einsum("tab,sb->tsa", jac, rseg.bd_dir))
     expected = {
         "k_loc": np.einsum("tq,tqia,tqja->tij", c, g, g),
@@ -342,7 +341,6 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
         "f_sub": np.einsum("tq,qi->ti", coef, onehot),
         "f_abs": np.abs(coef).sum(axis=1),
         "d_loc": np.einsum("is,tsj->tij", rseg.sgn_cv, flux),
-        "kap_bd": prob.kappa(phys[..., 0], phys[..., 1]),
         "normal_maps": np.einsum("tab,tsb->tsa", inv, rotd),
     }
     # The blocks hold det M, not the normal maps: rebuild them from it.
@@ -352,11 +350,12 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
         assert np.abs(val - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
-@pytest.mark.parametrize("k, per_element", [(1, 368), (2, 1088), (3, 2512)])
+@pytest.mark.parametrize("k, per_element", [(1, 224), (2, 704), (3, 1792)])
 def test_block_bytes_per_element(k, per_element):
     # Every array the blocks hold but the mesh and the dof map do not:
-    # k_loc, d_loc, b_loc, f_sub, f_abs, kap_bd and det_m. The facet
-    # pairing is not stored: the recovery reads the mesh's topology.
+    # k_loc, d_loc, b_loc, f_sub, f_abs and det_m. The facet pairing and
+    # kappa on the element boundaries are not stored: the recovery reads
+    # the mesh's topology and samples kappa per chunk.
     mesh = build_structured_mesh(4)
     disc = blocks(mesh, build_dof_map(mesh, k), load_example(2))
     shared = [*mesh.element_maps(), disc.cell_dofs, mesh.tri_neighbors,
@@ -364,7 +363,7 @@ def test_block_bytes_per_element(k, per_element):
     own = {name: a for name, a in vars(disc).items()
            if isinstance(a, np.ndarray) and all(a is not b for b in shared)}
     assert sorted(own) == sorted(["k_loc", "d_loc", "b_loc", "f_sub", "f_abs",
-                                  "kap_bd", "det_m"])
+                                  "det_m"])
     total = sum(a.nbytes for a in own.values())
     assert total == per_element * mesh.n_triangles
 
@@ -388,6 +387,52 @@ def test_dirichlet_elimination_matches_two_product_formula(k, example,
     assert sp.isspmatrix_csr(system.matrix)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(system.matrix, name), getattr(ref, name))
+
+
+def test_dirichlet_elimination_inserts_a_missing_diagonal():
+    # Rows of Dirichlet dofs that store no diagonal entry, one of them no
+    # entry at all, still become identity rows, with no sparse-efficiency
+    # warning (pytest turns warnings into errors).
+    import scipy.sparse as sp
+    mesh = build_structured_mesh(4)
+    prob = load_example(3)
+    dm = build_dof_map(mesh, 2)
+    a, b = assemble(mesh, dm, prob)
+    mask = apply_dirichlet(a, b, dm, prob).dirichlet_mask
+    cut = np.flatnonzero(mask)[[0, 3, 7]]
+    a = a.tolil()
+    a[cut[:2], cut[:2]] = 0.0
+    a[cut[2], :] = 0.0
+    a = a.tocsr()
+    a.eliminate_zeros()
+    assert np.all(a.diagonal()[cut] == 0.0) and a[cut[2]].nnz == 0
+    system = apply_dirichlet(a, b, dm, prob)
+    keep = sp.diags((~mask).astype(float))
+    ref = (keep @ a @ keep + sp.diags(mask.astype(float))).tocsr()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.matrix, name), getattr(ref, name))
+    rows = system.matrix[np.flatnonzero(mask)]
+    assert np.array_equal(rows.toarray(), np.eye(dm.n_dofs)[mask])
+
+
+def test_dirichlet_elimination_copies_the_matrix_once():
+    # The peak allocated while constraining stays within one copy of A and
+    # a few dof vectors; adding diag(mask) to the copy held two copies of A
+    # at once (A + 31 dof vectors here).
+    import tracemalloc
+    mesh = build_structured_mesh(16)
+    prob = load_example(3)
+    dm = build_dof_map(mesh, 3)
+    a, b = assemble(mesh, dm, prob)
+    a_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        apply_dirichlet(a, b, dm, prob)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= a_bytes + 12 * 8 * dm.n_dofs
 
 
 def pure_neumann_system(n, degree=1):
