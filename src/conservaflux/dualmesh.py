@@ -17,6 +17,14 @@ Subcell boundary segments come in two classes:
                 these are interior to the control volume (or lie on the
                 domain boundary).
 
+Every segment is oriented counterclockwise for its owner, so the -90 degree
+rotation of its direction is the owner's outward normal. An element lists
+each "cv" segment twice, once per owner, then its "element" segments facet
+by facet: facet m runs from vertex m to vertex m + 1 in 2k half-segments
+between its nodes and the midpoints, each owned by the nearer node. A
+neighbour runs the facet the other way: slot j is slot 2k - 1 - j of its
+copy. `export_dual_csv` writes each element's rows in this order.
+
 The whole construction is affine: it is tabulated once per degree on the
 reference triangle and mapped through each element's jacobian.
 """
@@ -50,21 +58,21 @@ def _rot(v):
 
 @dataclass(frozen=True)
 class _RefDual:
-    """Reference-triangle tabulation of the subcell construction for one degree.
-
-    Control-volume segments are stored once per geometric segment, oriented
-    counterclockwise for `cv_plus` (so the rotated direction is that owner's
-    outward normal); `cv_minus` is the owner on the other side.
-    """
-    cv_start: np.ndarray     # (S, 2)
+    """Reference-triangle tabulation of the subcell construction for one
+    degree, read-only: the segment table of the module docstring, of which
+    the cv_* and bd_* arrays are views, and the subcell pieces."""
+    seg_start: np.ndarray    # (2S + B, 2)
+    seg_end: np.ndarray      # (2S + B, 2)
+    seg_owner: np.ndarray    # (2S + B,)
+    cv_start: np.ndarray     # (S, 2), CCW for cv_plus
     cv_end: np.ndarray       # (S, 2)
     cv_plus: np.ndarray      # (S,)
-    cv_minus: np.ndarray     # (S,)
+    cv_minus: np.ndarray     # (S,) the owner on the other side
     bd_start: np.ndarray     # (B, 2)
     bd_end: np.ndarray       # (B, 2)
     bd_owner: np.ndarray     # (B,)
     bd_facet: np.ndarray     # (B,)
-    bd_mate: np.ndarray      # (B, 3)
+    bd_mate: np.ndarray      # (B, 3) [s, f]: s's copy on a neighbour's facet f
     areas: np.ndarray        # (N,) subcell areas, sum = 1/2
     loops: tuple             # per node, (m, 2) CCW polygon loop
     quads: np.ndarray        # (P, 4, 2) corner, midpoint, barycenter, midpoint
@@ -73,113 +81,75 @@ class _RefDual:
 
 @lru_cache(maxsize=None)
 def _ref_dual(degree):
-    k = degree
-    index = {p: i for i, p in enumerate(basis.node_lattice(k))}
-    xy = basis.ref_nodes(k)
-    n = basis.N_NODES[k]
-    on = basis.node_facets(k)
+    k, n = degree, basis.N_NODES[degree]
+    xy, a = basis.ref_nodes(k), basis._multi_index(k)
+    # Sub-triangles (T, 3) as node ids, counterclockwise: the upward ones
+    # with lower-left lattice corner (i, j), i + j < k, then the downward
+    # ones with upper-left corner (i, j + 1), i + j < k - 1.
+    at = np.empty((k + 1, k + 1), dtype=np.int64)
+    at[tuple(np.array(basis.node_lattice(k)).T)] = np.arange(n)
+    (i, j), (i2, j2) = (np.nonzero(np.tri(m)[::-1]) for m in (k, k - 1))
+    ids = np.vstack([at[i[:, None] + (0, 1, 0), j[:, None] + (0, 0, 1)],
+                     at[i2[:, None] + (1, 1, 0), j2[:, None] + (0, 1, 1)]])
+    p = xy[ids]
+    bc = np.broadcast_to((p.sum(axis=1) / 3.0)[:, None], p.shape)
+    mids = (p + np.roll(p, -1, axis=1)) / 2.0   # of sub-edge (c, c + 1)
+    # The quadrilateral of corner c: corner, midpoints of its two sub-edges
+    # and the barycenter. Dual segment c runs from the midpoint of sub-edge
+    # (c, c + 1) to the barycenter: CCW for corner c, CW for corner c + 1.
+    quads = np.stack([p, mids, bc, np.roll(mids, 1, axis=1)], 2).reshape(
+        -1, 4, 2)
+    # Facet m's k + 1 nodes from vertex m to vertex m + 1 (by their index at
+    # vertex m + 1), with the midpoints between them: its 2k half-segments,
+    # each owned by the nearer node.
+    fac = np.argsort(np.where(basis.node_facets(k), np.roll(a, -1, axis=1),
+                              k + 1).T, axis=1)[:, :k + 1]
+    walk = np.empty((3, 2 * k + 1, 2))
+    walk[:, ::2] = xy[fac]
+    walk[:, 1::2] = (walk[:, :-2:2] + walk[:, 2::2]) / 2.0
+    slot = np.tile(np.arange(2 * k), 3)
 
-    subtris = []
-    for i in range(k):
-        for j in range(k - i):
-            subtris.append(((i, j), (i + 1, j), (i, j + 1)))
-    for i in range(k - 1):
-        for j in range(k - 1 - i):
-            subtris.append(((i + 1, j), (i + 1, j + 1), (i, j + 1)))
-
-    cv_start, cv_end, cv_plus, cv_minus = [], [], [], []
-    bd_start, bd_end, bd_owner, bd_facet = [], [], [], []
-    quads, quad_owner = [], []
-    loop_edges = [[] for _ in range(n)]
-
-    for lat in subtris:
-        ids = [index[p] for p in lat]
-        p = [xy[i] for i in ids]
-        bc = (p[0] + p[1] + p[2]) / 3.0
-        mids = [(p[a] + p[b]) / 2.0 for a, b in ((0, 1), (1, 2), (2, 0))]
-
-        # Dual segments: midpoint of sub-edge m to the barycenter. CCW for
-        # the corner preceding the sub-edge, clockwise for the one after it.
-        for m in range(3):
-            plus, minus = ids[m], ids[(m + 1) % 3]
-            cv_start.append(mids[m])
-            cv_end.append(bc)
-            cv_plus.append(plus)
-            cv_minus.append(minus)
-            loop_edges[plus].append((mids[m], bc))
-            loop_edges[minus].append((bc, mids[m]))
-
-        # Sub-edge m lies on the facets both its ends lie on (at most one).
-        facets = [np.flatnonzero(on[ids[m]] & on[ids[(m + 1) % 3]])
-                  for m in range(3)]
-        for c in range(3):
-            owner = ids[c]
-            m_next = mids[c]            # midpoint of sub-edge (c, c+1)
-            m_prev = mids[(c + 2) % 3]  # midpoint of sub-edge (c-1, c)
-            quads.append([p[c], m_next, bc, m_prev])
-            quad_owner.append(owner)
-
-            # Half-edges of the sub-triangle boundary. Interior ones separate
-            # two quadrilaterals of the same node and are dropped.
-            for fct, seg in ((facets[c], (p[c], m_next)),
-                             (facets[(c + 2) % 3], (m_prev, p[c]))):
-                if fct.size:
-                    bd_start.append(seg[0])
-                    bd_end.append(seg[1])
-                    bd_owner.append(owner)
-                    bd_facet.append(fct[0])
-                    loop_edges[owner].append(seg)
-
-    loops = tuple(_chain_loop(edges) for edges in loop_edges)
-    quads = np.array(quads)
+    cv_start, cv_end = mids.reshape(-1, 2), bc.reshape(-1, 2)
+    s = len(cv_start)
+    seg_start = np.concatenate([cv_start, cv_end, walk[:, :-1].reshape(-1, 2)])
+    seg_end = np.concatenate([cv_end, cv_start, walk[:, 1:].reshape(-1, 2)])
+    seg_owner = np.concatenate([ids.ravel(), np.roll(ids, -1, axis=1).ravel(),
+                                fac[:, np.arange(1, 2 * k + 1) // 2].ravel()])
     # A quadrilateral's area is half the cross product of its diagonals.
     d1, d2 = quads[:, 2] - quads[:, 0], quads[:, 3] - quads[:, 1]
-    areas = np.bincount(quad_owner, 0.5 * (d1[:, 0] * d2[:, 1]
-                                           - d1[:, 1] * d2[:, 0]), n)
-    bd_start, bd_end = np.array(bd_start), np.array(bd_end)
-    bd_facet = np.array(bd_facet, dtype=np.int64)
-    # bd_mate[s, f']: the segment on facet f' whose position along its facet
-    # mirrors that of s. A neighbour whose facet f' is s's facet runs it the
-    # other way, so that is its copy of s, with the points reversed.
-    mid = 0.5 * (bd_start + bd_end)
-    par = np.choose(bd_facet, [mid[:, 0], mid[:, 1], 1.0 - mid[:, 1]])
-    slot = np.rint(2 * k * par - 0.5).astype(np.int64)
-    at = np.empty((3, 2 * k), dtype=np.int32)
-    at[bd_facet, slot] = np.arange(len(bd_facet))
-
+    loops = tuple(_chain_loop(seg_start[seg_owner == i],
+                              seg_end[seg_owner == i]) for i in range(n))
     ref = _RefDual(
-        cv_start=np.array(cv_start), cv_end=np.array(cv_end),
-        cv_plus=np.array(cv_plus, dtype=np.int64),
-        cv_minus=np.array(cv_minus, dtype=np.int64),
-        bd_start=bd_start, bd_end=bd_end,
-        bd_owner=np.array(bd_owner, dtype=np.int64),
-        bd_facet=bd_facet,
-        bd_mate=at[:, 2 * k - 1 - slot].T,
-        areas=areas,
+        seg_start=seg_start, seg_end=seg_end, seg_owner=seg_owner,
+        cv_start=seg_start[:s], cv_end=seg_end[:s],
+        cv_plus=seg_owner[:s], cv_minus=seg_owner[s:2 * s],
+        bd_start=seg_start[2 * s:], bd_end=seg_end[2 * s:],
+        bd_owner=seg_owner[2 * s:],
+        bd_facet=np.repeat(np.arange(3), 2 * k),
+        bd_mate=(2 * k * np.arange(3) + (2 * k - 1 - slot)[:, None]).astype(
+            np.int32),
+        areas=np.bincount(ids.ravel(), 0.5 * (d1[:, 0] * d2[:, 1]
+                                              - d1[:, 1] * d2[:, 0]), n),
         loops=loops,
         quads=quads,
-        quad_owner=np.array(quad_owner, dtype=np.int64),
+        quad_owner=ids.ravel(),
     )
     assert abs(ref.areas.sum() - 0.5) < 1e-14
+    for arr in (*loops, *(v for v in vars(ref).values() if v is not loops)):
+        arr.setflags(write=False)
     return ref
 
 
-def _chain_loop(edges):
-    """Chain directed edges into a single closed CCW polygon loop."""
-    def key(pt):
-        return (round(float(pt[0]), 12), round(float(pt[1]), 12))
-
-    succ = {}
-    for a, b in edges:
-        succ[key(a)] = (key(b), a)
-    start = next(iter(succ))
+def _chain_loop(start, end):
+    """Chain directed segments into one closed CCW polygon loop, keyed by
+    their exact points: two segments that meet compute them alike."""
+    succ = {tuple(a): (tuple(b), a) for a, b in zip(start, end)}
+    first = cur = next(iter(succ))
     loop = []
-    cur = start
-    for _ in range(len(edges)):
-        nxt, pt = succ.pop(cur)
+    for _ in range(len(start)):
+        cur, pt = succ.pop(cur)
         loop.append(pt)
-        cur = nxt
-    if cur != start or succ:
+    if cur != first or succ:
         raise DualMeshError("subcell boundary does not chain into one loop")
     return np.array(loop)
 
@@ -221,28 +191,20 @@ class DualGeometry:
         self.mesh = mesh
         self.degree = degree
         self.ref = _ref_dual(degree)
-        self.v0, self.jac, self.inv_jac, self.det_jac = mesh.element_maps()
+        self.v0, self.jac, _, self.det_jac = mesh.element_maps()
 
     def _segments(self, t):
         """Start and end points (..., M, 2) of the subcell segments of
         element t, or of the elements t selects, and the owner and class of
-        each of the M rows. Control-volume segments appear twice, once per
-        adjacent subcell and oriented counterclockwise for that owner, so
-        the -90 degree rotation of end - start is its outward normal times
-        the length; element-boundary segments follow, once each."""
+        each of the M rows: the reference segment table mapped (see the
+        module docstring)."""
         ref = self.ref
-        ns, nb = len(ref.cv_start), len(ref.bd_start)
         jt = self.jac[t].swapaxes(-1, -2)
         v0 = self.v0[t][..., None, :]
-        start = np.vstack([ref.cv_start, ref.cv_start, ref.bd_start]) @ jt + v0
-        end = np.vstack([ref.cv_end, ref.cv_end, ref.bd_end]) @ jt + v0
-        # Second cv block: the minus-owner side, with swapped endpoints.
-        minus = (..., slice(ns, 2 * ns), slice(None))
-        start[minus], end[minus] = end[minus].copy(), start[minus].copy()
-        owner = np.concatenate([ref.cv_plus, ref.cv_minus, ref.bd_owner])
-        cls = np.array([CLASS_CONTROL_VOLUME] * (2 * ns)
-                       + [CLASS_ELEMENT_BOUNDARY] * nb)
-        return start, end, owner, cls
+        cls = np.where(np.arange(len(ref.seg_owner)) < 2 * len(ref.cv_plus),
+                       CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY)
+        return (ref.seg_start @ jt + v0, ref.seg_end @ jt + v0, ref.seg_owner,
+                cls)
 
 
 def build_partitions(mesh, degree):
@@ -263,20 +225,23 @@ class ControlVolumeIndex:
 
 def build_cv_index(mesh, dofmap, partitions):
     """Control-volume areas, summed over the subcells of each global dof."""
-    geo = _check_partitions(mesh, partitions, dofmap.degree)
+    geo = _check_partitions(mesh, partitions, dofmap)
     areas = np.zeros(dofmap.n_dofs)
     np.add.at(areas, dofmap.cell_dofs.ravel(),
               (geo.ref.areas[None, :] * geo.det_jac[:, None]).ravel())
     return ControlVolumeIndex(areas=areas)
 
 
-def _check_partitions(mesh, partitions, degree):
+def _check_partitions(mesh, partitions, dofmap):
     """`partitions` itself when it is the DualGeometry that build_partitions
-    returns for this mesh and degree; anything else is an error."""
+    returns for this mesh and the degree of `dofmap`, a dof map of this
+    mesh; anything else is an error."""
+    if dofmap.mesh is not mesh:
+        raise ValueError("the mesh is not the one the dof map was built on")
     if not isinstance(partitions, DualGeometry):
         raise DualMeshError("partitions must come from build_partitions, got "
                             f"{type(partitions).__name__}")
-    if partitions.mesh is not mesh or partitions.degree != degree:
+    if partitions.mesh is not mesh or partitions.degree != dofmap.degree:
         raise DualMeshError("partitions built for a different mesh or degree")
     return partitions
 

@@ -339,7 +339,7 @@ def read_mesh_file(path):
     triangles = table(1 + nv, 1 + nv + nt, (int, int, int), "v0 v1 v2", nv)
     labeled = {}
     for i in range(1 + nv + nt, len(rows)):
-        a, b, label = fields(i, (int, int, str), "v0 v1 label")
+        a, b, label = fields(i, (int, int, str), "v0 v1 label", nv)
         labeled[(min(a, b), max(a, b))] = (rows[i][0], label)
     mesh = TriMesh(vertices, triangles)
     labels = []

@@ -210,7 +210,8 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
     failing chunk, as one thread would. The per-element blocks are the dof
     map's (see `solver.blocks`).
     """
-    dualmesh._check_partitions(mesh, partitions, dofmap.degree)
+    dualmesh._check_partitions(mesh, partitions, dofmap)
+    solver._check_field(mesh, u_h, dofmap.degree)
     nthreads = _thread_count(threads)
     disc = blocks(mesh, dofmap, problem)
     nt = mesh.n_triangles
@@ -271,6 +272,11 @@ def flux_along_polyline(mesh, field, problem, points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
         raise ValueError("polyline needs at least two (x, y) points")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"polyline point {bad[0]} is not finite: "
+                         f"{pts[bad[0]]}")
+    solver._check_field(mesh, field)
     srule = segment_rule(default_segment_points(field.degree))
     v0, _, inv, _ = mesh.element_maps()
     edges = mesh._edge_boxes()
@@ -284,12 +290,12 @@ def flux_along_polyline(mesh, field, problem, points):
     elems = mesh.locate(mids)
     if np.any(elems < 0):
         raise ValueError(f"polyline leaves the mesh near {mids[elems < 0][0]}")
-    # A midpoint on facet m (the barycentric coordinate of vertex (m + 2) % 3
+    # A midpoint on facet m (its P1 coordinate of the vertex off facet m
     # within locate's tolerance) puts its whole piece on that facet, whose
     # two elements are the piece's two sides; elsewhere both are its element.
     r = np.einsum("pab,pb->pa", inv[elems], mids - v0[elems])
-    lam = np.column_stack([r[:, 1], 1.0 - r.sum(axis=1), r[:, 0]])
-    mates = np.where(np.abs(lam) <= _GEO_TOL, mesh.tri_neighbors[elems],
+    off = basis.eval_basis(1, r)[0] @ ~basis.node_facets(1)
+    mates = np.where(np.abs(off) <= _GEO_TOL, mesh.tri_neighbors[elems],
                      -1).max(axis=1)
     sides = np.column_stack([elems, np.where(mates < 0, elems, mates)])
     flux = np.empty(len(seg))

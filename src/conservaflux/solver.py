@@ -355,6 +355,17 @@ def blocks(mesh, dofmap, problem, exactness=None):
     return disc
 
 
+def _check_field(mesh, field, degree=None):
+    """Raise a ValueError unless `field` is on `mesh` (that object, or one
+    with the same vertices and triangles) and, where given, of `degree`."""
+    on = field.dofmap.mesh
+    if on is not mesh and not (np.array_equal(on.vertices, mesh.vertices) and
+                               np.array_equal(on.triangles, mesh.triangles)):
+        raise ValueError("the field is not on this mesh")
+    if degree is not None and field.degree != degree:
+        raise ValueError(f"the field has degree {field.degree}, not {degree}")
+
+
 def assemble(mesh, dofmap, problem, exactness=None):
     """Unconstrained global system (A, b) as (csr matrix, vector)."""
     disc = blocks(mesh, dofmap, problem, default_exactness(dofmap.degree)

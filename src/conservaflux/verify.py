@@ -52,7 +52,7 @@ def compute_lce(mesh, cv_index, partitions, field, problem):
     report is named "tilde" for a recovered field and "uh" otherwise.
     """
     dm = field.dofmap
-    dualmesh._check_partitions(mesh, partitions, dm.degree)
+    dualmesh._check_partitions(mesh, partitions, dm)
     if cv_index.n_dofs != dm.n_dofs:
         raise ValueError("control-volume index does not match the dof map")
     disc = blocks(mesh, dm, problem)
@@ -94,6 +94,7 @@ def _h1_distance(mesh, field, coeffs, exact_grad=None):
 
 def h1_seminorm_error(mesh, field, exact_grad):
     """H1 semi-norm distance to a known gradient, by elementwise quadrature."""
+    solver._check_field(mesh, field)
     return _h1_distance(mesh, field, field.local_coeffs, exact_grad)
 
 
@@ -102,8 +103,8 @@ def h1_seminorm_diff(mesh, field_a, field_b):
 
     Elementwise additive constants (the recovery gauge) do not register.
     """
-    if field_a.degree != field_b.degree:
-        raise ValueError("fields have different degrees")
+    solver._check_field(mesh, field_a)
+    solver._check_field(mesh, field_b, field_a.degree)
     return _h1_distance(
         mesh, field_a,
         lambda sl: field_a.local_coeffs(sl) - field_b.local_coeffs(sl))
@@ -135,7 +136,7 @@ def elemental_conservation_report(mesh, partitions, field, problem):
     if not hasattr(field, "boundary_flux"):
         raise TypeError("elemental conservation is defined for the "
                         "postprocessed field")
-    dualmesh._check_partitions(mesh, partitions, field.dofmap.degree)
+    dualmesh._check_partitions(mesh, partitions, field.dofmap)
     disc = blocks(mesh, field.dofmap, problem)
     residuals = np.abs(field.boundary_flux.sum(axis=1)
                        - disc.f_sub.sum(axis=1))

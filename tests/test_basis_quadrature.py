@@ -1,11 +1,13 @@
 import functools
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import conservaflux
 from conservaflux import (N_NODES, build_structured_mesh, eval_basis,
                           ref_nodes, segment_rule, subcell_quadrature,
                           triangle_rule)
@@ -166,9 +168,12 @@ def test_gauss_rules_match_scipy_special():
 
 def test_import_does_not_load_scipy_special():
     # scipy.special costs tens of milliseconds of every CLI start-up.
+    # The child imports the package this test imported.
     code = "import sys, conservaflux; print('scipy.special' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(conservaflux.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120)
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
 
 

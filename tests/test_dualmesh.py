@@ -105,6 +105,55 @@ def test_every_segment_has_exactly_one_class(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+def test_boundary_segments_walk_each_facet_in_slot_order(k):
+    # Facet m's 2k segments are contiguous and chain from vertex m to
+    # vertex m + 1, each a half of a node spacing, owned by its end on the
+    # facet's nodes: the slot order the facet pairing relies on.
+    ref = build_partitions(unit_right_triangle(), k).ref
+    vert = ref_nodes(k)[:3]
+    assert np.array_equal(ref.bd_facet, np.repeat(np.arange(3), 2 * k))
+    for m in range(3):
+        sl = slice(2 * k * m, 2 * k * (m + 1))
+        start, end, owner = ref.bd_start[sl], ref.bd_end[sl], ref.bd_owner[sl]
+        walk = np.vstack([start, end[-1:]])
+        assert np.array_equal(start[1:], end[:-1])
+        t = np.linspace(0.0, 1.0, 2 * k + 1)[:, None]
+        assert np.abs(walk - (vert[m] + t * (vert[(m + 1) % 3] - vert[m]))
+                      ).max() < 1e-15
+        near = np.where(np.arange(2 * k) % 2 == 0, 0, 1)
+        nodes = np.stack([start, end], 1)[np.arange(2 * k), near]
+        assert np.array_equal(ref_nodes(k)[owner], nodes)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_segments_of_each_owner_chain_into_its_loop(k):
+    # The rows of one owner, mapped to an element, are its subcell loop
+    # mapped: each row starts at a loop point and runs to the next one.
+    _, _, loops, start, end, owner, _ = subcells(build_structured_mesh(3),
+                                                 5, k)
+    for i, loop in enumerate(loops):
+        rows = np.nonzero(owner == i)[0]
+        gap = np.linalg.norm(start[rows, None] - loop[None], axis=-1)
+        at = gap.argmin(axis=1)
+        assert gap.min(axis=1).max() < 1e-14
+        assert sorted(at) == list(range(len(loop)))
+        assert np.abs(end[rows] - np.roll(loop, -1, 0)[at]).max() < 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reference_dual_is_read_only(k):
+    # One tabulation per degree is shared by every mesh in the process: a
+    # write through parts.ref would corrupt every later partition.
+    ref = build_partitions(build_structured_mesh(2), k).ref
+    arrays = [v for v in vars(ref).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == len(vars(ref)) - 1
+    for a in arrays + list(ref.loops):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ref.areas[0] = 1.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_interior_cv_segments_paired_with_opposite_normals(k):
     *_, start, end, owner, cls = subcells(build_structured_mesh(2), 1, k)
     n_len = scaled_normals(start, end)

@@ -355,11 +355,13 @@ def set_line(i, text):
     (set_line(-1, "-1 8 top"), 26, "'-1 8 top'"),
     (set_line(10, "-1 1 4"), 11, "'-1 1 4'"),
     (set_line(10, "0 1 99"), 11, "'0 1 99'"),
+    (set_line(-1, "0 99 top"), 26, "'0 99 top'"),
 ], ids=["empty", "short-header", "blank-then-short-header",
         "one-coordinate", "bad-index", "short-label-line",
         "negative-triangle-count", "negative-edge-count",
         "negative-vertex-count", "negative-label-index",
-        "negative-triangle-vertex", "triangle-vertex-past-last"])
+        "negative-triangle-vertex", "triangle-vertex-past-last",
+        "label-vertex-past-last"])
 def test_file_malformed_line_names_file_and_line(tmp_path, edit, line, found):
     # Line numbers count the file's own lines, blank ones included.
     path = edit_mesh_file(tmp_path, edit)

@@ -850,6 +850,47 @@ def test_polyline_needs_two_points():
         flux_along_polyline(mesh, u, prob, [[0.5, 0.5]])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_polyline_rejects_a_non_finite_point(bad):
+    # Named before any search, which would warn on the inf or nan first.
+    mesh = build_structured_mesh(4)
+    prob = linear_problem()
+    u = solve_problem(mesh, 1, prob)
+    line = [[0.2, 0.2], [0.5, 0.5], [bad, 0.5]]
+    msg = r"point 2 is not finite: \[ *-?(inf|nan) "
+    with pytest.raises(ValueError, match=msg):
+        flux_along_polyline(mesh, u, prob, line)
+
+
+def test_field_on_another_mesh_is_rejected(jittered_mesh):
+    # A field of one mesh read against another: every reader names it
+    # instead of mixing the two. A plain copy of the field's mesh is fine.
+    from conservaflux import build_cv_index, build_dof_map, h1_seminorm_diff
+    from conservaflux.verify import h1_seminorm_error
+    prob = load_example(2)
+    mesh = build_structured_mesh(8)
+    u = solve_problem(mesh, 2, prob)
+    line = [[0.1, 0.2], [0.9, 0.7]]
+    for other in (build_structured_mesh(4), jittered_mesh(8, seed=1)):
+        for call in (
+                lambda: h1_seminorm_error(other, u, prob.exact_grad),
+                lambda: h1_seminorm_diff(other, u, u),
+                lambda: flux_along_polyline(other, u, prob, line)):
+            with pytest.raises(ValueError, match="not on this mesh"):
+                call()
+        with pytest.raises(ValueError, match="dof map was built on"):
+            build_cv_index(other, u.dofmap, build_partitions(other, 2))
+    copy = TriMesh(mesh.vertices, mesh.triangles)
+    assert h1_seminorm_error(copy, u, prob.exact_grad) == \
+        h1_seminorm_error(mesh, u, prob.exact_grad)
+    # A field of another degree does not fit the dof map.
+    dm1 = build_dof_map(mesh, 1)
+    with pytest.raises(ValueError, match="degree 2, not 1"):
+        postprocess_all(mesh, dm1, build_partitions(mesh, 1), u, prob)
+    with pytest.raises(ValueError, match="degree 1, not 2"):
+        h1_seminorm_diff(mesh, u, solve_problem(mesh, 1, prob))
+
+
 def test_polyline_off_structured_mesh_raises():
     mesh = build_structured_mesh(4)
     prob = linear_problem()
@@ -878,6 +919,10 @@ def test_facet_mates_pair_reversed_gauss_points(k, jittered_mesh):
     for mesh in (jittered_mesh(6, seed=5), build_structured_mesh(6)):
         disc = solve_problem(mesh, k, load_example(2)).discretization
         nt, nb = mesh.n_triangles, len(disc.ref.bd_facet)
+        # Slot j of a facet is slot 2k - 1 - j of facet f's copy.
+        slot = np.arange(nb) % (2 * k)
+        assert np.array_equal(disc.ref.bd_mate, 2 * k * np.arange(3)
+                              + (2 * k - 1 - slot)[:, None])
         m, s = _facet_copies(disc, 0, nt)
         # The pairing as flat segment indices m * B + s, -1 unpaired.
         mate = np.where(m >= 0, m * nb + s, -1).ravel()
