@@ -202,13 +202,14 @@ def local_coefficients(field):
 def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
     """Recover the conservative flux field on every element.
 
-    Chunks of elements, sized by their boundary-segment points, are
-    independent: the calling thread and `threads` - 1 helper threads
-    (`threads` None: CONSERVAFLUX_THREADS, else 1) take them in order from
-    one queue. Results go to disjoint slices, so the output is bit-identical
-    for any thread count, and a failure raises the error of the first
-    failing chunk, as one thread would. The per-element blocks are the dof
-    map's (see `solver.blocks`).
+    Chunks of elements, sized by their boundary-segment points so that
+    the chunks of all threads together fit one budget, are independent:
+    the calling thread and `threads` - 1 helper threads (`threads` None:
+    CONSERVAFLUX_THREADS, else 1) take them in order from one queue.
+    Results go to disjoint slices, so the output is bit-identical for any
+    thread count, and a failure raises the error of the first failing
+    chunk, as one thread would. The per-element blocks are the dof map's
+    (see `solver.blocks`).
     """
     dualmesh._check_partitions(mesh, partitions, dofmap)
     solver._check_field(mesh, u_h, dofmap.degree)
@@ -220,7 +221,8 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
     bflux = np.empty((nt, n))
     defects = np.empty(nt)
     # Flux traces hold about ten values per boundary-segment point.
-    chunks = deque(enumerate(solver._chunks(nt, disc.rseg.g_bd.shape[1])))
+    chunks = deque(enumerate(solver._chunks(
+        nt, disc.rseg.g_bd.shape[1] * nthreads)))
     failed = []
 
     def drain():

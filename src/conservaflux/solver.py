@@ -4,10 +4,10 @@ The weak form is a(u, w) = int kappa grad(u).grad(w), l(w) = int f w, posed
 on C0 Lagrange spaces of degree 1 to 3. Dirichlet conditions are imposed by
 row/column elimination, which keeps the constrained matrix symmetric and
 leaves the interior equations exactly satisfied by the solution. The free
-dofs are solved for with the bubbles condensed at k = 3: directly at k = 1
-up to `_COARSEST` dofs, else by conjugate gradients under a V-cycle over the
-P1 space (k = 2, 3) and smoothed-aggregation levels, of which only the last
-is factored. Singular systems fail at the residual check.
+dofs are solved for with the bubbles condensed at k = 3, by conjugate
+gradients under a multigrid cycle over the P1 space (k = 2, 3) and
+smoothed-aggregation levels, closed by the dense Cholesky factor of a level
+of at most `_COARSEST` rows. Singular systems fail at the residual check.
 
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which the dof map owns (see `blocks`):
@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import basis, dualmesh
 from ._table import coords, numbers, write_table
@@ -40,19 +39,19 @@ DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
 DOF_KIND_NAMES = {DOF_VERTEX: "vertex", DOF_EDGE: "edge", DOF_INTERIOR: "interior"}
 _BUDGET = 2 ** 17  # quadrature points per chunk of every per-element pass
 _SOLVE_RTOL = 1e-10  # relative residual a solve must reach on the full system
-_JACOBI = 0.5  # damping of the Jacobi smoother of the PCG's V-cycle
-# Most rows of the factored level, the measured crossover of the k = 1 solve
-# of example 2 (ms, factored vs aggregated, median of 7 fresh processes):
-# 31.8 vs 34.0 at 10,609 rows, 38.8 vs 35.9 at 12,321, 63.4 vs 53.5 at
-# 16,129, where the factor also adds 11.8 MiB of RSS (README).
-_COARSEST = 10000
+_JACOBI = 0.5  # damping of the Jacobi smoother of the PCG's cycle
+# Most rows of the dense last level, the measured crossover of its O(n^3)
+# inverse against one more aggregation level (k = 1 solve of example 2, ms):
+# 121 rows 8.5 dense vs 12.2 aggregated, 225 rows 15.8 vs 18.4, 289 rows
+# 19.9 vs 17.1, 484 rows 54.9 vs 29.7 (README).
+_COARSEST = 250
 # PCG stop, relative to the condensed right-hand side. LCE(tilde) is the
 # interior residual: at 1e-13 it rose from 2.9e-14 to 1.6e-12 (k=3 n=128).
 _CG_RTOL = 1e-15
-# PCG cap, the measured maximum plus a margin: at most 54 iterations on
-# examples 1-3, 81 on structured kappa checkerboards; where jumps cut
-# through jittered elements, 97 at k = 1 and 131 at k = 2 (n = 128) and
-# 410 at k = 3 (n = 16), whose residual stays near 1 for 40 iterations
+# PCG cap, the measured maximum plus a margin: at most 55 iterations on
+# examples 1-3, 78 on structured kappa checkerboards; where jumps cut
+# through jittered elements, 98 at k = 1 and 118 at k = 2 (n = 128) and
+# 395 at k = 3 (n = 16), whose residual stays near 1 for 40 iterations
 # first, so a rule that stops on a stalled residual would fail it. A
 # singular system fails the residual check after at most this.
 _CG_MAXITER = 500
@@ -148,11 +147,14 @@ def build_dof_map(mesh, degree):
 
 @dataclass
 class FemField:
-    """Degree-k Lagrange field: one coefficient per global dof."""
+    """Degree-k Lagrange field: one coefficient per global dof; `solve`
+    records the rows of its levels (the last one dense) and CG iterations."""
     mesh: object
     dofmap: DofMap
     values: np.ndarray
     solve_residual: float = 0.0
+    solve_levels: tuple = ()
+    solve_iterations: int = 0
 
     @property
     def degree(self):
@@ -450,13 +452,13 @@ def solve(system):
     hierarchy; at k = 2, 3 the next is A_0 = P^T S P, where P is the dof
     map's P1 interpolation `p1` restricted to the free coupled dofs and
     the free vertices. While a level has more than `_COARSEST` rows, a
-    smoothed-aggregation level goes under it (`_aggregate`). Only the last
-    level is factored: with one level (k = 1, at most `_COARSEST` rows)
-    that factor is the direct solve. Otherwise CG solves S to rounding
-    level, preconditioned by one symmetric V-cycle, since the recovered
-    flux's control-volume defect is exactly this solve's interior residual.
+    smoothed-aggregation level goes under it (`_aggregate`). The last level
+    is inverted densely, so with one level (k = 1, at most `_COARSEST`
+    rows) the preconditioner is exact. CG solves S to rounding level,
+    preconditioned by one symmetric cycle, since the recovered flux's
+    control-volume defect is exactly this solve's interior residual.
     The relative residual of the returned solution on the full system is at
-    most 1e-10; otherwise a SolverError reports the residual attained.
+    most 1e-10; otherwise a SolverError reports it and the CG iterations.
     """
     a, b = system.matrix.tocsr(), system.rhs
     dm, mask = system.dofmap, system.dirichlet_mask
@@ -489,24 +491,22 @@ def solve(system):
             maps.append(p)
             levels.append(p.T @ levels[-1] @ p)
     try:
-        # The last level is symmetric positive definite: diagonal pivots
-        # keep the symmetric ordering's fill (partial pivoting: 247 s, not
-        # 0.65 s, on a 65,025-row A_0).
-        lu = spla.splu(levels[-1].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular: fail at the residual check
-        x[free] = np.nan
+        # A_c^-1 = L^-T L^-1: two dense products per cycle.
+        li = np.linalg.inv(np.linalg.cholesky(levels[-1].toarray()))
+    except np.linalg.LinAlgError:  # singular or indefinite: fail below
+        x[free], its = np.nan, 0
     else:
-        x[free] = lu.solve(rhs) if not maps else _pcg(levels, maps, lu, rhs)
+        x[free], its = _pcg(levels, maps, li, rhs)
     x[nc:] = (r[nc:] - a_ic @ x[free]) / d
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(a @ x - b) / (bnorm if bnorm > 0 else 1.0))
     if not np.isfinite(res) or res > _SOLVE_RTOL:
         raise SolverError(f"linear solve failed: relative residual "
-                          f"{res:.3e} exceeds {_SOLVE_RTOL:.1e}")
+                          f"{res:.3e} exceeds {_SOLVE_RTOL:.1e} after "
+                          f"{its} CG iterations")
     return FemField(mesh=system.mesh, dofmap=system.dofmap, values=x,
-                    solve_residual=res)
+                    solve_residual=res, solve_iterations=its,
+                    solve_levels=tuple(lv.shape[0] for lv in levels))
 
 
 def _aggregate(a, box):
@@ -521,28 +521,45 @@ def _aggregate(a, box):
     return t - sp.diags(2 / 3 / a.diagonal()) @ (a @ t), box[first] // 3
 
 
-def _pcg(levels, maps, lu, rhs):
-    """CG on S x = rhs, preconditioned by one symmetric V-cycle over the
-    levels; the factor `lu` of the last level closes the recursion."""
-    steps = [(a, _JACOBI / a.diagonal(), p, p.T.tocsr())
-             for a, p in zip(levels, maps)]
-    s = levels[0]
-    m = spla.LinearOperator(s.shape, lambda r: _vcycle(steps, lu, r),
-                            dtype=float)
-    x, _ = spla.cg(s, rhs, rtol=_CG_RTOL, maxiter=_CG_MAXITER, M=m)
-    return x
+def _pcg(levels, maps, li, b):
+    """CG on S x = b from x = 0, preconditioned by one symmetric cycle
+    over the levels, until |r| <= _CG_RTOL |b| or _CG_MAXITER iterations;
+    returns x and the iteration count."""
+    steps = [(a, _JACOBI / a.diagonal(), p, p.T.tocsr(), ac)
+             for a, p, ac in zip(levels, maps, levels[1:])]
+    x, r = np.zeros_like(b), b.copy()
+    tol, rz, p = _CG_RTOL * np.linalg.norm(b), 1.0, np.zeros_like(b)
+    for its in range(_CG_MAXITER):
+        if np.linalg.norm(r) <= tol:
+            return x, its
+        z = _cycle(steps, li, r)
+        rz, rz_old = r @ z, rz
+        p *= rz / rz_old
+        p += z
+        q = levels[0] @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+    return x, _CG_MAXITER
 
 
-def _vcycle(steps, lu, r):
-    """Damped Jacobi, the coarse correction P (V-cycle below) P^T, damped
-    Jacobi again. Not a closure: one that calls itself is a reference cycle,
-    which keeps every level alive until the garbage collector runs."""
+def _cycle(steps, li, r):
+    """Damped Jacobi, the coarse correction, damped Jacobi again: a
+    symmetric W-cycle, whose correction runs the next level's cycle twice,
+    the second time on the first one's residual; the dense last level
+    applies li^T li. Not a closure: one that calls itself is a reference
+    cycle, which keeps every level alive until the garbage collector runs."""
     if not steps:
-        return lu.solve(r)
-    a, dinv, p, pt = steps[0]
+        return li.T @ (li @ r)
+    a, dinv, p, pt, ac = steps[0]
     z = dinv * r
-    z += p @ _vcycle(steps[1:], lu, pt @ (r - a @ z))
-    return z + dinv * (r - a @ z)
+    rc = pt @ (r - a @ z)
+    e = _cycle(steps[1:], li, rc)
+    if len(steps) > 1:  # the last level is solved exactly: once will do
+        e += _cycle(steps[1:], li, rc - ac @ e)
+    z += p @ e
+    z += dinv * (r - a @ z)
+    return z
 
 
 def solve_problem(mesh, degree, problem, exactness=None):

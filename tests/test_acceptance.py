@@ -139,7 +139,7 @@ def _checkerboard(contrast):
 
 def _checkerboard_gates(mesh, contrast, k, uh_visible):
     """Criteria 1-3 on `_checkerboard(contrast)`; LCE(u_h) must exceed the
-    tolerance when `uh_visible`."""
+    tolerance when `uh_visible`. Returns the verdict, its text and u_h."""
     prob = _checkerboard(contrast)
     u = solve_problem(mesh, k, prob)
     parts = build_partitions(mesh, k)
@@ -154,7 +154,7 @@ def _checkerboard_gates(mesh, contrast, k, uh_visible):
                                                  or not uh_visible)
     return ok, (f"kappa contrast {contrast:g} checkerboard k={k}: "
                 f"LCE(tilde) {lce_tilde:.1e} <= {tol:.1e}, LCE(uh) "
-                f"{lce_uh:.1e}; elemental {cons:.1e} <= 1e-10")
+                f"{lce_uh:.1e}; elemental {cons:.1e} <= 1e-10"), u
 
 
 @pytest.mark.parametrize("k", DEGREES)
@@ -165,7 +165,7 @@ def test_criteria_1_to_3_with_kappa_jumps_across_facets(contrast, k):
     # them. At k=1, LCE(u_h) is already at rounding level (the P1
     # box-method identity). At contrast 1e6 the compatibility sums cancel
     # terms about 1e6 times larger than the elemental data.
-    ok, text = _checkerboard_gates(build_structured_mesh(16), contrast, k,
+    ok, text, _ = _checkerboard_gates(build_structured_mesh(16), contrast, k,
                                    uh_visible=k > 1)
     assert report("1-3", text, ok)
 
@@ -176,7 +176,7 @@ def test_criteria_1_to_3_with_kappa_jumps_inside_elements(k, jittered_mesh,
     # Jittered vertices move off the checkerboard's lines, so the jumps cut
     # through elements; the mesh reaches the solver through the mesh file.
     write_mesh_file(jittered_mesh(16, 1), tmp_path / "mesh.txt")
-    ok, text = _checkerboard_gates(read_mesh_file(tmp_path / "mesh.txt"),
+    ok, text, _ = _checkerboard_gates(read_mesh_file(tmp_path / "mesh.txt"),
                                    1e3, k, uh_visible=True)
     assert report("1-3", "jittered 16x16, " + text, ok)
 
@@ -186,19 +186,10 @@ def test_criteria_1_to_3_with_kappa_jumps_inside_elements(k, jittered_mesh,
 def test_kappa_jumps_on_the_aggregation_path(contrast, jittered,
                                              jittered_mesh, monkeypatch):
     # k = 1 with smoothed-aggregation levels forced under S (225 -> 16 -> 4
-    # rows on both meshes): CG takes at most 46 iterations. On the jittered
-    # mesh at contrast 1e6, LCE(tilde) sits at its rounding floor above the
-    # absolute 1e-10 (2.3e-10 with the direct solve and here), so there
-    # only the solve is gated.
-    import scipy.sparse.linalg as spla
-    iterations = []
-
-    def cg(*args, **kwargs):
-        return real_cg(*args, callback=lambda xk: iterations.append(1),
-                       **kwargs)
-
-    real_cg = spla.cg
-    monkeypatch.setattr(spla, "cg", cg)
+    # rows on both meshes): CG takes 34 / 45 iterations (structured /
+    # jittered). On the jittered mesh at contrast 1e6, LCE(tilde) sits at
+    # its rounding floor above the absolute 1e-10 (2.3e-10 with the direct
+    # solve), so there only the solve is gated.
     monkeypatch.setattr(solver, "_COARSEST", 8)
     mesh = jittered_mesh(16, 1) if jittered else build_structured_mesh(16)
     if jittered and contrast == 1e6:
@@ -206,43 +197,32 @@ def test_kappa_jumps_on_the_aggregation_path(contrast, jittered,
         ok = u.solve_residual <= 1e-10
         text = f"solve residual {u.solve_residual:.1e} <= 1e-10"
     else:
-        ok, text = _checkerboard_gates(mesh, contrast, 1, uh_visible=jittered)
-    ok &= 0 < len(iterations) <= 60
+        ok, text, u = _checkerboard_gates(mesh, contrast, 1,
+                                          uh_visible=jittered)
+    ok &= u.solve_levels == (225, 16, 4) and 0 < u.solve_iterations <= 60
     name = "jittered" if jittered else "structured"
-    assert report("1-3", f"aggregation path, {name} 16x16, "
-                         f"{len(iterations)} CG iterations <= 60, " + text, ok)
+    assert report("1-3", f"aggregation path, {name} 16x16, levels "
+                         f"{u.solve_levels}, {u.solve_iterations} CG "
+                         f"iterations <= 60, " + text, ok)
 
 
 @pytest.mark.parametrize("contrast", [1e3, 1e9])
 def test_aggregation_boxes_follow_the_typical_element(contrast,
                                                       jittered_mesh,
                                                       monkeypatch):
-    # k = 1 at n = 128 aggregates S once, in boxes 3 median element
-    # diameters wide, so the jittered mesh gets the structured mesh's
-    # 30 x 30 boxes. Sized from the longest edge, its boxes were wider
-    # (484 rows) and CG took 96-122 iterations, not 73-97 (69-70
-    # structured).
-    import scipy.sparse.linalg as spla
-    factored, iterations = [], []
-
-    def splu(a, **kwargs):
-        factored.append(a.shape[0])
-        return real_splu(a, **kwargs)
-
-    def cg(*args, **kwargs):
-        return real_cg(*args, callback=lambda xk: iterations.append(1),
-                       **kwargs)
-
-    real_splu, real_cg = spla.splu, spla.cg
-    monkeypatch.setattr(spla, "splu", splu)
-    monkeypatch.setattr(spla, "cg", cg)
+    # k = 1 at n = 128 aggregates S in boxes 3 median element diameters
+    # wide, so the jittered mesh gets the structured mesh's 30 x 30 boxes
+    # on its first aggregation level (then 10 x 10, the dense level). CG
+    # takes 77 / 98 iterations at contrast 1e3 / 1e9. Boxes sized from the
+    # longest edge were wider (484 rows) and took more iterations.
     u = solve_problem(jittered_mesh(128, 1), 1, _checkerboard(contrast))
-    ok = (factored == [900] and len(iterations) <= 100
+    first = u.solve_levels[1]
+    ok = (first == 900 and u.solve_iterations <= 100
           and u.solve_residual <= 1e-10)
-    assert report("1-3", f"jittered 128x128, contrast {contrast:g}: coarse "
-                         f"{factored} == [900], {len(iterations)} CG "
-                         f"iterations <= 100, solve residual "
-                         f"{u.solve_residual:.1e}", ok)
+    assert report("1-3", f"jittered 128x128, contrast {contrast:g}: levels "
+                         f"{u.solve_levels}, first aggregated {first} == "
+                         f"900, {u.solve_iterations} CG iterations <= 100, "
+                         f"solve residual {u.solve_residual:.1e}", ok)
 
 
 def test_criterion_4_compatibility_and_rank(solved):

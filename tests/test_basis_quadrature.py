@@ -177,6 +177,22 @@ def test_import_does_not_load_scipy_special():
     assert out.stdout.strip() == "False"
 
 
+def test_import_and_solve_do_not_load_scipy_linalg():
+    # scipy.sparse.linalg, and scipy.linalg under it, cost about 10 MiB of
+    # RSS and 90 ms of every CLI start-up. The child also solves a system
+    # with an aggregation level, so no solve imports them lazily either.
+    code = ("import sys, conservaflux as cf, conservaflux.cli\n"
+            "u = cf.solve_problem(cf.build_structured_mesh(32), 2, "
+            "cf.load_example(2))\n"
+            "print(len(u.solve_levels), [m for m in sys.modules if m in "
+            "('scipy.linalg', 'scipy.sparse.linalg')])")
+    src = os.path.dirname(os.path.dirname(conservaflux.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "3 []"
+
+
 @functools.lru_cache(maxsize=None)
 def exact_subcell_moments(k, top):
     """Exact integrals of x^i y^j, i + j <= top, over every subcell polygon

@@ -458,6 +458,7 @@ def test_serial_parallel_bit_identity(monkeypatch):
 def test_chunk_queue_gives_each_chunk_to_one_thread(monkeypatch):
     # More threads than cores and a short switch interval: every chunk of
     # the queue is taken exactly once, and the result is the serial one.
+    # The 8 threads share one budget of 24 elements: chunks of 3.
     import sys
     from conservaflux import postprocess
     mesh = build_structured_mesh(6)
@@ -465,7 +466,7 @@ def test_chunk_queue_gives_each_chunk_to_one_thread(monkeypatch):
     u = solve_problem(mesh, 2, prob)
     parts = build_partitions(mesh, 2)
     monkeypatch.setattr(solver, "_BUDGET",
-                        3 * u.discretization.rseg.g_bd.shape[1])
+                        24 * u.discretization.rseg.g_bd.shape[1])
     serial = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=1)
     taken, real = [], postprocess._elemental_blocks
 
@@ -489,8 +490,8 @@ def test_chunk_queue_gives_each_chunk_to_one_thread(monkeypatch):
 
 
 def test_incompatible_element_fails_alike_on_any_thread_count(monkeypatch):
-    # Elements 20 and 50 of 72, in the second and third of five chunks, are
-    # made incompatible. Every thread count reports element 20, as one
+    # Elements 20 and 50 of 72, in the second and third of five one-thread
+    # chunks, are made incompatible. Every thread count reports element 20, as one
     # thread does, and returns: no helper waits on a chunk never taken.
     import threading
     mesh = build_structured_mesh(6)

@@ -6,7 +6,7 @@ from conservaflux import (apply_dirichlet, assemble, build_dof_map,
                           load_example, solve, solve_problem)
 from conservaflux.mesh import TriMesh
 from conservaflux.problems import ProblemSpec
-from conservaflux.solver import SolverError, blocks
+from conservaflux.solver import DOF_INTERIOR, SolverError, blocks
 
 
 def constant_problem(value=1.0, g=None):
@@ -242,11 +242,10 @@ def test_h1_error_decreases_second_order_for_k2():
     assert all(abs(r - 2.0) < 0.2 for r in rate)
 
 
-def test_solve_reports_singular_system(monkeypatch):
-    import warnings
-
+def test_solve_reports_singular_system():
+    # An exactly singular level has no Cholesky factor: the solve fails at
+    # the residual check with a NaN solution, without iterating.
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     from conservaflux.solver import ConstrainedSystem
     mesh = build_structured_mesh(1)
@@ -256,22 +255,11 @@ def test_solve_reports_singular_system(monkeypatch):
                                rhs=np.arange(1.0, n + 1.0), mesh=mesh,
                                dofmap=dm, dirichlet_mask=np.zeros(n, bool),
                                dirichlet_values=np.zeros(n))
-    errors = []
-
-    def splu(a, **kwargs):
-        try:
-            return real(a, **kwargs)
-        except RuntimeError as err:
-            errors.append(str(err))
-            raise
-
-    real = spla.splu
-    monkeypatch.setattr(spla, "splu", splu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(SolverError, match="residual"):
-            solve(system)
-    assert errors == ["Factor is exactly singular"]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(system.matrix.toarray())
+    with pytest.raises(SolverError, match="relative residual nan exceeds "
+                                          r"1\.0e-10 after 0 CG iterations"):
+        solve(system)
 
 
 @pytest.mark.parametrize("exactness", [6.9, "7"])
@@ -448,12 +436,10 @@ def pure_neumann_system(n, degree=1):
 
 
 def test_pure_neumann_problem_fails_before_any_factorization(monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    def spsolve(*args, **kwargs):
+    def cholesky(*args, **kwargs):
         pytest.fail("a system without Dirichlet data was factored")
 
-    monkeypatch.setattr(spla, "spsolve", spsolve)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     prob = load_example(2)
     neumann = ProblemSpec(kappa=prob.kappa, source=prob.source, dirichlet={})
     msg = (r"no boundary part has Dirichlet data \(mesh parts: \['bottom', "
@@ -470,63 +456,81 @@ def test_singular_system_fails_after_one_factorization_and_capped_cg(
         monkeypatch):
     # A singular system costs one factorization of the last level and at
     # most the capped number of CG iterations; the residual check reports
-    # the residual attained.
+    # the residual attained and the iterations taken. All vertices are
+    # free: S (k = 1) or A_0 (k = 2) is aggregated into boxes of 3 median
+    # element diameters, then three times wider, down to `_COARSEST`
+    # rows. Whether a singular last level has a Cholesky factor in floating
+    # point depends on rounding, even on the BLAS thread count: without
+    # one the solution is NaN and CG never runs (n = 128 here), with one
+    # CG runs, to the cap at n = 48.
+    import re
     import warnings
 
-    import scipy.sparse.linalg as spla
-
     from conservaflux import solver
-    factored, iterations = [], []
+    factored = []
 
-    def splu(a, **kwargs):
+    def cholesky(a):
         factored.append(a.shape)
-        return real_splu(a, **kwargs)
+        return real(a)
 
-    def cg(*args, **kwargs):
-        assert kwargs["maxiter"] == solver._CG_MAXITER
-        return real_cg(*args, callback=lambda xk: iterations.append(1),
-                       **kwargs)
-
-    real_splu, real_cg = spla.splu, spla.cg
-    monkeypatch.setattr(spla, "splu", splu)
-    monkeypatch.setattr(spla, "cg", cg)
-    for k in (1, 2):
-        system = pure_neumann_system(128, degree=k)
-        factored.clear()
-        iterations.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(SolverError, match="relative residual"):
-                solve(system)
-        # All 16,641 vertices are free: S (k = 1) or A_0 (k = 2) is
-        # aggregated once, into 31 x 31 boxes of 3 h.
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    for n, k, rows in ((128, 1, 11 ** 2), (128, 2, 11 ** 2), (48, 1, 12 ** 2)):
+        system = pure_neumann_system(n, degree=k)
         nv = system.mesh.n_vertices
         assert last_level_rows(system.mesh, np.arange(nv),
-                               solver._COARSEST) == 31 ** 2
-        assert factored == [(31 ** 2, 31 ** 2)]
-        assert 0 < len(iterations) <= solver._CG_MAXITER
+                               solver._COARSEST) == rows
+        factored.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(SolverError, match="relative residual") as err:
+                solve(system)
+        assert factored == [(rows, rows)]
+        its = re.search(r"after (\d+) CG iterations", str(err.value))
+        if "residual nan" in str(err.value):
+            assert int(its[1]) == 0
+        else:
+            assert 0 < int(its[1]) <= solver._CG_MAXITER
+
+
+def test_cg_iteration_cap_is_reported(monkeypatch):
+    # CG stops at `_CG_MAXITER`; the count is on the field when the full
+    # system still passes its residual check, and in the error otherwise.
+    from conservaflux import solver
+    mesh = build_structured_mesh(8)
+    prob = load_example(2)
+    u = solve_problem(mesh, 2, prob)
+    assert u.solve_levels == (225, 49) and 0 < u.solve_iterations < 30
+    monkeypatch.setattr(solver, "_CG_RTOL", 0.0)
+    monkeypatch.setattr(solver, "_CG_MAXITER", 40)
+    assert solve_problem(mesh, 2, prob).solve_iterations == 40
+    monkeypatch.setattr(solver, "_CG_MAXITER", 3)
+    with pytest.raises(SolverError, match="after 3 CG iterations"):
+        solve_problem(mesh, 2, prob)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_exactly_singular_coarse_factor_fails_at_the_residual_check(
         k, monkeypatch):
-    # SuperLU raises on an exactly zero pivot; the solve then reports the
-    # residual as the relative residual check does, without iterating.
-    import scipy.sparse.linalg as spla
+    # A last level without a Cholesky factor (singular or indefinite) makes
+    # the solve report the residual as the relative residual check does,
+    # without iterating.
+    from conservaflux import solver
 
-    def splu(a, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    def cholesky(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    def cg(*args, **kwargs):
+    def pcg(*args):
         pytest.fail("no iteration without a coarse factor")
 
-    monkeypatch.setattr(spla, "splu", splu)
-    monkeypatch.setattr(spla, "cg", cg)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(solver, "_pcg", pcg)
     mesh = build_structured_mesh(4)
     dm = build_dof_map(mesh, k)
     prob = load_example(2)
     system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
-    with pytest.raises(SolverError, match="relative residual nan exceeds"):
+    with pytest.raises(SolverError, match="relative residual nan exceeds "
+                                          r"1\.0e-10 after 0 CG iterations"):
         solve(system)
 
 
@@ -539,29 +543,27 @@ def plain_solve(system):
 @pytest.mark.parametrize("k", [2, 3])
 def test_only_the_coarse_matrix_is_factored(k, monkeypatch):
     # The one factor is A_0 = P^T S P on the free vertices (the bubbles are
-    # condensed out and the edge dofs are iterated on), solved once per CG
+    # condensed out and the edge dofs are iterated on), applied once per CG
     # iteration.
-    import scipy.sparse.linalg as spla
     mesh = build_structured_mesh(4)
     prob = load_example(3)  # Dirichlet data on two of the four sides
     dm = build_dof_map(mesh, k)
     system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
     sizes = []
 
-    def splu(a, **kwargs):
+    def cholesky(a):
         sizes.append(a.shape)
-        return real(a, **kwargs)
+        return real(a)
 
-    def spsolve(*args, **kwargs):
-        pytest.fail("the whole system was factored")
-
-    real = spla.splu
-    monkeypatch.setattr(spla, "splu", splu)
-    monkeypatch.setattr(spla, "spsolve", spsolve)
-    solve(system)
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    u = solve(system)
     nf = int(np.sum(~system.dirichlet_mask[:mesh.n_vertices]))
+    nc = int(np.sum(~system.dirichlet_mask[dm.kind != DOF_INTERIOR]))
     assert nf < mesh.n_vertices
     assert sizes == [(nf, nf)]
+    assert u.solve_levels == (nc, nf)
+    assert 0 < u.solve_iterations <= 60
 
 
 @pytest.mark.parametrize("example", [2, 3])
@@ -630,8 +632,6 @@ def test_aggregation_levels_match_the_plain_direct_solve(k, jittered,
                                                          monkeypatch):
     # With a small `_COARSEST`, smoothed-aggregation levels go under S
     # (k = 1) or A_0 (k = 2, 3), and only the last, small one is factored.
-    import scipy.sparse.linalg as spla
-
     from conservaflux import solver
     monkeypatch.setattr(solver, "_COARSEST", 8)
     mesh = jittered_mesh(16, seed=5) if jittered else build_structured_mesh(16)
@@ -639,37 +639,27 @@ def test_aggregation_levels_match_the_plain_direct_solve(k, jittered,
     dm = build_dof_map(mesh, k)
     system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
     ref = plain_solve(system)
-    factored = []
-
-    def splu(a, **kwargs):
-        factored.append(a.shape)
-        return real(a, **kwargs)
-
-    real = spla.splu
-    monkeypatch.setattr(spla, "splu", splu)
     u = solve(system)
     free = np.flatnonzero(~system.dirichlet_mask[:mesh.n_vertices])
     rows = last_level_rows(mesh, free, 8)
+    first = last_level_rows(mesh, free, len(free) - 1)
     # The first aggregation level alone keeps more than 8 rows: two run.
-    assert rows <= 8 < last_level_rows(mesh, free, len(free) - 1)
-    assert factored == [(rows, rows)]
+    assert rows <= 8 < first
+    assert u.solve_levels[-2:] == (first, rows)
+    assert len(u.solve_levels) == (4 if k > 1 else 3)
+    assert 0 < u.solve_iterations <= 60
     assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(solve(system).values, u.values)
 
 
 def test_no_free_dof_takes_the_direct_path(monkeypatch):
-    # One element row of the unit square: every vertex is on the boundary.
-    import scipy.sparse.linalg as spla
-
+    # One element row of the unit square: every vertex is on the boundary,
+    # so there is one empty level, not aggregated, and no iteration.
     from conservaflux import solver
-
-    def cg(*args, **kwargs):
-        pytest.fail("a system without free dofs was iterated on")
-
     monkeypatch.setattr(solver, "_COARSEST", 0)
-    monkeypatch.setattr(spla, "cg", cg)
     u = solve_problem(build_structured_mesh(1), 1, linear_problem())
     assert np.array_equal(u.values, u.dofmap.coords.sum(axis=1))
+    assert u.solve_levels == (0,) and u.solve_iterations == 0
 
 
 def test_singular_pure_neumann_fails_with_residual():
