@@ -29,6 +29,8 @@ class TriMesh:
         tri_edges: (nt, 3) edge id of facet m, where facet m runs from
             local vertex m to local vertex (m + 1) % 3.
         tri_neighbors: (nt, 3) triangle across facet m, -1 on the boundary.
+        neighbor_facets: (nt, 3) int8, which facet of tri_neighbors[t, m]
+            facet m of t is, -1 on the boundary.
         boundary_edges: (nb,) edge ids lying on the domain boundary.
         boundary_labels: (nb,) part label per boundary edge.
         h: maximum element diameter.
@@ -78,7 +80,8 @@ class TriMesh:
                             "expected 1 for a simply connected domain")
 
         for a in (self.vertices, self.triangles, self.edges, self.edge_tris,
-                  self.tri_edges, self.tri_neighbors, self.boundary_edges):
+                  self.tri_edges, self.tri_neighbors, self.neighbor_facets,
+                  self.boundary_edges):
             a.setflags(write=False)
 
     # -- topology -----------------------------------------------------------
@@ -109,10 +112,16 @@ class TriMesh:
         eid[order] = np.repeat(edge, count)
         self.tri_edges = eid.reshape(-1, 3)
         start, count = start[by_first], count[by_first]
-        second = order[np.minimum(start + 1, len(order) - 1)] // 3
+        head, last = order[start], order[start + count - 1]
         self.edge_tris = np.column_stack(
-            [order[start] // 3, np.where(count == 2, second, -1)])
+            [head // 3, np.where(count == 2, last // 3, -1)])
         del order
+        # Across facet m: facet (other half-edge of its edge) % 3, or -1.
+        facets = np.empty(len(tri) * 3, dtype=np.int8)
+        facets[head], facets[last] = last % 3, head % 3
+        facets[head[count == 1]] = -1
+        self.neighbor_facets = facets.reshape(-1, 3)
+        del head, last
         # The triangle across facet m is the other one of its edge.
         self.tri_neighbors = (self.edge_tris[self.tri_edges].sum(axis=2)
                               - np.arange(len(tri))[:, None])

@@ -58,16 +58,15 @@ def _thread_count(threads):
 
 def _traces(disc, u_values, elems):
     """kappa grad(u_h).n per unit reference weight at the element-boundary
-    Gauss points (T, B, ns) of the elements `elems` (slice or indices).
-    kappa is sampled here, at the mapped points: each is a sum of three
-    products, whose rounding no chunk size changes. Here and in
-    `_boundary_flux_terms` one BLAS call per element: a longer matrix
-    product's rounding depends on its row count, and a chunk's must not."""
+    Gauss points (T, B, ns) of the elements `elems` (slice or indices):
+    det_m @ (u_loc @ bd_flux) times kappa at the mapped points. Here and in
+    `_boundary_flux_terms` every product is one per element: a longer one's
+    rounding depends on its row count, and a chunk's must not."""
     rseg = disc.rseg
-    g = (u_values[disc.cell_dofs[elems]][:, None] @ rseg.g_bd).reshape(
-        -1, *rseg.bd_pts.shape)
-    mm = solver.normal_maps(disc.det_m[elems], rseg.bd_dir)[:, :, None]
-    q = g[..., 0] * mm[..., 0] + g[..., 1] * mm[..., 1]
+    nb, ns = rseg.bd_pts.shape[:2]
+    pair = (u_values[disc.cell_dofs[elems]][:, None] @ rseg.bd_flux).reshape(
+        -1, 3, nb * ns)
+    q = (disc.det_m[elems, None] @ pair).reshape(-1, nb, ns)
     q *= sample(disc.problem.kappa, basis.map_points(
         disc.v0[elems], disc.jac[elems], rseg.bd_pts))
     return q
@@ -77,20 +76,15 @@ def _facet_copies(disc, t0, t1):
     """Neighbour m (ct, B) across each boundary segment of elements t0..t1-1
     (-1 on the domain boundary) and m's copy bd_mate[segment, m's facet],
     as int32 (2^31 elements would need terabytes of blocks)."""
-    ref, nbr, edges = disc.ref, disc.tri_neighbors[t0:t1], disc.tri_edges
-    back = np.argmax(edges[np.maximum(nbr, 0)] == edges[t0:t1, :, None], 2)
-    return (nbr[:, ref.bd_facet].astype(np.int32),
-            ref.bd_mate[np.arange(len(ref.bd_facet)), back[:, ref.bd_facet]])
+    ref = disc.ref
+    back = disc.neighbor_facets[t0:t1, ref.bd_facet]
+    return (disc.tri_neighbors[t0:t1, ref.bd_facet].astype(np.int32),
+            ref.bd_mate[np.arange(len(ref.bd_facet)), back])
 
 
-def _boundary_flux_terms(disc, u_values, t0, t1):
-    """Averaged normal-flux data on element-boundary segments.
-
-    Returns (q_seg, e_phi): per-segment integrals of {kappa grad u_h}.n dl,
-    shape (ct, B), and the rows e(u_h, phi_xi) = int_bd {kappa grad u_h}.n
-    phi_xi dl, shape (ct, N).
-    """
-    rseg = disc.rseg
+def _averaged_traces(disc, u_values, t0, t1):
+    """{kappa grad u_h}.n (ct, B, ns) like `_traces` for elements t0..t1-1:
+    the mean of both sides' traces, the own trace on the domain boundary."""
     q = _traces(disc, u_values, slice(t0, t1))
     # A copy holds the same points reversed, with the opposite normal. One
     # gather at rows `at` reads those inside the chunk; domain-boundary
@@ -104,12 +98,15 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
     outside = (m >= 0) & ~inside
     out, at = np.unique(m[outside], return_inverse=True)
     q_nbr[outside] = -_traces(disc, u_values, out)[at, s[outside], ::-1]
-    q_avg = 0.5 * (q + q_nbr)
+    return 0.5 * (q + q_nbr)
 
-    q_seg = q_avg @ rseg.sw
-    e_phi = ((q_avg * rseg.sw).reshape(t1 - t0, 1, -1)
-             @ rseg.phi_bd.reshape(-1, disc.n))[:, 0]
-    return q_seg, e_phi
+
+def _boundary_flux_terms(disc, u_values, t0, t1):
+    """Boundary rows (ct, N) of elements t0..t1-1, the averaged traces times
+    `bd_rows`: the integral of {kappa grad u_h}.n over the boundary part of
+    subcell xi, minus its integral against phi_xi over the whole boundary."""
+    q_avg = _averaged_traces(disc, u_values, t0, t1)
+    return (q_avg.reshape(t1 - t0, 1, -1) @ disc.rseg.bd_rows)[:, 0]
 
 
 def _elemental_blocks(disc, u_values, t0, t1):
@@ -119,8 +116,7 @@ def _elemental_blocks(disc, u_values, t0, t1):
     gauge = u_loc.mean(axis=1)
     # k_loc annihilates constants: centred, its rounding ignores |u_h|.
     a_term = (disc.k_loc[sl] @ (u_loc - gauge[:, None])[:, :, None])[:, :, 0]
-    q_seg, e_phi = _boundary_flux_terms(disc, u_values, t0, t1)
-    e_term = q_seg @ disc.rseg.own_bd.T - e_phi
+    e_term = _boundary_flux_terms(disc, u_values, t0, t1)
 
     beta = disc.f_sub[sl] - disc.b_loc[sl] + a_term + e_term
     bflux = disc.b_loc[sl] - a_term - e_term
@@ -220,9 +216,8 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
     coeffs = np.empty((nt, n))
     bflux = np.empty((nt, n))
     defects = np.empty(nt)
-    # Flux traces hold about ten values per boundary-segment point.
-    chunks = deque(enumerate(solver._chunks(
-        nt, disc.rseg.g_bd.shape[1] * nthreads)))
+    chunks = deque(enumerate(solver._chunks(nt,
+                                            disc.rseg.bd_width * nthreads)))
     failed = []
 
     def drain():

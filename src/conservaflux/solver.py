@@ -12,8 +12,8 @@ of at most `_COARSEST` rows. Singular systems fail at the residual check.
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which the dof map owns (see `blocks`):
 stiffness, load, subcell f and element |f| integrals, the dual-segment flux
-matrices of the elemental systems, and det J invJ invJ^T, whose product with
-rot(d) is the normal map invJ rot(J d) of a reference direction d, all from
+matrices of the elemental systems, and det J invJ invJ^T, which also maps
+the reference tables of the recovery's element-boundary traces, all from
 one chunked pass of coefficient samples times reference tables. Source
 integrals use the composite subcell rule of the dual partition, over which
 the recovery integrates f per subcell: one shared pass keeps the elemental
@@ -197,14 +197,6 @@ def _pair_table(left, right):
     return np.hstack([lr[:, 0], lr[:, 3], lr[:, 1] + lr[:, 2]])
 
 
-def normal_maps(det_m, ref_dir):
-    """Normal maps invJ rot(J d) = det M rot(d) (T, S, 2) of reference
-    directions d (S, 2), rot the -90 degree turn, from `det_m` (T, 3):
-    grad(phi).n dl is refgrad(phi).map per unit reference weight."""
-    (r0, r1), (xx, yy, xy) = dualmesh._rot(ref_dir).T, det_m.T[:, :, None]
-    return np.stack([xx * r0 + xy * r1, xy * r0 + yy * r1], axis=-1)
-
-
 class _RefSegments:
     """Reference tables of one (degree, exactness); each element kernel is a
     product of per-element samples with one of them. Element rule: points
@@ -212,14 +204,14 @@ class _RefSegments:
     `src_pts`, weights `src_w`, `src` (P, 2N) = w * [basis values | one-hot].
     Dual (`cv`) and element-boundary (`bd`) segments: Gauss weights `sw`
     and points, the flux pair table `dual`, the signs `sgn_cv` (N, S) of a
-    dual segment in its two subcells' rows, basis values and gradients at
-    the `bd` points and their owners `own_bd` (N, B)."""
+    dual segment in its two subcells' rows. At the P `bd` points, rot(d)
+    paired with the gradients `bd_flux` (N, 3P), the rows `bd_rows` (P, N)
+    = w (owner - phi) of the traces and the recovery's chunk `bd_width`."""
 
     def __init__(self, k, exactness):
         ref, n = dualmesh._ref_dual(k), basis.N_NODES[k]
         srule = segment_rule(default_segment_points(k))
-        self.sw = srule.weights
-        tpar = srule.points
+        self.sw, tpar = srule.weights, srule.points
 
         rule = triangle_rule(exactness)
         self.q_pts = rule.points
@@ -244,18 +236,22 @@ class _RefSegments:
         _, grads = basis.eval_basis(k, self.cv_pts.reshape(-1, 2))
         self.dual = _pair_table(left.reshape(-1, n, 2), grads)
 
-        # Element-boundary segments: gradients as (N, B*ns*2).
+        # Element-boundary points p = b * ns + i; `bd_flux` component major.
         self.bd_dir = ref.bd_end - ref.bd_start
         self.bd_pts = (ref.bd_start[:, None, :]
                        + tpar[None, :, None] * self.bd_dir[:, None, :])
-        nb, nsb = self.bd_pts.shape[:2]
         vals_b, grads_b = basis.eval_basis(k, self.bd_pts.reshape(-1, 2))
-        self.phi_bd = vals_b.reshape(nb, nsb, n)
-        self.g_bd = np.moveaxis(grads_b, 1, 0).reshape(n, -1)
-        self.own_bd = np.zeros((n, nb))
-        self.own_bd[ref.bd_owner, np.arange(nb)] = 1.0
+        rot = np.repeat(dualmesh._rot(self.bd_dir), len(tpar), axis=0)
+        self.bd_flux = _pair_table(rot[:, None], grads_b).reshape(
+            len(rot), 3, n).T.reshape(n, -1)
+        owner = np.eye(n)[np.repeat(ref.bd_owner, len(tpar))]
+        self.bd_rows = np.tile(self.sw, len(ref.bd_owner))[:, None] * (
+            owner - vals_b)
         for arr in vars(self).values():
             arr.setflags(write=False)
+        # Ten values per point (`_chunks`): three pair products, their sum,
+        # the mapped point, kappa, the trace, its copy and their mean.
+        self.bd_width = 2 * len(rot)
 
 
 @lru_cache(maxsize=None)
@@ -273,11 +269,11 @@ class Discretization:
     * `f_abs` (nt,): the integral of |f| over every element;
     * `d_loc` (nt, N, N): flux of every basis function through the dual
       segments of every subcell, the matrix of the elemental systems;
-    * `det_m` (nt, 3): det J invJ invJ^T as [xx, yy, xy] (`normal_maps`).
+    * `det_m` (nt, 3): det J invJ invJ^T as [xx, yy, xy].
 
     `rseg` holds the reference tables; the element maps, `tri_neighbors`
-    and `tri_edges` are the mesh's own arrays. Everything is read-only, so
-    chunks of elements can be processed concurrently.
+    and `neighbor_facets` are the mesh's own arrays. Everything is
+    read-only, so chunks of elements can be processed concurrently.
     """
 
     def __init__(self, dofmap, problem, exactness):
@@ -290,7 +286,8 @@ class Discretization:
         self.ref = dualmesh._ref_dual(k)
         self.rseg = rseg = _ref_segments(k, exactness)
         self.v0, self.jac, _, self.det_jac = mesh.element_maps()
-        self.tri_neighbors, self.tri_edges = mesh.tri_neighbors, mesh.tri_edges
+        self.tri_neighbors, self.neighbor_facets = (mesh.tri_neighbors,
+                                                    mesh.neighbor_facets)
         nt = mesh.n_triangles
         self.k_loc = np.empty((nt, n, n))
         self.d_loc = np.empty((nt, n, n))
@@ -523,7 +520,8 @@ def _aggregate(a, box):
 
 def _pcg(levels, maps, li, b):
     """CG on S x = b from x = 0, preconditioned by one symmetric cycle
-    over the levels, until |r| <= _CG_RTOL |b| or _CG_MAXITER iterations;
+    over the levels, until |r| <= _CG_RTOL |b|, |r @ z| is not a normal
+    float (CG broke down) or _CG_MAXITER iterations;
     returns x and the iteration count."""
     steps = [(a, _JACOBI / a.diagonal(), p, p.T.tocsr(), ac)
              for a, p, ac in zip(levels, maps, levels[1:])]
@@ -534,6 +532,10 @@ def _pcg(levels, maps, li, b):
             return x, its
         z = _cycle(steps, li, r)
         rz, rz_old = r @ z, rz
+        # Breakdown: r @ z underflowed (p @ S p would follow) or is not
+        # finite. A negative one (an indefinite cycle) still converges.
+        if not np.finfo(float).tiny <= abs(rz) < np.inf:
+            return x, its
         p *= rz / rz_old
         p += z
         q = levels[0] @ p

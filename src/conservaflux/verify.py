@@ -182,37 +182,30 @@ def true_solution_residual(mesh, degree, problem):
         return g
 
     def exact_flux(ref_pts, ref_dir):
-        """Exact gradient dotted with the length-scaled outward normal at
-        the mapped Gauss points (nt, S, ns) of reference segments, and
-        those points: g.rot(J d) is (g J).(det M rot(d)), the normal map."""
+        """kappa times the exact gradient dotted with the length-scaled
+        outward normal rot(J d) at the mapped Gauss points (nt, S, ns) of
+        reference segments."""
         phys = basis.map_points(v0, jac, ref_pts)
-        mm = solver.normal_maps(disc.det_m, ref_dir)
-        g = exact_grad_at(phys) @ jac[:, None]
-        return np.einsum("tsia,tsa->tsi", g, mm), phys
+        rotd = dualmesh._rot(basis.map_points(None, jac, ref_dir))
+        return sample(problem.kappa, phys) * np.einsum(
+            "tsia,tsa->tsi", exact_grad_at(phys), rotd)
 
     # Dual-segment flux rows of the exact field.
-    g_cv, phys = exact_flux(rseg.cv_pts, rseg.cv_dir)
-    q_cv = sample(problem.kappa, phys) * g_cv
-    q_seg = np.einsum("tsi,i->ts", q_cv, rseg.sw)
-    b_rows = np.einsum("xs,ts->tx", rseg.sgn_cv, q_seg)
+    q_seg = exact_flux(rseg.cv_pts, rseg.cv_dir) @ rseg.sw
+    b_rows = q_seg @ rseg.sgn_cv.T
 
     # Stiffness rows with the exact gradient.
     rule = triangle_rule(disc.exactness)
     _, grads = basis.eval_basis(degree, rule.points)
     phys = basis.map_points(v0, jac, rule.points)
-    g_ex = exact_grad_at(phys)
-    kap = sample(problem.kappa, phys)
     g_phi = basis.map_points(None, inv.transpose(0, 2, 1), grads)
-    c = rule.weights[None, :] * det[:, None] * kap
-    a_rows = np.einsum("tq,tqa,tqia->ti", c, g_ex, g_phi)
+    c = rule.weights * det[:, None] * sample(problem.kappa, phys)
+    a_rows = np.einsum("tq,tqa,tqia->ti", c, exact_grad_at(phys), g_phi)
 
-    # Boundary data rows with the exact (one-sided) flux.
-    g_bd, phys = exact_flux(rseg.bd_pts, rseg.bd_dir)
-    q_bd = sample(problem.kappa, phys) * g_bd
-    q_bseg = np.einsum("tsi,i->ts", q_bd, rseg.sw)
-    e_char = np.einsum("xs,ts->tx", rseg.own_bd, q_bseg)
-    e_phi = np.einsum("tsi,i,six->tx", q_bd, rseg.sw, rseg.phi_bd)
-    e_rows = e_char - e_phi
+    # Boundary data rows with the exact (one-sided) flux, from the table
+    # the recovery applies to its averaged traces.
+    e_rows = exact_flux(rseg.bd_pts, rseg.bd_dir).reshape(len(det), -1) \
+        @ rseg.bd_rows
 
     ell_rows = disc.f_sub - disc.b_loc
     return b_rows - (ell_rows + a_rows + e_rows)

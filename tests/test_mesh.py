@@ -111,6 +111,35 @@ def test_topology_matches_unique_based_oracle(case, jittered_mesh, shuffled,
         assert np.array_equal(got, ref), name
 
 
+@pytest.mark.parametrize("case", ["structured", "jittered", "shuffled",
+                                  "file"])
+def test_neighbor_facets_match_edge_search_oracle(case, jittered_mesh,
+                                                  shuffled, tmp_path):
+    # Oracle: the facet of the neighbour whose edge id is facet m's, found
+    # by comparing the neighbour's three edge ids with it.
+    if case == "file":
+        path = tmp_path / "mesh.txt"
+        write_mesh_file(shuffled(jittered_mesh(9, seed=2), 6), path)
+        mesh = read_mesh_file(path)
+    else:
+        mesh = {"structured": lambda: build_structured_mesh(23),
+                "jittered": lambda: jittered_mesh(17, seed=8),
+                "shuffled": lambda: shuffled(build_structured_mesh(14), 9),
+                }[case]()
+    nbr, edges = mesh.tri_neighbors, mesh.tri_edges
+    back = np.argmax(edges[np.maximum(nbr, 0)] == edges[:, :, None], 2)
+    got = mesh.neighbor_facets
+    assert got.dtype == np.int8 and got.shape == (mesh.n_triangles, 3)
+    assert not got.flags.writeable
+    assert np.array_equal(got < 0, nbr < 0)
+    assert np.all(got[nbr < 0] == -1)
+    assert np.array_equal(got[nbr >= 0], back[nbr >= 0])
+    # Across facet m and back again is facet m of t.
+    t, m = np.nonzero(nbr >= 0)
+    assert np.array_equal(nbr[nbr[t, m], got[t, m]], t)
+    assert np.array_equal(got[nbr[t, m], got[t, m]], m)
+
+
 @pytest.mark.parametrize("triangles", [
     [[0, 1, 2], [1, 0, 3], [0, 1, 4]],
     [[0, 1, 2], [1, 0, 3], [2, 1, 4], [1, 2, 3], [0, 1, 4]],

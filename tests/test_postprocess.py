@@ -10,9 +10,9 @@ from conservaflux import solver
 from conservaflux.dualmesh import (CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY,
                                    _rot)
 from conservaflux.mesh import TriMesh
-from conservaflux.postprocess import (PostprocessError, _boundary_flux_terms,
-                                      _elemental_blocks, _facet_copies,
-                                      _solve_chunk)
+from conservaflux.postprocess import (PostprocessError, _averaged_traces,
+                                      _boundary_flux_terms, _elemental_blocks,
+                                      _facet_copies, _solve_chunk)
 from conservaflux.problems import ProblemSpec
 from conservaflux.quadrature import segment_rule, triangle_rule
 from conservaflux.solver import default_segment_points, sample
@@ -96,8 +96,9 @@ def test_average_flux_of_linear_field_has_no_jump():
     u = solve_problem(mesh, 1, prob)
     # every element-boundary segment, against the continuous gradient (1, 1)
     start, end, _ = bd_segments(mesh, 1, slice(None))
-    q_seg, _ = _boundary_flux_terms(u.discretization, u.values, 0,
-                                    mesh.n_triangles)
+    disc = u.discretization
+    q_seg = _averaged_traces(disc, u.values, 0, mesh.n_triangles) \
+        @ disc.rseg.sw
     assert np.abs(q_seg - scaled_normals(start, end).sum(axis=-1)).max() \
         < 1e-12
 
@@ -124,7 +125,8 @@ def test_average_flux_interior_jump_is_mean_of_traces():
     t = 1
     facet = 0
     nbr = int(mesh.tri_neighbors[t, facet])
-    q_seg, _ = _boundary_flux_terms(u.discretization, u.values, t, t + 1)
+    q_seg = _averaged_traces(u.discretization, u.values, t, t + 1) \
+        @ u.discretization.rseg.sw
     for s in np.nonzero(u.discretization.ref.bd_facet == facet)[0]:
         expected, sides = facet_oracle(mesh, prob, u, t, (t, nbr), s)
         assert abs(q_seg[0, s] - expected) < 1e-13
@@ -138,7 +140,8 @@ def test_average_flux_boundary_is_one_sided():
     u = solve_problem(mesh, 2, prob)
     # element 0 facet 0 lies on the bottom boundary
     assert mesh.tri_neighbors[0, 0] < 0
-    q_seg, _ = _boundary_flux_terms(u.discretization, u.values, 0, 1)
+    q_seg = _averaged_traces(u.discretization, u.values, 0, 1) \
+        @ u.discretization.rseg.sw
     for s in np.nonzero(u.discretization.ref.bd_facet == 0)[0]:
         expected, _ = facet_oracle(mesh, prob, u, 0, (0,), s)
         assert abs(q_seg[0, s] - expected) < 1e-14
@@ -175,9 +178,8 @@ def test_elemental_rhs_partition_sums():
     u_loc = u.values[u.dofmap.cell_dofs]
     a_rows = np.einsum("tij,tj->ti", disc.k_loc, u_loc)
     assert np.abs(a_rows.sum(axis=1)).max() < 1e-13
-    q_seg, e_phi = _boundary_flux_terms(disc, u.values, 0, mesh.n_triangles)
-    e_char = np.einsum("xs,ts->tx", disc.rseg.own_bd, q_seg)
-    assert np.abs((e_char - e_phi).sum(axis=1)).max() < 1e-13
+    e_rows = _boundary_flux_terms(disc, u.values, 0, mesh.n_triangles)
+    assert np.abs(e_rows.sum(axis=1)).max() < 1e-13
 
 
 def test_k1_matrix_against_segment_oracle():
@@ -466,7 +468,7 @@ def test_chunk_queue_gives_each_chunk_to_one_thread(monkeypatch):
     u = solve_problem(mesh, 2, prob)
     parts = build_partitions(mesh, 2)
     monkeypatch.setattr(solver, "_BUDGET",
-                        24 * u.discretization.rseg.g_bd.shape[1])
+                        24 * u.discretization.rseg.bd_width)
     serial = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=1)
     taken, real = [], postprocess._elemental_blocks
 
@@ -499,7 +501,7 @@ def test_incompatible_element_fails_alike_on_any_thread_count(monkeypatch):
     u = solve_problem(mesh, 2, prob)
     parts = build_partitions(mesh, 2)
     monkeypatch.setattr(solver, "_BUDGET",
-                        17 * u.discretization.rseg.g_bd.shape[1])
+                        17 * u.discretization.rseg.bd_width)
     u.discretization.f_sub[[20, 50], 0] += 1.0
     messages, running = {}, threading.active_count()
     for threads in (1, 2, 4):
@@ -529,7 +531,7 @@ def test_chunk_borders_cutting_facets_match_one_chunk_run(k, jittered_mesh,
     prob = load_example(2)
     u = solve_problem(mesh, k, prob)
     parts = build_partitions(mesh, k)
-    width = u.discretization.rseg.g_bd.shape[1]
+    width = u.discretization.rseg.bd_width
     assert mesh.n_triangles <= solver._BUDGET // width     # one chunk
     whole = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=1)
     step = 5
@@ -966,13 +968,19 @@ def test_neighbour_trace_matches_mapped_point_reference(k, jittered_mesh):
             other = own if m < 0 else flux(m, phys[t, s], rotd[t, s])
             q_avg[t, s] = kap[t, s] * 0.5 * (own + other)
     q_ref = q_avg @ rseg.sw
-    e_ref = np.einsum("tsi,i,six->tx", q_avg, rseg.sw, rseg.phi_bd)
+    # Rows: the segment integrals into the owner's row, minus the traces
+    # weighted by every basis function.
+    vals, _ = eval_basis(k, rseg.bd_pts.reshape(-1, 2))
+    phi = vals.reshape(*rseg.bd_pts.shape[:2], -1)
+    own = np.eye(N_NODES[k])[disc.ref.bd_owner][:, None, :]
+    e_ref = np.einsum("tsi,i,six->tx", q_avg, rseg.sw, own - phi)
 
     # The whole mesh at once and in chunks that cut through neighbour pairs.
     for bounds in ((0, nt), (0, 13, 40, nt)):
-        parts = [_boundary_flux_terms(disc, u.values, a, b)
-                 for a, b in zip(bounds[:-1], bounds[1:])]
-        q_seg = np.concatenate([p[0] for p in parts])
-        e_phi = np.concatenate([p[1] for p in parts])
+        chunks = list(zip(bounds[:-1], bounds[1:]))
+        q_seg = np.concatenate([_averaged_traces(disc, u.values, a, b)
+                                for a, b in chunks]) @ rseg.sw
+        e_rows = np.concatenate([_boundary_flux_terms(disc, u.values, a, b)
+                                 for a, b in chunks])
         assert np.abs(q_seg - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
-        assert np.abs(e_phi - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
+        assert np.abs(e_rows - e_ref).max() <= 1e-12 * np.abs(e_ref).max()
