@@ -45,6 +45,15 @@ _JACOBI = 0.5  # damping of the Jacobi smoother of the PCG's cycle
 # 121 rows 8.5 dense vs 12.2 aggregated, 225 rows 15.8 vs 18.4, 289 rows
 # 19.9 vs 17.1, 484 rows 54.9 vs 29.7 (README).
 _COARSEST = 250
+# Most rows of one block of the dense last level. OpenBLAS runs a product
+# on threads once m n k exceeds 4 * 2^16, and its Cholesky from 128 rows
+# on, and then rounds with the thread count (measured: A A^T from 97 rows,
+# A^T B from 121); every call on blocks of 64 runs on one.
+_BLOCK = 64
+# Most row chunks S and P^T S are formed in. A chunk holds at least as
+# many entries as S has columns: scipy's sparse products allocate and clear
+# work arrays of one entry per column on every call.
+_PIECES = 16
 # PCG stop, relative to the condensed right-hand side. LCE(tilde) is the
 # interior residual: at 1e-13 it rose from 2.9e-14 to 1.6e-12 (k=3 n=128).
 _CG_RTOL = 1e-15
@@ -294,36 +303,45 @@ class Discretization:
         self.det_m = np.empty((nt, 3))
         src, self.f_abs = np.empty((2, nt, n)), np.empty(nt)
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
-        # The source pass writes its mapped points and |f| into two buffers
-        # sized for the largest chunk, so no chunk faults in fresh pages.
+        # Every pass writes its mapped points, and the source pass |f| and
+        # the kappa passes kappa @ table, into buffers sized for the largest
+        # chunk, so no chunk faults in fresh pages; the blocks go straight
+        # into their arrays.
         width = len(rseg.src_pts)
-        size = width * min(nt, max(1, _BUDGET // width))
-        phys_buf, abs_buf = np.empty(2 * size), np.empty(size)
+        step = min(nt, max(1, _BUDGET // width))
+        points = max(width, len(rseg.q_pts), rseg.cv_pts[..., 0].size)
+        phys_buf, abs_buf = np.empty(2 * step * points), np.empty(step * width)
+        prod_buf = np.empty(step * rseg.stiff.shape[1])
         for sl in _chunks(nt, width):
             # det J invJ invJ^T = adj(J) adj(J)^T / det J, in closed form.
             (a, b), (c, d) = self.jac[sl].transpose(1, 2, 0)
             self.det_m[sl] = np.column_stack([b * b + d * d, a * a + c * c,
                                               -(a * b + c * d)])
             self.det_m[sl] /= self.det_jac[sl, None]
-            self.k_loc[sl] = self._kappa_blocks(sl, rseg.q_pts, rseg.stiff)
+            self._kappa_blocks(sl, rseg.q_pts, rseg.stiff, self.k_loc[sl],
+                               phys_buf, prod_buf)
             src[:, sl], self.f_abs[sl] = self._sources(sl, phys_buf, abs_buf)
-            self.d_loc[sl] = self._kappa_blocks(sl, rseg.cv_pts, rseg.dual)
+            self._kappa_blocks(sl, rseg.cv_pts, rseg.dual, self.d_loc[sl],
+                               phys_buf, prod_buf)
         self.b_loc, self.f_sub = src
 
-    def _kappa_blocks(self, sl, ref_pts, table):
-        """(T, N, N) blocks sum_c det_m_c (kappa @ table_c) of a chunk,
-        with kappa sampled at the mapped points of a pair table; a
-        nonpositive kappa is an error."""
+    def _kappa_blocks(self, sl, ref_pts, table, out, phys_buf, prod_buf):
+        """Write the (T, N, N) blocks sum_c det_m_c (kappa @ table_c) of a
+        chunk into `out`, with kappa sampled at the mapped points of a pair
+        table; a nonpositive kappa is an error. The mapped points and the
+        products kappa @ table go into the flat buffers given."""
         phys = basis.map_points(self.v0[sl], self.jac[sl],
-                                ref_pts.reshape(-1, 2))
+                                ref_pts.reshape(-1, 2), out=phys_buf)
         kap = sample(self.problem.kappa, phys)
-        if not np.all(kap > 0.0):
+        if not kap.min() > 0.0:  # NaN fails too
             t, q = np.unravel_index(int(np.argmin(kap)), kap.shape)
             raise SolverError(
                 f"kappa must be positive; got {kap[t, q]:g} at "
                 f"({phys[t, q, 0]:.6g}, {phys[t, q, 1]:.6g})")
-        k = self.det_m[sl, None, :] @ (kap @ table).reshape(len(kap), 3, -1)
-        return k.reshape(-1, self.n, self.n)
+        prod = np.matmul(kap, table, out=prod_buf[:len(kap) * table.shape[1]]
+                         .reshape(len(kap), -1))
+        np.matmul(self.det_m[sl, None, :], prod.reshape(len(kap), 3, -1),
+                  out=out.reshape(len(kap), 1, -1))
 
     def _sources(self, sl, phys_buf, abs_buf):
         """Load blocks and subcell integrals of f (2, T, N) and element
@@ -445,38 +463,32 @@ def solve(system):
     element-interior dofs (k = 3) last, and each couples only to its own
     element, so their block D is diagonal: they are condensed to the Schur
     complement S = A_cc - A_ci D^-1 A_ic on the free coupled dofs and
-    follow exactly as (b_i - A_ic x_c) / D. S is the first level of a short
-    hierarchy; at k = 2, 3 the next is A_0 = P^T S P, where P is the dof
-    map's P1 interpolation `p1` restricted to the free coupled dofs and
-    the free vertices. While a level has more than `_COARSEST` rows, a
-    smoothed-aggregation level goes under it (`_aggregate`). The last level
-    is inverted densely, so with one level (k = 1, at most `_COARSEST`
-    rows) the preconditioner is exact. CG solves S to rounding level,
-    preconditioned by one symmetric cycle, since the recovered flux's
-    control-volume defect is exactly this solve's interior residual.
-    The relative residual of the returned solution on the full system is at
-    most 1e-10; otherwise a SolverError reports it and the CG iterations.
+    follow exactly as (b_i - A_ic x_c) / D (`_condense`). S is the first
+    level of a short hierarchy; at k = 2, 3 the next is A_0 = P^T S P,
+    where P is the dof map's P1 interpolation `p1` restricted to the free
+    coupled dofs and the free vertices. While a level has more than
+    `_COARSEST` rows, a smoothed-aggregation level goes under it
+    (`_aggregate`). The last level is inverted densely, so with one level
+    (k = 1, at most `_COARSEST` rows) the preconditioner is exact. CG solves
+    S to rounding level, preconditioned by one symmetric cycle, since the
+    recovered flux's control-volume defect is exactly this solve's interior
+    residual. Beside A, the setup holds S, the levels under it and chunks
+    of rows. The relative residual of the returned solution on the full
+    system is at most 1e-10; otherwise a SolverError reports it and the CG
+    iterations.
     """
     a, b = system.matrix.tocsr(), system.rhs
     dm, mask = system.dofmap, system.dirichlet_mask
     x = np.where(mask, system.dirichlet_values, 0.0)
-    r = b - a @ x
     nc = len(b) - int(np.sum(dm.kind == DOF_INTERIOR))
     free = np.flatnonzero(~mask[:nc])
-    rows = a[free]
-    a_ci, a_ic, d = rows[:, nc:], a[nc:][:, free], a.diagonal()[nc:]
-    rhs = r[free] - a_ci @ (r[nc:] / d)
-    # Each gather of A goes once used: S = A_cc - A_ci (D^-1 A_ic) sets
-    # the peak of the solve, and the PCG needs none of them.
-    rows = rows[:, free]
-    a_ci = a_ci @ (sp.diags(1.0 / d) @ a_ic)
-    s = (rows - a_ci).tocsr()
-    del rows, a_ci
+    d = a.diagonal()[nc:]
+    s, rhs = _condense(a, ~mask, free, nc, b - a @ x, d)
     levels, maps = [s], []
     free_v = free[free < dm.mesh.n_vertices]
     if dm.degree > 1:
         maps.append(dm.p1[free][:, free_v])
-        levels.append(maps[0].T @ s @ maps[0])
+        levels.append(_galerkin(s, maps[0]))
     if levels[-1].shape[0] > _COARSEST:
         # Boxes 3 median element diameters wide: the longest edge of the
         # mesh, `h`, would widen every box.
@@ -489,12 +501,13 @@ def solve(system):
             levels.append(p.T @ levels[-1] @ p)
     try:
         # A_c^-1 = L^-T L^-1: two dense products per cycle.
-        li = np.linalg.inv(np.linalg.cholesky(levels[-1].toarray()))
+        li = _inverse_factor(levels[-1].toarray())
     except np.linalg.LinAlgError:  # singular or indefinite: fail below
         x[free], its = np.nan, 0
     else:
         x[free], its = _pcg(levels, maps, li, rhs)
-    x[nc:] = (r[nc:] - a_ic @ x[free]) / d
+    if nc < len(b):  # the bubbles, still 0 in x
+        x[nc:] = (b[nc:] - (a @ x)[nc:]) / d
     bnorm = np.linalg.norm(b)
     res = float(np.linalg.norm(a @ x - b) / (bnorm if bnorm > 0 else 1.0))
     if not np.isfinite(res) or res > _SOLVE_RTOL:
@@ -504,6 +517,129 @@ def solve(system):
     return FemField(mesh=system.mesh, dofmap=system.dofmap, values=x,
                     solve_residual=res, solve_iterations=its,
                     solve_levels=tuple(lv.shape[0] for lv in levels))
+
+
+def _pieces(nnz, width):
+    """How many row chunks to cut `nnz` entries into: at most `_PIECES`,
+    each of at least `width` entries."""
+    return max(1, min(_PIECES, nnz // max(width, 1)))
+
+
+def _split(n, parts):
+    """`parts` slices of range(n), in order, of sizes differing by at most
+    one."""
+    return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
+
+
+def _rows(a, r0, r1, keep, cols, width):
+    """The rows r0..r1-1 of the CSR matrix `a` marked in `keep`, with the
+    entries in the columns j where cols[j] < width moved to column cols[j],
+    in their order in `a`: a CSR matrix of `width` columns."""
+    ptr = a.indptr[r0:r1 + 1] - a.indptr[r0]
+    at = slice(a.indptr[r0], a.indptr[r1])
+    col = cols.take(a.indices[at])
+    hit = col < width
+    hit &= np.repeat(keep[r0:r1], np.diff(ptr))
+    # Few entries drop out (a constrained row, a bubble's diagonal): count
+    # them per row.
+    out = np.searchsorted(ptr[1:], np.flatnonzero(~hit), side="right")
+    counts = (np.diff(ptr) - np.bincount(out, minlength=r1 - r0))[keep[r0:r1]]
+    return sp.csr_matrix((a.data[at][hit], col[hit],
+                          np.r_[0, np.cumsum(counts)]),
+                         shape=(len(counts), width))
+
+
+def _condense(a, keep, free, nc, r, d):
+    """Wilson's static condensation of A x = r onto the free coupled dofs
+    `free` (the rows below `nc` marked in `keep`): S = A_cc - A_ci D^-1 A_ic
+    and r_c - A_ci D^-1 r_i, where the dofs from `nc` on are the bubbles,
+    whose block is the diagonal `d`.
+
+    S is written into arrays sized for the free rows of A (its entries
+    and their couplings to bubbles), one chunk of rows at a time: a chunk
+    [A_cc A_ci] of the rows of A times [I; -D^-1 A_ic] is S's chunk, with
+    the entries where A stores none (exact zeros that `apply_dirichlet`
+    dropped). Beside A and S, only D^-1 A_ic, one chunk and dof vectors
+    are held."""
+    n, nf = a.shape[0], len(free)
+    width = nf + n - nc
+    cols = np.full(n, width, dtype=a.indices.dtype)  # constrained: dropped
+    cols[free] = np.arange(nf)
+    cols[nc:] = np.arange(nf, width)
+    rhs, cond = r[free], None
+    if nc < n:  # bubbles are interior dofs: never constrained
+        a_ic = _rows(a, nc, n, keep, cols, nf)
+        a_ic.data *= np.repeat(-1.0 / d, np.diff(a_ic.indptr))
+        cond = sp.csr_matrix((np.r_[np.ones(nf), a_ic.data],
+                              np.r_[np.arange(nf), a_ic.indices],
+                              np.r_[np.arange(nf), nf + a_ic.indptr]),
+                             shape=(width, nf))
+        del a_ic
+        r_i = np.r_[np.zeros(nf), r[nc:] / d]
+    size = int(np.diff(a.indptr)[free].sum())
+    idx = np.int32 if max(size, n) < 2 ** 31 else np.int64
+    data, indices = np.empty(size), np.empty(size, dtype=idx)
+    indptr = np.zeros(nf + 1, dtype=idx)
+    cuts = np.searchsorted(a.indptr[:nc + 1], np.linspace(
+        0, a.indptr[nc], _pieces(size, width) + 1)[1:-1])
+    at = row = 0
+    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, nc]):
+        chunk = _rows(a, r0, r1, keep, cols, width)
+        if cond is not None:
+            rhs[row:row + chunk.shape[0]] -= chunk @ r_i
+            chunk = chunk @ cond
+        if at + chunk.nnz > size:  # more fill-in than couplings to bubbles
+            size = at + chunk.nnz + size // 4
+            data, indices = (np.r_[v[:at], np.empty(size - at, v.dtype)]
+                             for v in (data, indices))
+        data[at:at + chunk.nnz] = chunk.data
+        indices[at:at + chunk.nnz] = chunk.indices
+        indptr[row + 1:row + 1 + chunk.shape[0]] = at + chunk.indptr[1:]
+        at, row = at + chunk.nnz, row + chunk.shape[0]
+    return sp.csr_matrix((data[:at], indices[:at], indptr), (nf, nf)), rhs
+
+
+def _galerkin(s, p):
+    """P^T S P, in chunks of the rows of P^T: no whole P^T S, which has
+    about a third of the entries of S (0.27 at k = 3, 0.41 at k = 2), is
+    held."""
+    pt = p.T.tocsr()
+    return sp.vstack([pt[q] @ s @ p for q in _split(
+        pt.shape[0], _pieces(s.nnz // 3, s.shape[0]))], format="csr")
+
+
+def _blocks(n):
+    """Slices of range(n) of at most `_BLOCK` each, as few as can be."""
+    return _split(n, -(-n // _BLOCK))
+
+
+def _product(a, b):
+    """a @ b summed block by block, in a fixed order, from products of
+    blocks of at most `_BLOCK` rows and columns."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i in _blocks(a.shape[0]):
+        for j in _blocks(b.shape[1]):
+            for m in _blocks(a.shape[1]):
+                out[i, j] += a[i, m] @ b[m, j]
+    return out
+
+
+def _inverse_factor(c):
+    """L^-1 for the Cholesky factor L of the dense level c = L L^T (`c` is
+    overwritten), one diagonal block of `_blocks` at a time, so that no
+    BLAS or LAPACK call runs on threads and the rounding does not depend on
+    their number. Raises LinAlgError where `c` has no factor."""
+    li = np.zeros_like(c)
+    for j in _blocks(len(c)):
+        inv = np.linalg.inv(np.linalg.cholesky(c[j, j]))
+        # The strictly lower blocks of c hold those of L by now.
+        li[j, :j.start] = _product(-inv, _product(c[j, :j.start],
+                                                  li[:j.start, :j.start]))
+        li[j, j] = inv
+        below = slice(j.stop, len(c))
+        c[below, j] = _product(c[below, j], inv.T)
+        c[below, below] -= _product(c[below, j], c[below, j].T)
+    return li
 
 
 def _aggregate(a, box):

@@ -76,6 +76,38 @@ def test_byte_identical_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Each setting runs in a child process, since OpenBLAS reads it once,
+    # at load. The dense last levels here have 143, 36 and 132 rows; with
+    # LAPACK on the whole level, 11 of the 16 CSVs (levels 12 and 48)
+    # differed between 1 and 2 BLAS threads.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        env.pop("CONSERVAFLUX_THREADS", None)
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from conservaflux.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "solve", "--example", "3", "--degree", "2", "--levels",
+             "12,24,48", "--check", "all", "--threads", "1", "--out",
+             str(out)], env=env, check=True, capture_output=True)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert len(names) == 16
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_convergence_requires_ladder_with_n():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--example", "1", "--degree", "1", "--n", "8",

@@ -457,10 +457,11 @@ def test_singular_system_fails_after_one_factorization_and_capped_cg(
     # the residual attained and the iterations taken. All vertices are
     # free: S (k = 1) or A_0 (k = 2) is aggregated into boxes of 3 median
     # element diameters, then three times wider, down to `_COARSEST`
-    # rows. Whether a singular last level has a Cholesky factor in floating
-    # point depends on rounding, even on the BLAS thread count: without
-    # one the solution is NaN and CG never runs (n = 128 here), with one
-    # CG runs, to the cap at n = 48.
+    # rows, which are factored once, in diagonal blocks of at most
+    # `_BLOCK` rows. Whether a singular last level has a Cholesky factor in
+    # floating point depends on rounding: without one the solution is NaN
+    # and CG never runs (n = 128 here), with one CG runs, to the cap at
+    # n = 48.
     import re
     import warnings
 
@@ -483,7 +484,10 @@ def test_singular_system_fails_after_one_factorization_and_capped_cg(
             warnings.simplefilter("ignore")
             with pytest.raises(SolverError, match="relative residual") as err:
                 solve(system)
-        assert factored == [(rows, rows)]
+        assert all(m == n <= solver._BLOCK for m, n in factored)
+        assert sum(m for m, _ in factored) <= rows
+        if "residual nan" not in str(err.value):
+            assert sum(m for m, _ in factored) == rows
         its = re.search(r"after (\d+) CG iterations", str(err.value))
         if "residual nan" in str(err.value):
             assert int(its[1]) == 0
@@ -576,13 +580,34 @@ def test_only_the_coarse_matrix_is_factored(k, monkeypatch):
     assert 0 < u.solve_iterations <= 60
 
 
-@pytest.mark.parametrize("example", [2, 3])
-def test_k3_condensed_solve_matches_full_system(example, jittered_mesh):
-    mesh = jittered_mesh(6, seed=9)
+def condensation_fill_in(system):
+    """Pairs of free coupled dofs where A_ci D^-1 A_ic has an entry and A
+    stores none: `apply_dirichlet` drops the exact zeros of A."""
+    import scipy.sparse as sp
+    a, dm = system.matrix.tocsr(), system.dofmap
+    nc = dm.n_dofs - int(np.sum(dm.kind == DOF_INTERIOR))
+    free = np.flatnonzero(~system.dirichlet_mask[:nc])
+    c = a[free][:, nc:] @ sp.diags(1 / a.diagonal()[nc:]) @ a[nc:][:, free]
+    on_c = abs(c) > 0
+    return on_c.sum() - on_c.multiply(a[free][:, free] != 0).sum()
+
+
+@pytest.mark.parametrize("jittered, example", [
+    pytest.param(True, example, id=str(example)) for example in (1, 2, 3)] + [
+    pytest.param(False, example, id=f"structured-{example}")
+    for example in (1, 2, 3)])
+def test_k3_condensed_solve_matches_full_system(jittered, example,
+                                                jittered_mesh):
+    # On structured meshes S = A_cc - A_ci D^-1 A_ic has entries where A
+    # stores none (exact zeros of A dropped by `apply_dirichlet`): S must
+    # hold them too. No two elements of a jittered mesh share a shape, and
+    # its A drops nothing.
+    mesh = jittered_mesh(6, seed=9) if jittered else build_structured_mesh(6)
     prob = load_example(example)
     dm = build_dof_map(mesh, 3)
     a, b = assemble(mesh, dm, prob)
     system = apply_dirichlet(a, b, dm, prob)
+    assert (condensation_fill_in(system) == 0) == jittered
     ref = plain_solve(system)
     full = system.matrix
     for u in (solve(system), solve_problem(mesh, 3, prob)):
@@ -660,6 +685,61 @@ def test_aggregation_levels_match_the_plain_direct_solve(k, jittered,
     assert 0 < u.solve_iterations <= 60
     assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(solve(system).values, u.values)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_solve_holds_one_copy_of_the_matrix_beside_it(k, jittered_mesh):
+    # The peak allocated inside `solve` stays within S, written from A's
+    # arrays in chunks of rows (at most the free rows of A, plus a chunk),
+    # the levels under it and the PCG's dof vectors. Gathering the free
+    # rows of A, then their free columns, then forming S = A_cc - C with
+    # scipy held 3.3 A at k = 3 (1.5 A + 43 dof vectors here).
+    import tracemalloc
+    mesh = jittered_mesh(32, seed=4)
+    prob = load_example(2)
+    dm = build_dof_map(mesh, k)
+    system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
+    a = system.matrix
+    a_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = solve(system)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(u.solve_levels) == (3 if k > 1 else 2)  # levels aggregate
+    assert peak <= 1.5 * a_bytes + 32 * 8 * dm.n_dofs
+
+
+def test_condensation_fill_in_beyond_the_couplings_to_bubbles(
+        jittered_mesh):
+    # S is written into arrays sized for the free rows of A. With the
+    # coupled block of A cut to its diagonal, the fill-in of A_ci D^-1 A_ic
+    # outnumbers the couplings to bubbles, and the arrays have to grow.
+    import scipy.sparse as sp
+    from dataclasses import replace
+    mesh = jittered_mesh(6, seed=9)
+    prob = load_example(2)
+    dm = build_dof_map(mesh, 3)
+    system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
+    a = system.matrix.tocoo()
+    nc = dm.n_dofs - int(np.sum(dm.kind == DOF_INTERIOR))
+    # Twice the row's absolute sum on a free diagonal: S stays positive.
+    diag = np.where(system.dirichlet_mask, 1.0, 2 * np.bincount(
+        a.row, np.abs(a.data), minlength=dm.n_dofs))
+    coupled = (a.row < nc) & (a.col < nc)
+    data = np.where(coupled, 0.0, a.data)
+    on_diag = coupled & (a.row == a.col)
+    data[on_diag] = diag[a.row[on_diag]]
+    cut = sp.csr_matrix((data, (a.row, a.col)), shape=a.shape)
+    cut.eliminate_zeros()
+    cut_system = replace(system, matrix=cut)
+    free_rows = np.diff(cut.indptr)[:nc][~system.dirichlet_mask[:nc]]
+    assert condensation_fill_in(cut_system) > free_rows.sum()
+    ref = plain_solve(cut_system)
+    u = solve(cut_system)
+    assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_no_free_dof_takes_the_direct_path(monkeypatch):
