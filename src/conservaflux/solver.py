@@ -462,20 +462,19 @@ def solve(system):
     Dirichlet dofs keep their values exactly. The system's dof map numbers
     element-interior dofs (k = 3) last, and each couples only to its own
     element, so their block D is diagonal: they are condensed to the Schur
-    complement S = A_cc - A_ci D^-1 A_ic on the free coupled dofs and
-    follow exactly as (b_i - A_ic x_c) / D (`_condense`). S is the first
-    level of a short hierarchy; at k = 2, 3 the next is A_0 = P^T S P,
-    where P is the dof map's P1 interpolation `p1` restricted to the free
-    coupled dofs and the free vertices. While a level has more than
-    `_COARSEST` rows, a smoothed-aggregation level goes under it
-    (`_aggregate`). The last level is inverted densely, so with one level
-    (k = 1, at most `_COARSEST` rows) the preconditioner is exact. CG solves
-    S to rounding level, preconditioned by one symmetric cycle, since the
-    recovered flux's control-volume defect is exactly this solve's interior
-    residual. Beside A, the setup holds S, the levels under it and chunks
-    of rows. The relative residual of the returned solution on the full
-    system is at most 1e-10; otherwise a SolverError reports it and the CG
-    iterations.
+    complement S = A_cc - A_ci D^-1 A_ic on the free coupled dofs and follow
+    exactly as (b_i - A_ic x_c) / D (`_condense`). S is the first level of a
+    short hierarchy, and each level L has P^T L P under it (`_galerkin`): P
+    is the dof map's P1 interpolation `p1` on the free coupled dofs and
+    vertices at k = 2, 3, then, while a level has more than `_COARSEST`
+    rows, a smoothed aggregation (`_aggregate`). The last level is inverted
+    densely, so with one level (k = 1, at most `_COARSEST` rows) the
+    preconditioner is exact. CG solves S to rounding level, preconditioned
+    by one symmetric cycle, since the recovered flux's control-volume defect
+    is exactly this solve's interior residual. Beside A, the setup holds S,
+    the levels under it, each P^T and chunks of rows. The relative residual
+    of the returned solution on the full system is at most 1e-10; otherwise
+    a SolverError reports it and the CG iterations.
     """
     a, b = system.matrix.tocsr(), system.rhs
     dm, mask = system.dofmap, system.dirichlet_mask
@@ -487,8 +486,7 @@ def solve(system):
     levels, maps = [s], []
     free_v = free[free < dm.mesh.n_vertices]
     if dm.degree > 1:
-        maps.append(dm.p1[free][:, free_v])
-        levels.append(_galerkin(s, maps[0]))
+        _galerkin(levels, maps, dm.p1[free][:, free_v])
     if levels[-1].shape[0] > _COARSEST:
         # Boxes 3 median element diameters wide: the longest edge of the
         # mesh, `h`, would widen every box.
@@ -497,8 +495,8 @@ def solve(system):
         box = box.astype(np.int64)
         while levels[-1].shape[0] > _COARSEST:
             p, box = _aggregate(levels[-1], box)
-            maps.append(p)
-            levels.append(p.T @ levels[-1] @ p)
+            _galerkin(levels, maps, p)
+        del p  # the cycle keeps P^T only
     try:
         # A_c^-1 = L^-T L^-1: two dense products per cycle.
         li = _inverse_factor(levels[-1].toarray())
@@ -599,13 +597,15 @@ def _condense(a, keep, free, nc, r, d):
     return sp.csr_matrix((data[:at], indices[:at], indptr), (nf, nf)), rhs
 
 
-def _galerkin(s, p):
-    """P^T S P, in chunks of the rows of P^T: no whole P^T S, which has
-    about a third of the entries of S (0.27 at k = 3, 0.41 at k = 2), is
-    held."""
-    pt = p.T.tocsr()
-    return sp.vstack([pt[q] @ s @ p for q in _split(
-        pt.shape[0], _pieces(s.nnz // 3, s.shape[0]))], format="csr")
+def _galerkin(levels, maps, p):
+    """Put P^T S P under the last level S of `levels`, from row chunks of
+    P^T S of at least 2^14 entries (for A_0, 0.27 / 0.41 of S's at k = 3 /
+    2; two chunks took 1.4-1.7 times one's time at 575-2,303 rows), and
+    P^T, the one transfer the cycle keeps, in `maps`."""
+    s, pt = levels[-1], p.T.tocsr()
+    maps.append(pt)
+    cuts = _split(pt.shape[0], _pieces(s.nnz // 3, max(s.shape[0], 2 ** 14)))
+    levels.append(sp.vstack([pt[q] @ s @ p for q in cuts], format="csr"))
 
 
 def _blocks(n):
@@ -659,8 +659,8 @@ def _pcg(levels, maps, li, b):
     over the levels, until |r| <= _CG_RTOL |b|, |r @ z| is not a normal
     float (CG broke down) or _CG_MAXITER iterations;
     returns x and the iteration count."""
-    steps = [(a, _JACOBI / a.diagonal(), p, p.T.tocsr(), ac)
-             for a, p, ac in zip(levels, maps, levels[1:])]
+    # P = (P^T)^T, a view made once: scipy checks the arrays on each .T.
+    steps = [(a, _JACOBI / a.diagonal(), t.T, t) for a, t in zip(levels, maps)]
     x, r = np.zeros_like(b), b.copy()
     tol, rz, p = _CG_RTOL * np.linalg.norm(b), 1.0, np.zeros_like(b)
     for its in range(_CG_MAXITER):
@@ -689,12 +689,12 @@ def _cycle(steps, li, r):
     cycle, which keeps every level alive until the garbage collector runs."""
     if not steps:
         return li.T @ (li @ r)
-    a, dinv, p, pt, ac = steps[0]
+    a, dinv, p, pt = steps[0]
     z = dinv * r
     rc = pt @ (r - a @ z)
     e = _cycle(steps[1:], li, rc)
     if len(steps) > 1:  # the last level is solved exactly: once will do
-        e += _cycle(steps[1:], li, rc - ac @ e)
+        e += _cycle(steps[1:], li, rc - steps[1][0] @ e)
     z += p @ e
     z += dinv * (r - a @ z)
     return z

@@ -94,6 +94,8 @@ def _h1_distance(mesh, field, coeffs, exact_grad=None):
 
 def h1_seminorm_error(mesh, field, exact_grad):
     """H1 semi-norm distance to a known gradient, by elementwise quadrature."""
+    if exact_grad is None:
+        raise ValueError("the H1 error requires the exact gradient")
     solver._check_field(mesh, field)
     return _h1_distance(mesh, field, field.local_coeffs, exact_grad)
 
@@ -149,6 +151,7 @@ def f_l1_norm(mesh, degree, problem):
     """L1 norm of the source over the domain, on the element rule of
     exactness 2k + 2, summed chunk by chunk; the composite subcell rule's
     agrees to quadrature accuracy."""
+    basis._check_degree(degree)
     rule = triangle_rule(solver.default_exactness(degree))
     v0, jac, _, det = mesh.element_maps()
     total = 0.0

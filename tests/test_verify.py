@@ -279,6 +279,23 @@ def test_f_l1_norm_matches_the_composite_source_pass(k):
             assert abs(got - (math.e - 1.0)) <= 1e-12 * (math.e - 1.0)
 
 
+@pytest.mark.parametrize("degree", [0, 5, 7, -3, 2.5])
+def test_f_l1_norm_rejects_an_unsupported_degree(degree):
+    # Checked before the rule is chosen: 0, 5 and 7 were accepted, and -3
+    # and 2.5 failed on the exactness 2k + 2 instead of the degree.
+    with pytest.raises(ValueError, match=re.escape(
+            f"unsupported degree {degree!r}; supported: 1, 2, 3")):
+        f_l1_norm(build_structured_mesh(2), degree, load_example(2))
+
+
+def test_h1_seminorm_error_requires_the_exact_gradient():
+    # Without one it measured |u_h|_H1, not an error.
+    mesh = build_structured_mesh(4)
+    u = solve_problem(mesh, 1, load_example(2))
+    with pytest.raises(ValueError, match="requires the exact gradient"):
+        h1_seminorm_error(mesh, u, None)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_f_l1_norm_samples_the_element_rule_once(k):
     base = load_example(2)
