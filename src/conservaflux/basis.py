@@ -21,11 +21,14 @@ _DL = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def _check_degree(degree):
-    if degree not in N_NODES:
+    # True == 1 and 2.0 == 2, but neither is a degree; the caches keyed by
+    # a degree are typed, so no warm entry of 1 or 2 answers for them.
+    if (isinstance(degree, bool) or not isinstance(degree, (int, np.integer))
+            or degree not in N_NODES):
         raise ValueError(f"unsupported degree {degree!r}; supported: 1, 2, 3")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def node_lattice(degree):
     """Integer lattice positions (i, j) of the nodes; coordinates are (i, j)/k."""
     _check_degree(degree)
@@ -36,7 +39,7 @@ def node_lattice(degree):
                              for j in range(1, k - i))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ref_nodes(degree):
     """Reference coordinates of the nodal points, shape (N, 2)."""
     pts = np.array(node_lattice(degree), dtype=float) / degree
@@ -44,7 +47,7 @@ def ref_nodes(degree):
     return pts
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _multi_index(degree):
     """Barycentric multi-indices (k - i - j, i, j) of the nodes, (N, 3):
     node n lies at sum_c a[n, c] / k times vertex c."""

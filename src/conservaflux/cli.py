@@ -10,9 +10,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import dualmesh, postprocess, solver, verify
 from .mesh import build_structured_mesh
@@ -43,32 +41,6 @@ DEFAULT_LADDERS_EX3 = {
 RATE_WINDOWS = {1: 0.15, 2: 0.15, 3: 0.2}
 
 
-@dataclass
-class RunConfig:
-    example: int
-    degree: int
-    levels: list
-    out_dir: Path
-    checks: tuple
-    quad_exactness: Optional[int] = None
-    tol_lce: float = DEFAULT_TOL_LCE
-    threads: Optional[int] = None
-
-    def __post_init__(self):
-        if self.example not in (1, 2, 3):
-            raise ValueError(f"example must be 1, 2, or 3, got {self.example}")
-        if self.degree not in (1, 2, 3):
-            raise ValueError(f"degree must be 1, 2, or 3, got {self.degree}")
-        if not self.levels or any(n < 1 for n in self.levels):
-            raise ValueError(f"mesh levels must be >= 1, got {self.levels}")
-        if not (math.isfinite(self.tol_lce) and self.tol_lce > 0):
-            raise ValueError(f"tol_lce must be finite and > 0, got "
-                             f"{self.tol_lce!r}")
-        postprocess._thread_count(self.threads)
-        if self.quad_exactness is not None:
-            triangle_rule(self.quad_exactness)
-
-
 def rate_window(example, degree):
     return 0.2 if example == 3 else RATE_WINDOWS[degree]
 
@@ -78,48 +50,48 @@ def default_ladder(example, degree):
     return list(table[degree])
 
 
-def _check_lce(config, problem, out, level):
+def _check_lce(args, problem, out, level):
     failures = []
-    for n in config.levels:
+    for n in args.levels:
         mesh, u_h, parts, tilde = level(n)
         cv = dualmesh.build_cv_index(mesh, u_h.dofmap, parts)
         # ||f||_1 from the level's own source pass; f_l1_norm's element
         # rule agrees with it to quadrature accuracy.
         scale = max(1.0, float(u_h.discretization.f_abs.sum()))
-        tol = config.tol_lce * scale
+        tol = args.tol_lce * scale
         for fname, fld in (("uh", u_h), ("tilde", tilde)):
             report = verify.compute_lce(mesh, cv, parts, fld, problem)
-            path = out / f"lce_{fname}_{config.example}_k{config.degree}_n{n}.csv"
+            path = out / f"lce_{fname}_{args.example}_k{args.degree}_n{n}.csv"
             verify.write_lce_csv(report, path)
             if fname == "tilde":
                 ok = report.max_abs <= tol
-                print(f"check=lce example={config.example} k={config.degree} "
+                print(f"check=lce example={args.example} k={args.degree} "
                       f"n={n} max_lce_tilde={report.max_abs:.3e} "
                       f"tol={tol:.3e} {'PASS' if ok else 'FAIL'}")
                 if not ok:
                     failures.append(f"lce n={n}: {report.max_abs:.3e} > {tol:.3e}")
             else:
-                print(f"check=lce example={config.example} k={config.degree} "
+                print(f"check=lce example={args.example} k={args.degree} "
                       f"n={n} max_lce_uh={report.max_abs:.3e} (unprocessed, "
                       "informational)")
         solver.export_solution_csv(
-            u_h, out / f"solution_{config.example}_k{config.degree}_n{n}.csv")
+            u_h, out / f"solution_{args.example}_k{args.degree}_n{n}.csv")
         postprocess.export_postprocessed_csv(
-            tilde, out / f"tilde_{config.example}_k{config.degree}_n{n}.csv")
+            tilde, out / f"tilde_{args.example}_k{args.degree}_n{n}.csv")
     return failures
 
 
-def _check_conservation(config, problem, out, level):
+def _check_conservation(args, problem, out, level):
     failures = []
-    for n in config.levels:
+    for n in args.levels:
         mesh, _, parts, tilde = level(n)
         report = verify.elemental_conservation_report(mesh, parts, tilde,
                                                       problem)
-        path = out / (f"conservation_{config.example}_k{config.degree}"
+        path = out / (f"conservation_{args.example}_k{args.degree}"
                       f"_n{n}.csv")
         verify.write_conservation_csv(report, path)
         ok = report.max_relative <= CONSERVATION_RTOL
-        print(f"check=conservation example={config.example} k={config.degree} "
+        print(f"check=conservation example={args.example} k={args.degree} "
               f"n={n} max_residual={report.max_residual:.3e} "
               f"max_relative={report.max_relative:.3e} "
               f"tol={CONSERVATION_RTOL:.1e} {'PASS' if ok else 'FAIL'}")
@@ -129,22 +101,22 @@ def _check_conservation(config, problem, out, level):
     return failures
 
 
-def _check_convergence(config, problem, out, level):
-    levels = config.levels
+def _check_convergence(args, problem, out, level):
+    levels = args.levels
     if len(set(levels)) < 3:
-        levels = default_ladder(config.example, config.degree)
-    table = verify.convergence_table(problem, config.degree, levels, level)
+        levels = default_ladder(args.example, args.degree)
+    table = verify.convergence_table(problem, args.degree, levels, level)
     verify.write_convergence_csv(
-        table, out / f"conv_{config.example}_k{config.degree}.csv")
-    window = rate_window(config.example, config.degree)
-    k = config.degree
+        table, out / f"conv_{args.example}_k{args.degree}.csv")
+    window = rate_window(args.example, args.degree)
+    k = args.degree
     if table.exact:
-        print(f"check=convergence example={config.example} k={k} "
+        print(f"check=convergence example={args.example} k={k} "
               "errors at rounding level (exact reproduction) PASS")
         return []
     ok_uh = abs(table.slope_uh - k) <= window
     ok_tilde = abs(table.slope_tilde - k) <= window
-    print(f"check=convergence example={config.example} k={k} "
+    print(f"check=convergence example={args.example} k={k} "
           f"levels={','.join(str(n) for n in table.ns)} "
           f"slope_uh={table.slope_uh:.3f} slope_tilde={table.slope_tilde:.3f} "
           f"slope_diff={table.slope_diff:.3f} window=k+-{window:.2f} "
@@ -159,31 +131,26 @@ def _check_convergence(config, problem, out, level):
     return failures
 
 
-def run(config):
-    """Execute the configured checks; returns a process exit status."""
-    out = Path(config.out_dir)
+_CHECKS = {"lce": _check_lce, "conservation": _check_conservation,
+           "convergence": _check_convergence}
+
+
+def run(args, check):
+    """Run `check` (`all`: each in turn) on the parsed arguments, whose
+    `levels` holds the run's mesh levels; returns a process exit status."""
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    problem = load_example(config.example)
-    checks = config.checks
-    if "all" in checks:
-        checks = ("lce", "conservation", "convergence")
+    problem = load_example(args.example)
 
     # Every distinct level is solved and recovered once, on first use.
     @functools.cache
     def level(n):
-        return verify.solve_level(problem, config.degree, n,
-                                  config.quad_exactness, config.threads)
+        return verify.solve_level(problem, args.degree, n,
+                                  args.quad_exactness, args.threads)
 
     failures = []
-    for check in checks:
-        if check == "lce":
-            failures += _check_lce(config, problem, out, level)
-        elif check == "conservation":
-            failures += _check_conservation(config, problem, out, level)
-        elif check == "convergence":
-            failures += _check_convergence(config, problem, out, level)
-        else:
-            raise ValueError(f"unknown check {check!r}")
+    for name in _CHECKS if check == "all" else (check,):
+        failures += _CHECKS[name](args, problem, out, level)
     if failures:
         print(f"{len(failures)} check(s) failed:")
         for msg in failures:
@@ -271,19 +238,18 @@ def main(argv=None):
 
     check = args.check if args.command == "solve" else "convergence"
     try:
-        config = RunConfig(
-            example=args.example,
-            degree=args.degree,
-            levels=_levels_from_args(args, check),
-            out_dir=args.out,
-            checks=(check,),
-            quad_exactness=args.quad_exactness,
-            tol_lce=args.tol_lce,
-            threads=args.threads,
-        )
+        args.levels = _levels_from_args(args, check)
+        if any(n < 1 for n in args.levels):
+            raise ValueError(f"mesh levels must be >= 1, got {args.levels}")
+        if not (math.isfinite(args.tol_lce) and args.tol_lce > 0):
+            raise ValueError(f"tol_lce must be finite and > 0, got "
+                             f"{args.tol_lce!r}")
+        postprocess._thread_count(args.threads)
+        if args.quad_exactness is not None:
+            triangle_rule(args.quad_exactness)
     except ValueError as err:
         parser.error(str(err))
-    return run(config)
+    return run(args, check)
 
 
 if __name__ == "__main__":

@@ -79,8 +79,9 @@ class _RefDual:
     quad_owner: np.ndarray   # (P,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _ref_dual(degree):
+    basis._check_degree(degree)
     k, n = degree, basis.N_NODES[degree]
     xy, a = basis.ref_nodes(k), basis._multi_index(k)
     # Sub-triangles (T, 3) as node ids, counterclockwise: the upward ones
@@ -154,7 +155,7 @@ def _chain_loop(start, end):
     return np.array(loop)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def subcell_quadrature(degree, exactness):
     """Composite rule over the subcell pieces of the reference triangle:
     (points, weights, owner), an m x m Gauss-Legendre product rule on each
@@ -187,7 +188,6 @@ class DualGeometry:
     """
 
     def __init__(self, mesh, degree):
-        basis._check_degree(degree)
         self.mesh = mesh
         self.degree = degree
         self.ref = _ref_dual(degree)

@@ -265,7 +265,7 @@ def build_structured_mesh(n):
     Each of the n*n grid cells is split along the lower-left to upper-right
     diagonal, giving 2*n*n counterclockwise triangles and h = sqrt(2)/n.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"subdivision count must be a positive integer, got {n!r}")
     n = int(n)
     coords = np.linspace(0.0, 1.0, n + 1)

@@ -41,26 +41,28 @@ def _gauss_jacobi_10(m):
 
 
 def _checked_exactness(exactness):
-    if (not isinstance(exactness, (int, np.integer)) or exactness < 0
-            or exactness > _MAX_EXACTNESS):
+    if (isinstance(exactness, bool)
+            or not isinstance(exactness, (int, np.integer))
+            or exactness < 0 or exactness > _MAX_EXACTNESS):
         raise ValueError(f"unsupported triangle exactness request: {exactness!r} "
                          f"(supported: 0..{_MAX_EXACTNESS})")
     return int(exactness)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def segment_rule(npoints):
     """Gauss-Legendre rule on [0, 1] with the given point count.
 
     Exact for polynomials of degree 2*npoints - 1.
     """
-    if not isinstance(npoints, (int, np.integer)) or npoints < 1:
+    if (isinstance(npoints, bool)
+            or not isinstance(npoints, (int, np.integer)) or npoints < 1):
         raise ValueError(f"segment rule needs a positive point count, got {npoints!r}")
     x, w = leggauss(int(npoints))
     return QuadratureRule((x + 1.0) / 2.0, w / 2.0, 2 * int(npoints) - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def triangle_rule(exactness):
     """Rule on the reference triangle {x, y >= 0, x + y <= 1}.
 

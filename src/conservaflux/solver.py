@@ -557,8 +557,8 @@ def _condense(a, keep, free, nc, r, d):
     and their couplings to bubbles), one chunk of rows at a time: a chunk
     [A_cc A_ci] of the rows of A times [I; -D^-1 A_ic] is S's chunk, with
     the entries where A stores none (exact zeros that `apply_dirichlet`
-    dropped). Beside A and S, only D^-1 A_ic, one chunk and dof vectors
-    are held."""
+    dropped). The arrays are then shrunk in place to S's entries. Beside A
+    and S, only D^-1 A_ic, one chunk and dof vectors are held."""
     n, nf = a.shape[0], len(free)
     width = nf + n - nc
     cols = np.full(n, width, dtype=a.indices.dtype)  # constrained: dropped
@@ -594,7 +594,9 @@ def _condense(a, keep, free, nc, r, d):
         indices[at:at + chunk.nnz] = chunk.indices
         indptr[row + 1:row + 1 + chunk.shape[0]] = at + chunk.indptr[1:]
         at, row = at + chunk.nnz, row + chunk.shape[0]
-    return sp.csr_matrix((data[:at], indices[:at], indptr), (nf, nf)), rhs
+    for v in (data, indices):  # drop the unused tail, copying nothing
+        v.resize(at, refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), (nf, nf)), rhs
 
 
 def _galerkin(levels, maps, p):

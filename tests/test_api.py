@@ -2,7 +2,9 @@ import dataclasses
 import importlib
 import inspect
 import operator
+import re
 
+import numpy as np
 import pytest
 
 import conservaflux
@@ -90,3 +92,49 @@ def test_dual_geometry_is_not_a_sequence():
         conservaflux.build_structured_mesh(2), 1)
     assert not hasattr(parts, "__getitem__")
     assert not hasattr(parts, "__len__")
+
+
+def _mesh():
+    return conservaflux.build_structured_mesh(2)
+
+
+# Public entries taking an integer parameter, each called with that value
+# (1 and 2 are valid everywhere).
+INTEGER_ENTRIES = {
+    "build_dof_map": lambda v: conservaflux.build_dof_map(_mesh(), v),
+    "solve_problem-degree": lambda v: conservaflux.solve_problem(
+        _mesh(), v, conservaflux.load_example(2)),
+    "solve_problem-exactness": lambda v: conservaflux.solve_problem(
+        _mesh(), 1, conservaflux.load_example(2), exactness=v),
+    "build_partitions": lambda v: conservaflux.build_partitions(_mesh(), v),
+    "eval_basis": lambda v: conservaflux.eval_basis(v, [[0.2, 0.3]]),
+    "ref_nodes": conservaflux.ref_nodes,
+    "subcell_quadrature-degree": lambda v: conservaflux.subcell_quadrature(
+        v, 4),
+    "subcell_quadrature-exactness": lambda v: conservaflux.subcell_quadrature(
+        2, v),
+    "f_l1_norm": lambda v: conservaflux.f_l1_norm(
+        _mesh(), v, conservaflux.load_example(2)),
+    "triangle_rule": conservaflux.triangle_rule,
+    "segment_rule": conservaflux.segment_rule,
+    "build_structured_mesh": conservaflux.build_structured_mesh,
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0])
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+def test_integer_parameter_rejects_bool_and_float(entry, value):
+    # True == 1 and 2.0 == 2 (equal hashes too), so neither may pass the
+    # check or be answered from a cache warmed with the integer, plain or
+    # numpy's.
+    from conservaflux import basis, dualmesh, quadrature
+    for cached in (basis.node_lattice, basis.ref_nodes, basis._multi_index,
+                   dualmesh._ref_dual, dualmesh.subcell_quadrature,
+                   quadrature.segment_rule, quadrature.triangle_rule):
+        cached.cache_clear()
+    call = INTEGER_ENTRIES[entry]
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            call(value)
+        call(int(value))
+        call(np.int64(value))

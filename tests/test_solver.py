@@ -580,6 +580,27 @@ def test_only_the_coarse_matrix_is_factored(k, monkeypatch):
     assert 0 < u.solve_iterations <= 60
 
 
+@pytest.fixture
+def condensed(monkeypatch):
+    """The Schur complements S that `solve` forms, in order."""
+    from conservaflux import solver
+    seen, real = [], solver._condense
+
+    def condense(*args):
+        s, rhs = real(*args)
+        seen.append(s)
+        return s, rhs
+
+    monkeypatch.setattr(solver, "_condense", condense)
+    return seen
+
+
+def held_entries(s):
+    """The entries the arrays under S's `data` and `indices` hold."""
+    return [(v if v.base is None else v.base).size
+            for v in (s.data, s.indices)]
+
+
 def condensation_fill_in(system):
     """Pairs of free coupled dofs where A_ci D^-1 A_ic has an entry and A
     stores none: `apply_dirichlet` drops the exact zeros of A."""
@@ -766,8 +787,19 @@ def test_every_coarse_level_is_the_galerkin_product(k, jittered_mesh,
             1e-14 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("jittered", [False, True])
+def test_condensed_s_holds_only_its_entries(jittered, jittered_mesh,
+                                            condensed):
+    # S is written into arrays sized for the free rows of A, couplings to
+    # bubbles included, and keeps none of their unused tail.
+    mesh = jittered_mesh(8, seed=4) if jittered else build_structured_mesh(8)
+    solve_problem(mesh, 3, load_example(2))
+    (s,) = condensed
+    assert held_entries(s) == [s.nnz, s.nnz]
+
+
 def test_condensation_fill_in_beyond_the_couplings_to_bubbles(
-        jittered_mesh):
+        jittered_mesh, condensed):
     # S is written into arrays sized for the free rows of A. With the
     # coupled block of A cut to its diagonal, the fill-in of A_ci D^-1 A_ic
     # outnumbers the couplings to bubbles, and the arrays have to grow.
@@ -794,6 +826,8 @@ def test_condensation_fill_in_beyond_the_couplings_to_bubbles(
     ref = plain_solve(cut_system)
     u = solve(cut_system)
     assert np.abs(u.values - ref).max() <= 1e-12 * np.abs(ref).max()
+    (s,) = condensed
+    assert held_entries(s) == [s.nnz, s.nnz]
 
 
 def test_no_free_dof_takes_the_direct_path(monkeypatch):
