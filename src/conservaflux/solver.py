@@ -11,10 +11,12 @@ of at most `_COARSEST` rows. Singular systems fail at the residual check.
 
 Assembly, flux recovery and the conservation checks share the per-element
 blocks of one Discretization, which the dof map owns (see `blocks`):
-stiffness, load, subcell f and element |f| integrals, the dual-segment flux
-matrices of the elemental systems, and det J invJ invJ^T, which also maps
-the reference tables of the recovery's element-boundary traces, all from
-one chunked pass of coefficient samples times reference tables. Source
+stiffness, load, subcell f and element |f| integrals, and det J invJ
+invJ^T, which also maps the reference tables of the recovery's
+element-boundary traces, from one chunked pass of coefficient samples
+times reference tables; the dual-segment flux matrices of the elemental
+systems from the same chunks when the recovery or the LCE first reads
+them, so assembly and the solve do not hold them. Source
 integrals use the composite subcell rule of the dual partition, over which
 the recovery integrates f per subcell: one shared pass keeps the elemental
 compatibility sums at rounding level instead of at quadrature-error level.
@@ -25,7 +27,7 @@ chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -269,20 +271,22 @@ def _ref_segments(degree, exactness):
 
 
 class Discretization:
-    """Per-element blocks of one (dof map, problem, exactness), all built
-    in one chunked pass (get them through `blocks`):
+    """Per-element blocks of one (dof map, problem, exactness), built in
+    one chunked pass (get them through `blocks`):
 
     * `k_loc` (nt, N, N): stiffness blocks;
     * `b_loc` (nt, N): load blocks;
     * `f_sub` (nt, N): source integral over every subcell polygonal;
     * `f_abs` (nt,): the integral of |f| over every element;
+    * `det_m` (nt, 3): det J invJ invJ^T as [xx, yy, xy];
     * `d_loc` (nt, N, N): flux of every basis function through the dual
-      segments of every subcell, the matrix of the elemental systems;
-    * `det_m` (nt, 3): det J invJ invJ^T as [xx, yy, xy].
+      segments of every subcell, the matrix of the elemental systems,
+      built by the same chunks on its first read.
 
     `rseg` holds the reference tables; the element maps, `tri_neighbors`
     and `neighbor_facets` are the mesh's own arrays. Everything is
-    read-only, so chunks of elements can be processed concurrently.
+    read-only once `d_loc` is built, which must happen before any
+    concurrent reader, so chunks of elements can be processed concurrently.
     """
 
     def __init__(self, dofmap, problem, exactness):
@@ -299,18 +303,17 @@ class Discretization:
                                                     mesh.neighbor_facets)
         nt = mesh.n_triangles
         self.k_loc = np.empty((nt, n, n))
-        self.d_loc = np.empty((nt, n, n))
         self.det_m = np.empty((nt, 3))
         src, self.f_abs = np.empty((2, nt, n)), np.empty(nt)
         # One chunked pass: no (nt, Q, ...) quadrature array is ever built.
-        # Every pass writes its mapped points, and the source pass |f| and
-        # the kappa passes kappa @ table, into buffers sized for the largest
-        # chunk, so no chunk faults in fresh pages; the blocks go straight
-        # into their arrays.
+        # Both passes write their mapped points, and the source pass |f| and
+        # the stiffness pass kappa @ table, into buffers sized for the
+        # largest chunk, so no chunk faults in fresh pages; the blocks go
+        # straight into their arrays.
         width = len(rseg.src_pts)
         step = min(nt, max(1, _BUDGET // width))
-        points = max(width, len(rseg.q_pts), rseg.cv_pts[..., 0].size)
-        phys_buf, abs_buf = np.empty(2 * step * points), np.empty(step * width)
+        phys_buf = np.empty(2 * step * max(width, len(rseg.q_pts)))
+        abs_buf = np.empty(step * width)
         prod_buf = np.empty(step * rseg.stiff.shape[1])
         for sl in _chunks(nt, width):
             # det J invJ invJ^T = adj(J) adj(J)^T / det J, in closed form.
@@ -321,9 +324,22 @@ class Discretization:
             self._kappa_blocks(sl, rseg.q_pts, rseg.stiff, self.k_loc[sl],
                                phys_buf, prod_buf)
             src[:, sl], self.f_abs[sl] = self._sources(sl, phys_buf, abs_buf)
-            self._kappa_blocks(sl, rseg.cv_pts, rseg.dual, self.d_loc[sl],
-                               phys_buf, prod_buf)
         self.b_loc, self.f_sub = src
+
+    @cached_property
+    def d_loc(self):
+        """Built on the first read, by the chunks of the block build, into
+        buffers sized for the dual-segment pass; the build takes no lock.
+        Only the recovery and `compute_lce` read it."""
+        rseg, width = self.rseg, len(self.rseg.src_pts)
+        d_loc = np.empty(self.k_loc.shape)
+        step = min(len(d_loc), max(1, _BUDGET // width))
+        phys_buf = np.empty(2 * step * rseg.cv_pts[..., 0].size)
+        prod_buf = np.empty(step * rseg.dual.shape[1])
+        for sl in _chunks(len(d_loc), width):
+            self._kappa_blocks(sl, rseg.cv_pts, rseg.dual, d_loc[sl],
+                               phys_buf, prod_buf)
+        return d_loc
 
     def _kappa_blocks(self, sl, ref_pts, table, out, phys_buf, prod_buf):
         """Write the (T, N, N) blocks sum_c det_m_c (kappa @ table_c) of a

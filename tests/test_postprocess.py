@@ -1,10 +1,15 @@
+import dataclasses
+import re
+import sys
+
 import numpy as np
 import pytest
 
-from conservaflux import (N_NODES, build_partitions, build_structured_mesh,
-                          eval_basis, export_postprocessed_csv,
-                          flux_along_polyline, load_example, postprocess_all,
-                          solve_problem, subcell_quadrature)
+from conservaflux import (N_NODES, build_cv_index, build_partitions,
+                          build_structured_mesh, compute_lce, eval_basis,
+                          export_postprocessed_csv, flux_along_polyline,
+                          load_example, postprocess_all, solve_problem,
+                          subcell_quadrature)
 from conservaflux.basis import map_points
 from conservaflux import solver
 from conservaflux.dualmesh import (CLASS_CONTROL_VOLUME, CLASS_ELEMENT_BOUNDARY,
@@ -15,7 +20,7 @@ from conservaflux.postprocess import (PostprocessError, _averaged_traces,
                                       _facet_copies, _solve_chunk)
 from conservaflux.problems import ProblemSpec
 from conservaflux.quadrature import segment_rule, triangle_rule
-from conservaflux.solver import default_segment_points, sample
+from conservaflux.solver import SolverError, default_segment_points, sample
 
 
 def linear_problem():
@@ -461,7 +466,6 @@ def test_chunk_queue_gives_each_chunk_to_one_thread(monkeypatch):
     # More threads than cores and a short switch interval: every chunk of
     # the queue is taken exactly once, and the result is the serial one.
     # The 8 threads share one budget of 24 elements: chunks of 3.
-    import sys
     from conservaflux import postprocess
     mesh = build_structured_mesh(6)
     prob = load_example(2)
@@ -489,6 +493,97 @@ def test_chunk_queue_gives_each_chunk_to_one_thread(monkeypatch):
                                       getattr(serial, name)), name
     finally:
         sys.setswitchinterval(interval)
+
+
+def counting_kappa(prob):
+    """`prob` with a kappa that records the number of points of each call,
+    and that record (list.append is safe on the recovery's threads)."""
+    sizes = []
+
+    def kappa(x, y):
+        sizes.append(np.size(x))
+        return prob.kappa(x, y)
+    return dataclasses.replace(prob, kappa=kappa), sizes
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_first_recovery_builds_the_dual_blocks_once(threads, jittered_mesh):
+    # The solve samples kappa at the element rule's points only. The first
+    # recovery adds the dual-segment points once, before its threads start
+    # (8 of them, more than the cores, under a short switch interval): its
+    # kappa points exceed a second recovery's, which samples the same
+    # element-boundary traces, by exactly those. compute_lce adds none.
+    k = 2
+    mesh = jittered_mesh(6, seed=3)
+    prob, sizes = counting_kappa(load_example(2))
+    u = solve_problem(mesh, k, prob)
+    disc, nt = u.discretization, mesh.n_triangles
+    assert "d_loc" not in vars(disc)
+    assert sum(sizes) == nt * len(disc.rseg.q_pts)
+    parts = build_partitions(mesh, k)
+    counts = [sum(sizes)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            postprocess_all(mesh, u.dofmap, parts, u, prob, threads=threads)
+            counts.append(sum(sizes))
+    finally:
+        sys.setswitchinterval(interval)
+    first, second = np.diff(counts)
+    assert first - second == nt * disc.rseg.cv_pts[..., 0].size
+    compute_lce(mesh, build_cv_index(mesh, u.dofmap, parts), parts, u, prob)
+    assert sum(sizes) == counts[-1]
+    assert u.discretization is disc
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compute_lce_first_builds_the_same_dual_blocks(k, jittered_mesh):
+    # Two solves of one problem: on the first, compute_lce reads d_loc
+    # before any recovery and so builds it; on the second, after one. Both
+    # give the same blocks, LCE and recovered coefficients, bit for bit.
+    mesh = jittered_mesh(6, seed=5)
+    prob = load_example(2)
+    parts = build_partitions(mesh, k)
+    first, after = (solve_problem(mesh, k, prob) for _ in range(2))
+    cv = build_cv_index(mesh, first.dofmap, parts)
+    lce_first = compute_lce(mesh, cv, parts, first, prob)
+    tilde_after = postprocess_all(mesh, after.dofmap, parts, after, prob)
+    lce_after = compute_lce(mesh, cv, parts, after, prob)
+    assert np.array_equal(first.discretization.d_loc,
+                          after.discretization.d_loc)
+    assert np.array_equal(lce_first.values, lce_after.values)
+    tilde_first = postprocess_all(mesh, first.dofmap, parts, first, prob)
+    assert np.array_equal(tilde_first.coeffs, tilde_after.coeffs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kappa_nonpositive_on_a_dual_segment_fails_in_the_recovery(
+        k, jittered_mesh):
+    # kappa is -1 at one dual-segment Gauss point of element 13 only: the
+    # solve never samples it there, the recovery and compute_lce do, and
+    # each raises the block build's SolverError naming that point.
+    mesh = jittered_mesh(4, seed=2)
+    base = load_example(2)
+    rseg = solver._ref_segments(k, solver.default_exactness(k))
+    v0, jac, _, _ = mesh.element_maps()
+    px, py = map_points(v0[13:14], jac[13:14],
+                        rseg.cv_pts.reshape(-1, 2))[0, 1]
+
+    def kappa(x, y):
+        at = np.hypot(x - px, y - py) < 1e-9
+        return np.where(at, -1.0, base.kappa(x, y))
+
+    prob = dataclasses.replace(base, kappa=kappa)
+    u = solve_problem(mesh, k, prob)
+    parts = build_partitions(mesh, k)
+    msg = re.escape(f"kappa must be positive; got -1 at ({px:.6g}, {py:.6g})")
+    cv = build_cv_index(mesh, u.dofmap, parts)
+    with pytest.raises(SolverError, match=msg):
+        compute_lce(mesh, cv, parts, u, prob)
+    with pytest.raises(SolverError, match=msg):
+        postprocess_all(mesh, u.dofmap, parts, u, prob, threads=2)
+    assert "d_loc" not in vars(u.discretization)
 
 
 def test_incompatible_element_fails_alike_on_any_thread_count(monkeypatch):

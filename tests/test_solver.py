@@ -339,18 +339,26 @@ def test_element_blocks_match_einsum_reference(k, jittered_mesh, monkeypatch):
 @pytest.mark.parametrize("k, per_element", [(1, 224), (2, 704), (3, 1792)])
 def test_block_bytes_per_element(k, per_element):
     # Every array the blocks hold but the mesh and the dof map do not:
-    # k_loc, d_loc, b_loc, f_sub, f_abs and det_m. The facet pairing and
-    # kappa on the element boundaries are not stored: the recovery reads
-    # the mesh's topology and samples kappa per chunk.
+    # k_loc, b_loc, f_sub, f_abs and det_m, then d_loc from its first read
+    # on. The facet pairing and kappa on the element boundaries are not
+    # stored: the recovery reads the mesh's topology and samples kappa per
+    # chunk.
     mesh = build_structured_mesh(4)
     disc = blocks(mesh, build_dof_map(mesh, k), load_example(2))
     shared = [*mesh.element_maps(), disc.cell_dofs, mesh.tri_neighbors,
               mesh.neighbor_facets]
-    own = {name: a for name, a in vars(disc).items()
-           if isinstance(a, np.ndarray) and all(a is not b for b in shared)}
-    assert sorted(own) == sorted(["k_loc", "d_loc", "b_loc", "f_sub", "f_abs",
-                                  "det_m"])
-    total = sum(a.nbytes for a in own.values())
+
+    def own():
+        return {name: a for name, a in vars(disc).items()
+                if isinstance(a, np.ndarray)
+                and all(a is not b for b in shared)}
+
+    assert sorted(own()) == sorted(["k_loc", "b_loc", "f_sub", "f_abs",
+                                    "det_m"])
+    assert disc.d_loc is disc.d_loc
+    assert sorted(own()) == sorted(["k_loc", "d_loc", "b_loc", "f_sub",
+                                    "f_abs", "det_m"])
+    total = sum(a.nbytes for a in own().values())
     assert total == per_element * mesh.n_triangles
 
 
