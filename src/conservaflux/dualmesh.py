@@ -191,7 +191,7 @@ class DualGeometry:
         self.mesh = mesh
         self.degree = degree
         self.ref = _ref_dual(degree)
-        self.v0, self.jac, _, self.det_jac = mesh.element_maps()
+        self.v0, self.jac, self.det_jac = mesh._maps()
 
     def _segments(self, t):
         """Start and end points (..., M, 2) of the subcell segments of

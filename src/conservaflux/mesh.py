@@ -12,10 +12,32 @@ import math
 import numpy as np
 
 _GEO_TOL = 1e-12
+# Index arrays are int32: a count of vertices, edges, triangles or dofs at
+# this or above cannot be indexed.
+_INDEX_LIMIT = 2 ** 31
 
 
 class MeshError(Exception):
     """Invalid mesh topology or geometry."""
+
+
+def _check_count(name, count):
+    """Raise a MeshError unless int32 indices can number `count` items."""
+    if count >= _INDEX_LIMIT:
+        raise MeshError(f"{name} count {count} is 2^31 or more: indices "
+                        "are int32")
+
+
+def _inv_jac(jac, det):
+    """inv J = adj(J) / det J of the maps jac (..., 2, 2), det (...), in
+    closed form; every reader forms it from this, per chunk, to the same
+    floats."""
+    inv = np.empty(jac.shape)
+    inv[..., 0, 0] = jac[..., 1, 1] / det
+    inv[..., 0, 1] = -jac[..., 0, 1] / det
+    inv[..., 1, 0] = -jac[..., 1, 0] / det
+    inv[..., 1, 1] = jac[..., 0, 0] / det
+    return inv
 
 
 class TriMesh:
@@ -34,18 +56,25 @@ class TriMesh:
         boundary_edges: (nb,) edge ids lying on the domain boundary.
         boundary_labels: (nb,) part label per boundary edge.
         h: maximum element diameter.
+
+    Every index array is int32, so a count of 2^31 or more is a MeshError.
     """
 
     def __init__(self, vertices, triangles, h=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        tri = np.asarray(triangles)
+        if tri.dtype.kind not in "iu":
+            tri = tri.astype(np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        if tri.ndim != 2 or tri.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
-        if self.triangles.size and (self.triangles.min() < 0
-                                    or self.triangles.max() >= len(self.vertices)):
+        _check_count("vertex", len(self.vertices))
+        _check_count("triangle", len(tri))
+        # Checked before the cast: an index of 2^32 + 1 would wrap to 1.
+        if tri.size and (tri.min() < 0 or tri.max() >= len(self.vertices)):
             raise MeshError("triangle vertex index out of range")
+        self.triangles = np.ascontiguousarray(tri, dtype=np.int32)
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if bad.size:  # a NaN signed area would pass the check below
             x, y = self.vertices[bad[0]]
@@ -91,10 +120,13 @@ class TriMesh:
         # order of first appearance and list their triangles in that order:
         # a stable sort groups the half-edges by key lo * nv + hi, and one
         # more sorts the groups by first appearance. Large temporaries are
-        # dropped once used: they set the peak of the mesh build.
+        # dropped once used: they set the peak of the mesh build. The keys
+        # are int64, every array kept is int32.
         tri, nv = self.triangles, len(self.vertices)
         nxt = np.roll(tri, -1, axis=1)
-        key = np.minimum(tri, nxt) * nv + np.maximum(tri, nxt, out=nxt)
+        key = np.minimum(tri, nxt, dtype=np.int64)
+        key *= nv
+        key += np.maximum(tri, nxt, out=nxt)
         order = np.argsort(key, axis=None, kind="stable")
         key = key.ravel()[order]
         start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
@@ -104,17 +136,23 @@ class TriMesh:
             third = third[np.argmin(order[third])]
             raise MeshError(f"edge {divmod(int(key[third]), nv)} "
                             "referenced by more than two triangles")
+        ne = len(start)
+        _check_count("edge", ne)
         by_first = np.argsort(order[start])
-        self.edges = np.column_stack(np.divmod(key[start[by_first]], nv))
-        edge, eid = np.empty_like(by_first), np.empty_like(order)
-        edge[by_first] = np.arange(len(by_first))
+        self.edges = np.empty((ne, 2), dtype=np.int32)
+        self.edges[:, 0], self.edges[:, 1] = np.divmod(key[start[by_first]],
+                                                       nv)
+        edge = np.empty(ne, dtype=np.int32)
+        eid = np.empty(len(order), dtype=np.int32)
+        edge[by_first] = np.arange(ne)
         del nxt, key
         eid[order] = np.repeat(edge, count)
         self.tri_edges = eid.reshape(-1, 3)
         start, count = start[by_first], count[by_first]
         head, last = order[start], order[start + count - 1]
-        self.edge_tris = np.column_stack(
-            [head // 3, np.where(count == 2, last // 3, -1)])
+        self.edge_tris = np.empty((ne, 2), dtype=np.int32)
+        self.edge_tris[:, 0] = head // 3
+        self.edge_tris[:, 1] = np.where(count == 2, last // 3, -1)
         del order
         # Across facet m: facet (other half-edge of its edge) % 3, or -1.
         facets = np.empty(len(tri) * 3, dtype=np.int8)
@@ -122,10 +160,13 @@ class TriMesh:
         facets[head[count == 1]] = -1
         self.neighbor_facets = facets.reshape(-1, 3)
         del head, last
-        # The triangle across facet m is the other one of its edge.
-        self.tri_neighbors = (self.edge_tris[self.tri_edges].sum(axis=2)
-                              - np.arange(len(tri))[:, None])
-        self.boundary_edges = np.nonzero(self.edge_tris[:, 1] == -1)[0]
+        # The triangle across facet m is the other one of its edge, t ^ a ^ b
+        # for the edge's triangles a, b, one of them t (-1 stays -1).
+        pair = self.edge_tris[self.tri_edges]
+        self.tri_neighbors = pair[..., 0] ^ pair[..., 1]
+        self.tri_neighbors ^= np.arange(len(tri), dtype=np.int32)[:, None]
+        self.boundary_edges = np.flatnonzero(
+            self.edge_tris[:, 1] == -1).astype(np.int32)
 
     def _label_boundary(self):
         # Geometric labeling for the unit square: a boundary edge gets the
@@ -163,8 +204,15 @@ class TriMesh:
 
         jac columns are the edge vectors from local vertex 0, so a reference
         point (x, y) maps to v0 + jac @ (x, y). det_jac equals twice the
-        element area and is positive for this mesh's orientation.
+        element area and is positive for this mesh's orientation. inv_jac
+        is formed on each call; the mesh keeps only v0, jac and det_jac.
         """
+        v0, jac, det = self._maps()
+        return v0, jac, _inv_jac(jac, det), det
+
+    def _maps(self):
+        """(v0, jac, det_jac) of `element_maps`, built on first use and
+        kept; the package's passes read these and form inv J per chunk."""
         if self._geom is None:
             v = self.vertices
             t = self.triangles
@@ -173,14 +221,9 @@ class TriMesh:
             jac[:, :, 0] = v[t[:, 1]] - v0
             jac[:, :, 1] = v[t[:, 2]] - v0
             det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-            inv = np.empty_like(jac)
-            inv[:, 0, 0] = jac[:, 1, 1] / det
-            inv[:, 0, 1] = -jac[:, 0, 1] / det
-            inv[:, 1, 0] = -jac[:, 1, 0] / det
-            inv[:, 1, 1] = jac[:, 0, 0] / det
-            for a in (v0, jac, inv, det):
+            for a in (v0, jac, det):
                 a.setflags(write=False)
-            self._geom = (v0, jac, inv, det)
+            self._geom = (v0, jac, det)
         return self._geom
 
     def _bucket_grid(self):
@@ -190,7 +233,7 @@ class TriMesh:
         shape) of about nt / 2 cells; cell c's elements are
         slot[start[c]:start[c + 1]]."""
         if self._grid is None:
-            v0, jac, _, _ = self.element_maps()
+            v0, jac, _ = self._maps()
             pad = (2 * _GEO_TOL + 1e-9) * np.abs(jac).sum(axis=2)
             lo = v0 + np.minimum(np.minimum(jac[..., 0], jac[..., 1]), 0) - pad
             hi = v0 + np.maximum(np.maximum(jac[..., 0], jac[..., 1]), 0) + pad
@@ -216,12 +259,12 @@ class TriMesh:
         or vertices goes to the lowest index. A point is tested against
         the elements of its cell of `_bucket_grid` only."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        v0, _, inv, _ = self.element_maps()
+        v0, jac, det = self._maps()
         origin, size, shape, start, slot = self._bucket_grid()
         pc = _cell(pts, origin, size, shape) @ [1, shape[0]]
         pi, rank = _expand(start[pc + 1] - start[pc])
         e = slot[start[pc[pi]] + rank]
-        r = np.einsum("pab,pb->pa", inv[e], pts[pi] - v0[e])
+        r = np.einsum("pab,pb->pa", _inv_jac(jac[e], det[e]), pts[pi] - v0[e])
         tol = _GEO_TOL
         ok = (r[:, 0] >= -tol) & (r[:, 1] >= -tol) & (r.sum(1) <= 1 + tol)
         nt = self.n_triangles

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import basis, dualmesh, solver
 from ._table import coords, numbers, write_table
-from .mesh import _GEO_TOL
+from .mesh import _GEO_TOL, _inv_jac
 from .quadrature import segment_rule
 from .solver import FemField, blocks, default_segment_points, sample
 
@@ -59,7 +59,8 @@ def _thread_count(threads):
 def _traces(disc, u_values, elems):
     """kappa grad(u_h).n per unit reference weight at the element-boundary
     Gauss points (T, B, ns) of the elements `elems` (slice or indices):
-    det_m @ (u_loc @ bd_flux) times kappa at the mapped points. Here and in
+    det_m @ (u_loc @ bd_flux) times kappa at the mapped points, checked as
+    the block build checks it (`solver._positive_kappa`). Here and in
     `_boundary_flux_terms` every product is one per element: a longer one's
     rounding depends on its row count, and a chunk's must not."""
     rseg = disc.rseg
@@ -67,7 +68,7 @@ def _traces(disc, u_values, elems):
     pair = (u_values[disc.cell_dofs[elems]][:, None] @ rseg.bd_flux).reshape(
         -1, 3, nb * ns)
     q = (disc.det_m[elems, None] @ pair).reshape(-1, nb, ns)
-    q *= sample(disc.problem.kappa, basis.map_points(
+    q *= solver._positive_kappa(disc.problem, basis.map_points(
         disc.v0[elems], disc.jac[elems], rseg.bd_pts))
     return q
 
@@ -75,10 +76,10 @@ def _traces(disc, u_values, elems):
 def _facet_copies(disc, t0, t1):
     """Neighbour m (ct, B) across each boundary segment of elements t0..t1-1
     (-1 on the domain boundary) and m's copy bd_mate[segment, m's facet],
-    as int32 (2^31 elements would need terabytes of blocks)."""
+    both int32."""
     ref = disc.ref
     back = disc.neighbor_facets[t0:t1, ref.bd_facet]
-    return (disc.tri_neighbors[t0:t1, ref.bd_facet].astype(np.int32),
+    return (disc.tri_neighbors[t0:t1, ref.bd_facet],
             ref.bd_mate[np.arange(len(ref.bd_facet)), back])
 
 
@@ -242,7 +243,7 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
 
     # The caller works too: a pool of `threads` workers beside an idle
     # caller holds one more malloc arena. Even so, two threads peak higher
-    # than one (p1-structured: 82.0-82.4 MiB of RSS against 78.3-79.4).
+    # than one (p1-structured: 77.5-77.8 MiB of RSS against 74.7-74.9).
     helpers = [threading.Thread(target=drain) for _ in range(nthreads - 1)]
     for h in helpers:
         h.start()
@@ -276,7 +277,7 @@ def flux_along_polyline(mesh, field, problem, points):
                          f"{pts[bad[0]]}")
     solver._check_field(mesh, field)
     srule = segment_rule(default_segment_points(field.degree))
-    v0, _, inv, _ = mesh.element_maps()
+    v0, jac, det = mesh._maps()
     edges = mesh._edge_boxes()
     d = np.diff(pts, axis=0)
     cuts = [_edge_crossings(p, dp, edges) for p, dp in zip(pts, d)]
@@ -291,7 +292,8 @@ def flux_along_polyline(mesh, field, problem, points):
     # A midpoint on facet m (its P1 coordinate of the vertex off facet m
     # within locate's tolerance) puts its whole piece on that facet, whose
     # two elements are the piece's two sides; elsewhere both are its element.
-    r = np.einsum("pab,pb->pa", inv[elems], mids - v0[elems])
+    r = np.einsum("pab,pb->pa", _inv_jac(jac[elems], det[elems]),
+                  mids - v0[elems])
     off = basis.eval_basis(1, r)[0] @ ~basis.node_facets(1)
     mates = np.where(np.abs(off) <= _GEO_TOL, mesh.tri_neighbors[elems],
                      -1).max(axis=1)
@@ -305,7 +307,7 @@ def flux_along_polyline(mesh, field, problem, points):
         # invJ x per side, entry by entry (no rounding depends on the
         # batch): reference points, and invJ rot(d), with which the
         # reference gradient gives grad(u).rot(d)
-        m = inv[e][:, :, None]                          # (c, 2, 1, 2, 2)
+        m = _inv_jac(jac[e], det[e])[:, :, None]        # (c, 2, 1, 2, 2)
         x = gpts[:, None] - v0[e][:, :, None]
         ref = m[..., 0] * x[..., :1] + m[..., 1] * x[..., 1:]
         nv = m[..., 0] * ds[..., 1:, None] - m[..., 1] * ds[..., :1, None]
@@ -343,7 +345,7 @@ def _edge_crossings(p, d, edges):
 
 def export_postprocessed_csv(field, path):
     """Write the corrected coefficients as "element,local_dof,x,y,alpha"."""
-    v0, jac, _, _ = field.mesh.element_maps()
+    v0, jac, _ = field.mesh._maps()
     pts = basis.ref_nodes(field.degree) @ jac.transpose(0, 2, 1) + v0[:, None]
     nt, n = field.coeffs.shape
     write_table(path, "element,local_dof,x,y,alpha", nt * n,

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from . import basis, dualmesh
 from ._table import coords, numbers, write_table
-from .mesh import _expand
+from .mesh import _check_count, _expand, _inv_jac
 from .quadrature import _checked_exactness, segment_rule, triangle_rule
 
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
@@ -93,14 +93,15 @@ class DofMap:
     element-interior dofs. Shared dofs receive the same global index from
     every adjacent element, which is what makes the space C0-conforming.
     Row g of the P1 interpolation `p1` holds dof g's barycentric weights on
-    its element's vertices, so `coords` is `p1 @ vertices`.
+    its element's vertices, so `coords` is `p1 @ vertices`. Like the
+    mesh's, the indices are int32: 2^31 dofs or more is a MeshError.
     """
     mesh: object
     degree: int
     n_dofs: int
-    cell_dofs: np.ndarray      # (nt, N) local -> global
+    cell_dofs: np.ndarray      # (nt, N) int32, local -> global
     coords: np.ndarray         # (ndofs, 2)
-    kind: np.ndarray           # (ndofs,) vertex / edge / interior
+    kind: np.ndarray           # (ndofs,) int8, vertex / edge / interior
     on_part: dict              # part label -> bool mask over dofs
     on_boundary: np.ndarray    # (ndofs,) geometric boundary membership
     p1: sp.csr_matrix = field(repr=False)  # (ndofs, nv) P1 interpolation
@@ -115,12 +116,13 @@ def build_dof_map(mesh, degree):
     basis._check_degree(degree)
     k, tri, nv = degree, mesh.triangles, mesh.n_vertices
     a = basis._multi_index(k)
-    node_kind = np.count_nonzero(a, axis=1) - 1
+    node_kind = (np.count_nonzero(a, axis=1) - 1).astype(np.int8)
     vert, edge, inner = (np.flatnonzero(node_kind == c) for c in range(3))
     nc = nv + (k - 1) * mesh.n_edges  # vertex and edge dofs
     n_dofs = nc + len(inner) * len(tri)
+    _check_count("dof", n_dofs)
 
-    cell_dofs = np.empty((len(tri), len(a)), dtype=np.int64)
+    cell_dofs = np.empty((len(tri), len(a)), dtype=np.int32)
     cell_dofs[:, vert] = tri[:, np.argmax(a[vert], axis=1)]
     # An edge node on facet m of edge (lo, hi) has slot (index at hi) - 1.
     m = np.argmax(basis.node_facets(k)[edge], axis=1)
@@ -135,8 +137,9 @@ def build_dof_map(mesh, degree):
     owner = np.empty(n_dofs, dtype=np.int64)
     owner[cell_dofs.ravel()] = np.arange(cell_dofs.size)
     t, n = np.divmod(owner, len(a))
+    kind = node_kind[n]
     w = (a / k)[n].ravel()
-    nz, indptr = w > 0, np.r_[0, np.cumsum(node_kind[n] + 1)]
+    nz, indptr = w > 0, np.r_[0, np.cumsum(kind + 1, dtype=np.int64)]
     p1 = sp.csr_matrix((w[nz], tri[t].ravel()[nz], indptr), (n_dofs, nv))
     p1.sort_indices()
     coords = p1 @ mesh.vertices
@@ -152,7 +155,7 @@ def build_dof_map(mesh, degree):
     on_boundary = np.bincount(on_edge.ravel(), minlength=n_dofs) > 0
 
     return DofMap(mesh=mesh, degree=k, n_dofs=n_dofs, cell_dofs=cell_dofs,
-                  coords=coords, kind=node_kind[n], on_part=on_part,
+                  coords=coords, kind=kind, on_part=on_part,
                   on_boundary=on_boundary, p1=p1)
 
 
@@ -181,9 +184,9 @@ class FemField:
     def grad_on(self, t, ref_points):
         """Physical gradient at reference points of element t, shape (P, 2)."""
         _, grads = basis.eval_basis(self.degree, ref_points)
-        _, _, inv, _ = self.mesh.element_maps()
+        _, jac, det = self.mesh._maps()
         ref = np.einsum("pnd,n->pd", grads, self.local_coeffs(t))
-        return ref @ inv[t]
+        return ref @ _inv_jac(jac[t], det[t])
 
 
 def _chunks(nt, width):
@@ -199,6 +202,18 @@ def sample(fn, phys):
     of shape phys.shape[:-1] (constant functions may return a scalar)."""
     vals = np.asarray(fn(phys[..., 0], phys[..., 1]), dtype=float)
     return np.broadcast_to(vals, phys.shape[:-1])
+
+
+def _positive_kappa(problem, phys):
+    """`problem.kappa` sampled at the points phys (..., 2); a nonpositive
+    value (NaN too) is a SolverError naming its point."""
+    kap = sample(problem.kappa, phys)
+    if kap.size and not kap.min() > 0.0:  # NaN fails too
+        at = np.unravel_index(int(np.argmin(kap)), kap.shape)
+        x, y = phys[at]
+        raise SolverError(f"kappa must be positive; got {kap[at]:g} at "
+                          f"({x:.6g}, {y:.6g})")
+    return kap
 
 
 def _pair_table(left, right):
@@ -298,7 +313,7 @@ class Discretization:
         self.exactness = exactness
         self.ref = dualmesh._ref_dual(k)
         self.rseg = rseg = _ref_segments(k, exactness)
-        self.v0, self.jac, _, self.det_jac = mesh.element_maps()
+        self.v0, self.jac, self.det_jac = mesh._maps()
         self.tri_neighbors, self.neighbor_facets = (mesh.tri_neighbors,
                                                     mesh.neighbor_facets)
         nt = mesh.n_triangles
@@ -348,12 +363,7 @@ class Discretization:
         products kappa @ table go into the flat buffers given."""
         phys = basis.map_points(self.v0[sl], self.jac[sl],
                                 ref_pts.reshape(-1, 2), out=phys_buf)
-        kap = sample(self.problem.kappa, phys)
-        if not kap.min() > 0.0:  # NaN fails too
-            t, q = np.unravel_index(int(np.argmin(kap)), kap.shape)
-            raise SolverError(
-                f"kappa must be positive; got {kap[t, q]:g} at "
-                f"({phys[t, q, 0]:.6g}, {phys[t, q, 1]:.6g})")
+        kap = _positive_kappa(self.problem, phys)
         prod = np.matmul(kap, table, out=prod_buf[:len(kap) * table.shape[1]]
                          .reshape(len(kap), -1))
         np.matmul(self.det_m[sl, None, :], prod.reshape(len(kap), 3, -1),
@@ -403,9 +413,8 @@ def assemble(mesh, dofmap, problem, exactness=None):
     """Unconstrained global system (A, b) as (csr matrix, vector)."""
     disc = blocks(mesh, dofmap, problem, default_exactness(dofmap.degree)
                   if exactness is None else exactness)
-    n, n_dofs = disc.n, dofmap.n_dofs
-    # scipy indexes with int32 whenever it can, and copies int64 input.
-    cd = dofmap.cell_dofs.astype(np.int32 if n_dofs < 2 ** 31 else np.int64)
+    n, n_dofs, cd = disc.n, dofmap.n_dofs, dofmap.cell_dofs
+    # int32, as scipy indexes: it copies int64 input.
     rows = np.repeat(cd, n, axis=1).ravel()
     cols = np.tile(cd, (1, n)).ravel()
     a_glob = sp.coo_matrix((disc.k_loc.ravel(), (rows, cols)),
@@ -664,12 +673,66 @@ def _aggregate(a, box):
     """Smoothed aggregation (Vanek, Mandel & Brezina 1996) of the level `a`
     whose rows sit in the integer boxes `box` (rows, 2): the box indicator
     T smoothed by damped Jacobi, (I - 2/3 D^-1 A) T, is the prolongation.
-    Returns it and the boxes three times wider, which nest."""
+    Returns it and the boxes three times wider, which nest.
+
+    P is written into the arrays of A T, whose rows are scaled by
+    -2/3 D^-1 in place (`_own_last` adds T). These are the floats of
+    T - (2/3 D^-1) (A T) in the order scipy gives them, without its two
+    copies of P: that order sets the rounding of every product with the
+    levels below."""
     _, first, agg = np.unique(box[:, 0] * (box[:, 1].max() + 1) + box[:, 1],
                               return_index=True, return_inverse=True)
-    t = sp.csr_matrix((np.ones(len(agg)), (np.arange(len(agg)), agg)),
-                      shape=(len(agg), len(first)))
-    return t - sp.diags(2 / 3 / a.diagonal()) @ (a @ t), box[first] // 3
+    shape = (len(agg), len(first))
+    at = a @ sp.csr_matrix((np.ones(len(agg)), (np.arange(len(agg)), agg)),
+                           shape=shape)
+    ptr, col, val = at.indptr, at.indices, at.data
+    del at  # np.insert below frees the arrays it replaces
+    agg = agg.astype(col.dtype)
+    val *= np.repeat(-2 / 3 / a.diagonal(), np.diff(ptr))
+    # scipy sorts the rows of the difference if those of 2/3 D^-1 (A T),
+    # the reverse of A T's, all ascend.
+    step = np.diff(col) < 0
+    step[ptr[1:-1][(ptr[1:-1] > 0) & (ptr[1:-1] < len(col))] - 1] = True
+    descends = step.all()
+    del step
+    lack = _own_last(ptr, col, val, agg)
+    if len(lack):  # rows whose own entry of A T summed to exactly 0
+        ends = ptr[lack + 1]
+        val = np.insert(val, ends, 1.0)
+        col = np.insert(col, ends, agg[lack])
+        ptr = ptr + np.searchsorted(lack, np.arange(len(ptr))).astype(
+            ptr.dtype)
+    p = sp.csr_matrix((val, col, ptr), shape=shape)
+    p.eliminate_zeros()
+    if descends:
+        p.sort_indices()
+    return p, box[first] // 3
+
+
+def _own_last(ptr, col, val, agg):
+    """In the CSR arrays (ptr, col, val), move the entry of each row r in
+    column agg[r] to the row's end, the others keeping their order, and add
+    1 to it; return the rows that have no such entry. Each temporary is
+    dropped once used: at k = 1 they are as large as the arrays."""
+    own = np.flatnonzero(col == np.repeat(agg, np.diff(ptr)))
+    row = np.searchsorted(ptr, own, side="right") - 1
+    lack = np.ones(len(agg), dtype=bool)
+    lack[row] = False
+    last = ptr[row + 1] - 1
+    del row
+    # The entries after a row's own one move up a place: a step up after
+    # the own entry and down after the row's last one marks them.
+    tail = np.zeros(len(col) + 1, dtype=np.int8)
+    tail[own + 1] += 1
+    tail[last + 1] -= 1
+    tail = np.cumsum(tail[:-1], dtype=np.int8).view(bool)[1:]
+    gain, mine = 1.0 + val[own], col[own]
+    del own
+    for v in (val, col):
+        v[:-1][tail] = v[1:][tail]
+    del tail
+    val[last], col[last] = gain, mine
+    return np.flatnonzero(lack)
 
 
 def _pcg(levels, maps, li, b):

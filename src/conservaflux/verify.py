@@ -18,6 +18,7 @@ import numpy as np
 
 from . import basis, dualmesh, solver
 from ._table import coords, labels, numbers, write_table
+from .mesh import _inv_jac
 from .postprocess import local_coefficients, postprocess_all
 from .quadrature import triangle_rule
 from .solver import blocks, sample
@@ -79,11 +80,12 @@ def _h1_distance(mesh, field, coeffs, exact_grad=None):
     rule = triangle_rule(solver.default_exactness(field.degree)
                          if disc is None else disc.exactness)
     tab = np.hstack(basis.eval_basis(field.degree, rule.points)[1])
-    v0, jac, inv, det = mesh.element_maps()
+    v0, jac, det = mesh._maps()
     total = 0.0
     # About ten values per point: gradients (T, Q, 2), points, exact ones.
     for sl in solver._chunks(mesh.n_triangles, 2 * len(rule.points)):
-        g = (coeffs(sl) @ tab).reshape(-1, len(rule.points), 2) @ inv[sl]
+        g = ((coeffs(sl) @ tab).reshape(-1, len(rule.points), 2)
+             @ _inv_jac(jac[sl], det[sl]))
         if exact_grad is not None:
             phys = basis.map_points(v0[sl], jac[sl], rule.points)
             for a, g_a in enumerate(exact_grad(phys[..., 0], phys[..., 1])):
@@ -153,7 +155,7 @@ def f_l1_norm(mesh, degree, problem):
     agrees to quadrature accuracy."""
     basis._check_degree(degree)
     rule = triangle_rule(solver.default_exactness(degree))
-    v0, jac, _, det = mesh.element_maps()
+    v0, jac, det = mesh._maps()
     total = 0.0
     for sl in solver._chunks(mesh.n_triangles, len(rule.points)):
         f = sample(problem.source, basis.map_points(v0[sl], jac[sl],
@@ -177,7 +179,7 @@ def true_solution_residual(mesh, degree, problem):
         raise ValueError("true-solution residual requires the exact gradient")
     disc = blocks(mesh, solver.build_dof_map(mesh, degree), problem)
     rseg = disc.rseg
-    v0, jac, inv, det = mesh.element_maps()
+    v0, jac, det = mesh._maps()
 
     def exact_grad_at(phys):
         g = np.empty(phys.shape)
@@ -201,7 +203,8 @@ def true_solution_residual(mesh, degree, problem):
     rule = triangle_rule(disc.exactness)
     _, grads = basis.eval_basis(degree, rule.points)
     phys = basis.map_points(v0, jac, rule.points)
-    g_phi = basis.map_points(None, inv.transpose(0, 2, 1), grads)
+    g_phi = basis.map_points(None, _inv_jac(jac, det).transpose(0, 2, 1),
+                             grads)
     c = rule.weights * det[:, None] * sample(problem.kappa, phys)
     a_rows = np.einsum("tq,tqa,tqia->ti", c, exact_grad_at(phys), g_phi)
 

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from conservaflux import build_structured_mesh
+from conservaflux import build_dof_map, build_structured_mesh
+from conservaflux import mesh as mesh_mod
 from conservaflux.mesh import MeshError, TriMesh, read_mesh_file, write_mesh_file
 
 
@@ -52,7 +53,7 @@ def test_topology_matches_loop_oracle(case, jittered_mesh, shuffled):
             }[kind]()
     for name, expected in loop_topology(mesh.triangles).items():
         got = getattr(mesh, name)
-        assert got.dtype == np.int64, name
+        assert got.dtype == np.int32, name
         assert np.array_equal(got, expected.reshape(got.shape)), name
 
 
@@ -107,7 +108,7 @@ def test_topology_matches_unique_based_oracle(case, jittered_mesh, shuffled,
     expected = unique_topology(mesh.triangles, mesh.n_vertices)
     for name, ref in expected.items():
         got = getattr(mesh, name)
-        assert got.dtype == ref.dtype, name
+        assert got.dtype == np.int32, name
         assert np.array_equal(got, ref), name
 
 
@@ -152,6 +153,96 @@ def test_overreferenced_edge_error_matches_unique_based_oracle(triangles):
     with pytest.raises(MeshError) as got:
         TriMesh(vertices, triangles)
     assert str(got.value) == str(oracle.value)
+
+
+def int64_dof_map(triangles, topology, nv, k):
+    """cell_dofs and the kind of every dof, in int64, from the dof map's
+    definition on the int64 `topology` of the unique-based mesh oracle:
+    vertices, then k - 1 dofs per edge from its lower vertex on, then the
+    interior dofs of each element in local order."""
+    from conservaflux.basis import _multi_index
+    a, tri = _multi_index(k), np.asarray(triangles, dtype=np.int64)
+    edges, tri_edges = topology["edges"], topology["tri_edges"]
+    nc = nv + (k - 1) * len(edges)
+    kind = np.count_nonzero(a, axis=1) - 1
+    inner = np.flatnonzero(kind == 2)
+    cell_dofs = np.empty((len(tri), len(a)), dtype=np.int64)
+    for n, an in enumerate(a):
+        c = np.flatnonzero(an)
+        if len(c) == 1:
+            cell_dofs[:, n] = tri[:, c[0]]
+        elif len(c) == 2:  # on facet m, from local vertex m to m + 1
+            eid = tri_edges[:, {(0, 1): 0, (1, 2): 1, (0, 2): 2}[tuple(c)]]
+            at_hi = np.where(tri[:, c[0]] == edges[eid, 1], an[c[0]], an[c[1]])
+            cell_dofs[:, n] = nv + (k - 1) * eid + at_hi - 1
+    cell_dofs[:, inner] = nc + np.arange(len(tri) * len(inner)).reshape(
+        len(tri), -1)
+    kinds = np.empty(cell_dofs.max() + 1, dtype=np.int64)
+    kinds[cell_dofs] = kind
+    return cell_dofs, kinds
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_int32_indices_where_edge_keys_pass_2_to_the_31(shuffle, shuffled):
+    # 47,089 vertices: the keys lo * nv + hi that group the half-edges pass
+    # 2^31, so keys formed in int32 would wrap. The int32 topology holds the
+    # int64 values of the unique-based oracle, and at k = 1..3 the int32
+    # cell_dofs and int8 kinds those of the int64 dof-map oracle.
+    mesh = build_structured_mesh(216)
+    if shuffle:
+        mesh = shuffled(mesh, 5)
+    nv = mesh.n_vertices
+    expected = unique_topology(mesh.triangles, nv)
+    lo, hi = expected["edges"].T
+    assert (lo * nv + hi).max() >= 2 ** 31
+    for name, ref in expected.items():
+        got = getattr(mesh, name)
+        assert got.dtype == np.int32 and ref.dtype == np.int64, name
+        assert np.array_equal(got, ref), name
+    for k in (1, 2, 3):
+        dm = build_dof_map(mesh, k)
+        cell_dofs, kinds = int64_dof_map(mesh.triangles, expected, nv, k)
+        assert dm.cell_dofs.dtype == np.int32 and dm.kind.dtype == np.int8
+        assert np.array_equal(dm.cell_dofs, cell_dofs)
+        assert np.array_equal(dm.kind, kinds) and dm.n_dofs == len(kinds)
+
+
+def test_triangle_index_is_range_checked_before_the_int32_cast():
+    # 2^32 + 1 would wrap to 1, a valid vertex index.
+    triangles = np.array([[0, 2 ** 32 + 1, 2]], dtype=np.int64)
+    with pytest.raises(MeshError,
+                       match="^triangle vertex index out of range$"):
+        TriMesh([[0, 0], [1, 0], [0, 1]], triangles)
+
+
+@pytest.mark.parametrize("limit, name, count", [
+    (16, "vertex", 16), (17, "triangle", 18), (19, "edge", 33)])
+def test_counts_that_int32_cannot_index_are_refused(limit, name, count,
+                                                    monkeypatch):
+    # The 3 x 3 mesh has 16 vertices, 18 triangles and 33 edges. The limit
+    # is 2^31 and lowered here: 2^31 vertices alone would take 32 GiB.
+    monkeypatch.setattr(mesh_mod, "_INDEX_LIMIT", limit)
+    with pytest.raises(MeshError, match=rf"^{name} count {count} is 2\^31 "
+                                        "or more: indices are int32$"):
+        build_structured_mesh(3)
+    monkeypatch.setattr(mesh_mod, "_INDEX_LIMIT", 34)
+    assert build_structured_mesh(3).n_edges == 33
+
+
+def test_element_maps_form_inv_j_on_each_call(jittered_mesh):
+    # The mesh keeps v0, J and det J; inv J is formed anew by each call,
+    # as adj(J) / det J.
+    mesh = jittered_mesh(5, seed=1)
+    v0, jac, inv, det = mesh.element_maps()
+    again = mesh.element_maps()
+    assert again[0] is v0 and again[1] is jac and again[3] is det
+    assert again[2] is not inv and np.array_equal(again[2], inv)
+    assert len(mesh._geom) == 3 and all(
+        a is b for a, b in zip(mesh._geom, (v0, jac, det)))
+    adj = np.stack([np.stack([jac[:, 1, 1], -jac[:, 0, 1]], axis=1),
+                    np.stack([-jac[:, 1, 0], jac[:, 0, 0]], axis=1)], axis=1)
+    assert np.array_equal(inv, adj / det[:, None, None])
+    assert np.abs(inv @ jac - np.eye(2)).max() < 1e-13
 
 
 def test_structured_triangles_match_cell_loop():

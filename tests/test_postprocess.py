@@ -586,6 +586,25 @@ def test_kappa_nonpositive_on_a_dual_segment_fails_in_the_recovery(
     assert "d_loc" not in vars(u.discretization)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kappa_nonpositive_on_element_edges_fails_in_the_recovery(k, threads):
+    # kappa is -1 on the grid line x = 0.5, where of all the points kappa is
+    # sampled at only the recovery's element-boundary Gauss points fall:
+    # the solve and the dual blocks pass, and the recovery raises the block
+    # build's SolverError, naming a point on the line.
+    base = load_example(2)
+    prob = dataclasses.replace(
+        base, kappa=lambda x, y: np.where(x == 0.5, -1.0, base.kappa(x, y)))
+    mesh = build_structured_mesh(4)
+    u = solve_problem(mesh, k, prob)
+    parts = build_partitions(mesh, k)
+    u.discretization.d_loc
+    with pytest.raises(SolverError, match=r"^kappa must be positive; got -1 "
+                                          r"at \(0\.5, 0\.\d+\)$"):
+        postprocess_all(mesh, u.dofmap, parts, u, prob, threads=threads)
+
+
 def test_incompatible_element_fails_alike_on_any_thread_count(monkeypatch):
     # Elements 20 and 50 of 72, in the second and third of five one-thread
     # chunks, are made incompatible. Every thread count reports element 20, as one

@@ -4,7 +4,8 @@ import pytest
 from conservaflux import (apply_dirichlet, assemble, build_dof_map,
                           build_structured_mesh, export_solution_csv,
                           load_example, solve, solve_problem)
-from conservaflux.mesh import TriMesh
+from conservaflux import mesh as mesh_mod
+from conservaflux.mesh import MeshError, TriMesh
 from conservaflux.problems import ProblemSpec
 from conservaflux.solver import DOF_INTERIOR, SolverError, blocks
 
@@ -92,6 +93,17 @@ def test_p1_interpolation_is_exact_for_linear_functions(k, jittered_mesh,
     interp = dm.p1 @ lin(mesh.vertices)
     assert np.abs(interp[dm.cell_dofs] - nodes).max() < 1e-14
     assert np.abs(interp - lin(dm.coords)).max() < 1e-14
+
+
+def test_dof_count_that_int32_cannot_index_is_refused(monkeypatch):
+    # The limit is 2^31, lowered here to 34: the 3 x 3 mesh (16 vertices,
+    # 18 triangles, 33 edges) passes, and so do its 16 dofs at k = 1.
+    monkeypatch.setattr(mesh_mod, "_INDEX_LIMIT", 34)
+    mesh = build_structured_mesh(3)
+    assert build_dof_map(mesh, 1).n_dofs == 16
+    with pytest.raises(MeshError, match=r"^dof count 49 is 2\^31 or more: "
+                                        "indices are int32$"):
+        build_dof_map(mesh, 2)
 
 
 def test_dof_ordering_vertices_edges_interior():
@@ -766,6 +778,114 @@ def test_solve_holds_each_transfer_once(k, n, levels, bound):
         tracemalloc.stop()
     assert u.solve_levels == levels
     assert peak <= bound * a_bytes
+
+
+def test_aggregation_writes_p_into_the_product_arrays(monkeypatch):
+    # Example 2, k = 1, n = 96, A in bytes as above. P is formed in the
+    # arrays of A T: the peak inside `_aggregate` measured 1.05 A above its
+    # entry, and 1.61 A as T - (2/3 D^-1) (A T), which also held A T's
+    # scaled copy and an over-allocated difference. The solve's peak, now
+    # set in `_galerkin`, measured 3.63 A (3.81 A).
+    import tracemalloc
+    from conservaflux import solver
+    mesh = build_structured_mesh(96)
+    prob = load_example(2)
+    dm = build_dof_map(mesh, 1)
+    system = apply_dirichlet(*assemble(mesh, dm, prob), dm, prob)
+    a = system.matrix
+    a_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    rises, real = [], solver._aggregate
+
+    def aggregate(level, box):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real(level, box)
+        rises.append(tracemalloc.get_traced_memory()[1] - entry)
+        return out
+
+    monkeypatch.setattr(solver, "_aggregate", aggregate)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = solve(system)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert u.solve_levels == (9025, 529, 64) and len(rises) == 2
+    assert max(rises) <= 1.2 * a_bytes
+    assert peak <= 3.7 * a_bytes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_aggregation_prolongation_is_the_scipy_formula_bit_for_bit(
+        k, jittered_mesh, monkeypatch):
+    # P from the arrays of A T equals T - (2/3 D^-1) (A T) as scipy forms
+    # it, array for array and bit for bit, order included: the order of a
+    # level's entries sets the rounding of its products. The cases include
+    # rows of A T without an entry in their own aggregate (it summed to
+    # exactly 0) and, with `_COARSEST` at 3, a last level whose rows of A T
+    # all descend, where scipy sorts the difference.
+    from conservaflux import solver
+    monkeypatch.setattr(solver, "_COARSEST", 3)
+    real, seen = solver._aggregate, {"lack": 0, "sorted": 0}
+
+    def aggregate(level, box):
+        p, wider = real(level, box)
+        lack, ordered = check_prolongation(p, wider, level, box)
+        seen["lack"] += lack
+        seen["sorted"] += ordered
+        return p, wider
+
+    monkeypatch.setattr(solver, "_aggregate", aggregate)
+    for mesh in (build_structured_mesh(16), jittered_mesh(16, seed=5)):
+        solve_problem(mesh, k, load_example(2))
+    assert seen["lack"] > 0 and seen["sorted"] > 0
+
+
+def check_prolongation(p, wider, level, box):
+    """Assert that (p, wider) is what T - (2/3 D^-1) (A T) gives for the
+    level A and the boxes, bit for bit; return A T's rows without an entry
+    in their own aggregate, and whether scipy sorted the difference."""
+    import scipy.sparse as sp
+    _, first, agg = np.unique(box[:, 0] * (box[:, 1].max() + 1) + box[:, 1],
+                              return_index=True, return_inverse=True)
+    t = sp.csr_matrix((np.ones(len(agg)), (np.arange(len(agg)), agg)),
+                      shape=(len(agg), len(first)))
+    at = level @ t
+    x = sp.diags(2 / 3 / level.diagonal()) @ at
+    ref = t - x
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(p, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
+    assert p.shape == ref.shape
+    assert np.array_equal(wider, box[first] // 3)
+    rows = np.repeat(np.arange(len(agg)), np.diff(at.indptr))
+    return (len(agg) - np.count_nonzero(at.indices == agg[rows]),
+            x.has_canonical_format)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_aggregation_prolongation_of_small_levels(seed):
+    # Random symmetric levels of 2-12 rows with random boxes; the path
+    # graph of 2 rows in 2 boxes, whose rows of A T descend with two
+    # entries: there scipy sorts the difference, and so must P; and 2 rows
+    # in one box whose P is exactly 0: scipy drops those entries.
+    import scipy.sparse as sp
+    from conservaflux import solver
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 13)
+    off = sp.random(n, n, density=0.4, random_state=rng, format="csr")
+    level = (-(off + off.T) + sp.diags(np.full(n, 2.0 * n))).tocsr()
+    box = rng.integers(0, 3, size=(n, 2))
+    check_prolongation(*solver._aggregate(level, box), level, box)
+    level = sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])
+    box = np.array([[0, 0], [1, 0]])
+    assert check_prolongation(*solver._aggregate(level, box), level, box)[1]
+    level, box = sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]), np.zeros((2, 2), int)
+    p, wider = solver._aggregate(level, box)
+    assert p.nnz == 0
+    check_prolongation(p, wider, level, box)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

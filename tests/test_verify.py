@@ -368,6 +368,44 @@ def test_per_element_passes_have_bounded_transient_memory(k, monkeypatch):
         assert max(transient.values()) <= 10 * 8 * 4096, (n, transient)
 
 
+def test_no_pass_calls_element_maps(monkeypatch, tmp_path, jittered_mesh):
+    # element_maps forms inv J for the whole mesh on each call; the package
+    # reads the kept v0, J and det J and forms inv J per chunk.
+    from conservaflux import (export_dual_csv, export_postprocessed_csv,
+                              export_solution_csv, flux_along_polyline)
+    from conservaflux.cli import main
+    from conservaflux.mesh import TriMesh
+
+    def element_maps(self):
+        raise AssertionError("element_maps called")
+
+    monkeypatch.setattr(TriMesh, "element_maps", element_maps)
+    prob = load_example(2)
+    mesh = jittered_mesh(6, seed=3)
+    for k in (1, 2, 3):
+        u = solve_problem(mesh, k, prob)
+        parts = build_partitions(mesh, k)
+        tilde = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=2)
+        cv = build_cv_index(mesh, u.dofmap, parts)
+        for field in (u, tilde):
+            compute_lce(mesh, cv, parts, field, prob)
+            h1_seminorm_error(mesh, field, prob.exact_grad)
+            field.grad_on(3, [[0.2, 0.3]])
+            flux_along_polyline(mesh, field, prob, [[0.1, 0.2], [0.9, 0.7]])
+        h1_seminorm_diff(mesh, u, tilde)
+        elemental_conservation_report(mesh, parts, tilde, prob)
+        f_l1_norm(mesh, k, prob)
+        true_solution_residual(mesh, k, prob)
+        mesh.locate([[0.5, 0.5], [2.0, 0.0]])
+        export_solution_csv(u, tmp_path / "u.csv")
+        export_postprocessed_csv(tilde, tmp_path / "tilde.csv")
+        export_dual_csv(parts, tmp_path / "dual.csv")
+    assert main(["solve", "--example", "3", "--degree", "2", "--levels",
+                 "12,24,48", "--check", "all", "--out", str(tmp_path)]) == 0
+    assert main(["export-dual", "--degree", "3", "--n", "4",
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_true_solution_residual_quadrature_limited():
     for ex in (1, 2):
         prob = load_example(ex)
