@@ -39,7 +39,7 @@ from .quadrature import _checked_exactness, segment_rule, triangle_rule
 
 DOF_VERTEX, DOF_EDGE, DOF_INTERIOR = 0, 1, 2
 DOF_KIND_NAMES = {DOF_VERTEX: "vertex", DOF_EDGE: "edge", DOF_INTERIOR: "interior"}
-_BUDGET = 2 ** 17  # quadrature points per chunk of every per-element pass
+_BUDGET = 2 ** 16  # quadrature points per chunk of every per-element pass
 _SOLVE_RTOL = 1e-10  # relative residual a solve must reach on the full system
 _JACOBI = 0.5  # damping of the Jacobi smoother of the PCG's cycle
 # Most rows of the dense last level, the measured crossover of its O(n^3)
@@ -192,7 +192,7 @@ class FemField:
 def _chunks(nt, width):
     """Disjoint slices of range(nt) of max(1, _BUDGET // width) elements;
     `width` is a pass's points per element, doubled if it holds ten values
-    per point, not five: about 5 MiB of temporaries at any size and degree."""
+    per point, not five: about 2.5 MiB of temporaries at any size and degree."""
     step = max(1, _BUDGET // width)
     return (slice(t0, min(t0 + step, nt)) for t0 in range(0, nt, step))
 
@@ -410,18 +410,27 @@ def _check_field(mesh, field, degree=None):
 
 
 def assemble(mesh, dofmap, problem, exactness=None):
-    """Unconstrained global system (A, b) as (csr matrix, vector)."""
+    """Unconstrained global system (A, b) as (csr matrix, vector).
+
+    A is the sparse product E^T K of two (nt N, n_dofs) matrices: row
+    (t, i) of K is the stiffness row k_loc[t, i] in the columns
+    cell_dofs[t], and E holds a 1 at (t, i), cell_dofs[t, i]. scipy sums
+    the duplicates in element order into arrays of A's entries only and
+    stores no exact zero; b is E^T b_loc, summed in the same order."""
     disc = blocks(mesh, dofmap, problem, default_exactness(dofmap.degree)
                   if exactness is None else exactness)
     n, n_dofs, cd = disc.n, dofmap.n_dofs, dofmap.cell_dofs
-    # int32, as scipy indexes: it copies int64 input.
-    rows = np.repeat(cd, n, axis=1).ravel()
-    cols = np.tile(cd, (1, n)).ravel()
-    a_glob = sp.coo_matrix((disc.k_loc.ravel(), (rows, cols)),
-                           shape=(n_dofs, n_dofs)).tocsr()
-    b_glob = np.zeros(n_dofs)
-    np.add.at(b_glob, dofmap.cell_dofs.ravel(), disc.b_loc.ravel())
-    return a_glob, b_glob
+    rows = cd.size
+    # K's data is a view of k_loc; its indices are int32, as scipy indexes:
+    # it copies int64 input.
+    k_glob = sp.csr_matrix(
+        (disc.k_loc.ravel(), np.repeat(cd, n, axis=0).ravel(),
+         np.arange(0, rows * n + 1, n)), (rows, n_dofs))
+    e_t = sp.csc_matrix((np.ones(rows), cd.ravel(), np.arange(rows + 1)),
+                        (n_dofs, rows)).tocsr()
+    a_glob = e_t @ k_glob
+    a_glob.sort_indices()
+    return a_glob, e_t @ disc.b_loc.ravel()
 
 
 @dataclass
@@ -578,12 +587,12 @@ def _condense(a, keep, free, nc, r, d):
     and r_c - A_ci D^-1 r_i, where the dofs from `nc` on are the bubbles,
     whose block is the diagonal `d`.
 
-    S is written into arrays sized for the free rows of A (its entries
-    and their couplings to bubbles), one chunk of rows at a time: a chunk
-    [A_cc A_ci] of the rows of A times [I; -D^-1 A_ic] is S's chunk, with
-    the entries where A stores none (exact zeros that `apply_dirichlet`
-    dropped). The arrays are then shrunk in place to S's entries. Beside A
-    and S, only D^-1 A_ic, one chunk and dof vectors are held."""
+    S is written into arrays sized for the entries of A that couple free
+    coupled dofs, one chunk of rows at a time: a chunk [A_cc A_ci] of the
+    rows of A times [I; -D^-1 A_ic] is S's chunk. Where the product fills
+    in an entry that A does not store (a coupling that sums to exactly 0),
+    the arrays grow in place; they end shrunk to S's entries. Beside A and
+    S, only D^-1 A_ic, one chunk and dof vectors are held."""
     n, nf = a.shape[0], len(free)
     width = nf + n - nc
     cols = np.full(n, width, dtype=a.indices.dtype)  # constrained: dropped
@@ -599,7 +608,8 @@ def _condense(a, keep, free, nc, r, d):
                              shape=(width, nf))
         del a_ic
         r_i = np.r_[np.zeros(nf), r[nc:] / d]
-    size = int(np.diff(a.indptr)[free].sum())
+    # A constrained row holds only its diagonal, in a column `cols` drops.
+    size = int(np.count_nonzero(cols.take(a.indices[:a.indptr[nc]]) < nf))
     idx = np.int32 if max(size, n) < 2 ** 31 else np.int64
     data, indices = np.empty(size), np.empty(size, dtype=idx)
     indptr = np.zeros(nf + 1, dtype=idx)
@@ -611,15 +621,15 @@ def _condense(a, keep, free, nc, r, d):
         if cond is not None:
             rhs[row:row + chunk.shape[0]] -= chunk @ r_i
             chunk = chunk @ cond
-        if at + chunk.nnz > size:  # more fill-in than couplings to bubbles
-            size = at + chunk.nnz + size // 4
-            data, indices = (np.r_[v[:at], np.empty(size - at, v.dtype)]
-                             for v in (data, indices))
+        if at + chunk.nnz > size:  # fill-in: realloc, no second copy
+            size = at + chunk.nnz
+            for v in (data, indices):
+                v.resize(size, refcheck=False)
         data[at:at + chunk.nnz] = chunk.data
         indices[at:at + chunk.nnz] = chunk.indices
         indptr[row + 1:row + 1 + chunk.shape[0]] = at + chunk.indptr[1:]
         at, row = at + chunk.nnz, row + chunk.shape[0]
-    for v in (data, indices):  # drop the unused tail, copying nothing
+    for v in (data, indices):  # drop an unused tail, copying nothing
         v.resize(at, refcheck=False)
     return sp.csr_matrix((data, indices, indptr), (nf, nf)), rhs
 
@@ -743,12 +753,12 @@ def _pcg(levels, maps, li, b):
     # P = (P^T)^T, a view made once: scipy checks the arrays on each .T.
     steps = [(a, _JACOBI / a.diagonal(), t.T, t) for a, t in zip(levels, maps)]
     x, r = np.zeros_like(b), b.copy()
-    tol, rz, p = _CG_RTOL * np.linalg.norm(b), 1.0, np.zeros_like(b)
+    tol, rz, p = _CG_RTOL * np.sqrt(_dot(b, b)), 1.0, np.zeros_like(b)
     for its in range(_CG_MAXITER):
-        if np.linalg.norm(r) <= tol:
+        if np.sqrt(_dot(r, r)) <= tol:
             return x, its
         z = _cycle(steps, li, r)
-        rz, rz_old = r @ z, rz
+        rz, rz_old = _dot(r, z), rz
         # Breakdown: r @ z underflowed (p @ S p would follow) or is not
         # finite. A negative one (an indefinite cycle) still converges.
         if not np.finfo(float).tiny <= abs(rz) < np.inf:
@@ -756,10 +766,16 @@ def _pcg(levels, maps, li, b):
         p *= rz / rz_old
         p += z
         q = levels[0] @ p
-        alpha = rz / (p @ q)
+        alpha = rz / _dot(p, q)
         x += alpha * p
         r -= alpha * q
     return x, _CG_MAXITER
+
+
+def _dot(u, v):
+    """u @ v as numpy's pairwise sum: BLAS's dot product runs on threads
+    for long vectors and then rounds with their number."""
+    return np.add.reduce(u * v)
 
 
 def _cycle(steps, li, r):

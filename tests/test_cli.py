@@ -78,11 +78,14 @@ def test_byte_identical_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
+@pytest.mark.parametrize("levels", ["12,24,48", "12,24,96"])
+def test_csvs_do_not_depend_on_the_blas_thread_count(levels, tmp_path):
     # Each setting runs in a child process, since OpenBLAS reads it once,
-    # at load. The dense last levels here have 143, 36 and 132 rows; with
-    # LAPACK on the whole level, 11 of the 16 CSVs (levels 12 and 48)
-    # differed between 1 and 2 BLAS threads.
+    # at load. The dense last levels of 12,24,48 have 143, 36 and 132 rows;
+    # with LAPACK on the whole level, 11 of the 16 CSVs (levels 12 and 48)
+    # differed between 1 and 2 BLAS threads. At n = 96 (37,249 dofs) the
+    # CG's vectors are long enough for BLAS's dot products to run on
+    # threads: with them, the 5 CSVs of n = 96 and conv_3_k2.csv differed.
     import os
     import subprocess
     import sys
@@ -100,7 +103,7 @@ def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
              "import sys; from conservaflux.cli import main; "
              "sys.exit(main(sys.argv[1:]))",
              "solve", "--example", "3", "--degree", "2", "--levels",
-             "12,24,48", "--check", "all", "--threads", "1", "--out",
+             levels, "--check", "all", "--threads", "1", "--out",
              str(out)], env=env, check=True, capture_output=True)
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())

@@ -448,6 +448,26 @@ def test_recovery_is_invariant_to_a_constant_added_to_u_h(k):
         assert err <= 4 * np.finfo(float).eps * c, (c, err)
 
 
+def test_chunk_budget_moves_only_rounding(jittered_mesh, monkeypatch):
+    # Every per-element pass cuts the mesh into chunks of `_BUDGET` points:
+    # the blocks of the 512 elements here are built 97 at a time at 2^16
+    # and 6 at a time at 2^12. u_h and tilde agree to rounding.
+    mesh = jittered_mesh(16, seed=6)
+    prob = load_example(2)
+    parts = build_partitions(mesh, 3)
+
+    def run():
+        u = solve_problem(mesh, 3, prob)
+        tilde = postprocess_all(mesh, u.dofmap, parts, u, prob, threads=1)
+        return u.values, tilde.coeffs
+
+    assert solver._BUDGET == 2 ** 16
+    whole = run()
+    monkeypatch.setattr(solver, "_BUDGET", 2 ** 12)
+    for got, ref in zip(run(), whole):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_serial_parallel_bit_identity(monkeypatch):
     # 17 elements of 48 boundary-segment points at k=2: 72 elements make
     # five chunks, the last one partial.
