@@ -7,7 +7,6 @@ Exit status is 0 exactly when every enabled check passes its tolerance.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from pathlib import Path
@@ -50,62 +49,59 @@ def default_ladder(example, degree):
     return list(table[degree])
 
 
-def _check_lce(args, problem, out, level):
-    failures = []
-    for n in args.levels:
-        mesh, u_h, parts, tilde = level(n)
-        cv = dualmesh.build_cv_index(mesh, u_h.dofmap, parts)
-        # ||f||_1 from the level's own source pass; f_l1_norm's element
-        # rule agrees with it to quadrature accuracy.
-        scale = max(1.0, float(u_h.discretization.f_abs.sum()))
-        tol = args.tol_lce * scale
-        for fname, fld in (("uh", u_h), ("tilde", tilde)):
-            report = verify.compute_lce(mesh, cv, parts, fld, problem)
-            path = out / f"lce_{fname}_{args.example}_k{args.degree}_n{n}.csv"
-            verify.write_lce_csv(report, path)
-            if fname == "tilde":
-                ok = report.max_abs <= tol
-                print(f"check=lce example={args.example} k={args.degree} "
-                      f"n={n} max_lce_tilde={report.max_abs:.3e} "
-                      f"tol={tol:.3e} {'PASS' if ok else 'FAIL'}")
-                if not ok:
-                    failures.append(f"lce n={n}: {report.max_abs:.3e} > {tol:.3e}")
-            else:
-                print(f"check=lce example={args.example} k={args.degree} "
-                      f"n={n} max_lce_uh={report.max_abs:.3e} (unprocessed, "
-                      "informational)")
-        solver.export_solution_csv(
-            u_h, out / f"solution_{args.example}_k{args.degree}_n{n}.csv")
-        postprocess.export_postprocessed_csv(
-            tilde, out / f"tilde_{args.example}_k{args.degree}_n{n}.csv")
-    return failures
+def _check_lce(args, problem, out, n, level):
+    """The lce check on one solved level: both LCE reports and their CSVs,
+    then the solution and recovered-field CSVs. Returns (lines, failures)."""
+    mesh, u_h, parts, tilde = level
+    cv = dualmesh.build_cv_index(mesh, u_h.dofmap, parts)
+    # ||f||_1 from the level's own source pass; f_l1_norm's element
+    # rule agrees with it to quadrature accuracy.
+    scale = max(1.0, float(u_h.discretization.f_abs.sum()))
+    tol = args.tol_lce * scale
+    lines, failures = [], []
+    for fname, fld in (("uh", u_h), ("tilde", tilde)):
+        report = verify.compute_lce(mesh, cv, parts, fld, problem)
+        path = out / f"lce_{fname}_{args.example}_k{args.degree}_n{n}.csv"
+        verify.write_lce_csv(report, path)
+        if fname == "tilde":
+            ok = report.max_abs <= tol
+            lines.append(f"check=lce example={args.example} k={args.degree} "
+                         f"n={n} max_lce_tilde={report.max_abs:.3e} "
+                         f"tol={tol:.3e} {'PASS' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(f"lce n={n}: {report.max_abs:.3e} > {tol:.3e}")
+        else:
+            lines.append(f"check=lce example={args.example} k={args.degree} "
+                         f"n={n} max_lce_uh={report.max_abs:.3e} "
+                         "(unprocessed, informational)")
+    solver.export_solution_csv(
+        u_h, out / f"solution_{args.example}_k{args.degree}_n{n}.csv")
+    postprocess.export_postprocessed_csv(
+        tilde, out / f"tilde_{args.example}_k{args.degree}_n{n}.csv")
+    return lines, failures
 
 
-def _check_conservation(args, problem, out, level):
-    failures = []
-    for n in args.levels:
-        mesh, _, parts, tilde = level(n)
-        report = verify.elemental_conservation_report(mesh, parts, tilde,
-                                                      problem)
-        path = out / (f"conservation_{args.example}_k{args.degree}"
-                      f"_n{n}.csv")
-        verify.write_conservation_csv(report, path)
-        ok = report.max_relative <= CONSERVATION_RTOL
-        print(f"check=conservation example={args.example} k={args.degree} "
-              f"n={n} max_residual={report.max_residual:.3e} "
-              f"max_relative={report.max_relative:.3e} "
-              f"tol={CONSERVATION_RTOL:.1e} {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(f"conservation n={n}: relative "
-                            f"{report.max_relative:.3e} > {CONSERVATION_RTOL:.1e}")
-    return failures
+def _check_conservation(args, problem, out, n, level):
+    """The conservation check on one solved level: the elemental report and
+    its CSV. Returns (lines, failures)."""
+    mesh, _, parts, tilde = level
+    report = verify.elemental_conservation_report(mesh, parts, tilde, problem)
+    path = out / f"conservation_{args.example}_k{args.degree}_n{n}.csv"
+    verify.write_conservation_csv(report, path)
+    ok = report.max_relative <= CONSERVATION_RTOL
+    line = (f"check=conservation example={args.example} k={args.degree} "
+            f"n={n} max_residual={report.max_residual:.3e} "
+            f"max_relative={report.max_relative:.3e} "
+            f"tol={CONSERVATION_RTOL:.1e} {'PASS' if ok else 'FAIL'}")
+    if ok:
+        return [line], []
+    return [line], [f"conservation n={n}: relative "
+                    f"{report.max_relative:.3e} > {CONSERVATION_RTOL:.1e}"]
 
 
-def _check_convergence(args, problem, out, level):
-    levels = args.levels
-    if len(set(levels)) < 3:
-        levels = default_ladder(args.example, args.degree)
-    table = verify.convergence_table(problem, args.degree, levels, level)
+def _check_convergence(args, out, table):
+    """The convergence check on its ladder's table: writes the CSV, prints
+    the verdict and returns the failures."""
     verify.write_convergence_csv(
         table, out / f"conv_{args.example}_k{args.degree}.csv")
     window = rate_window(args.example, args.degree)
@@ -131,26 +127,62 @@ def _check_convergence(args, problem, out, level):
     return failures
 
 
-_CHECKS = {"lce": _check_lce, "conservation": _check_conservation,
-           "convergence": _check_convergence}
+_LEVEL_CHECKS = {"lce": _check_lce, "conservation": _check_conservation}
+
+
+def _run_level(args, problem, out, n, checks, h1):
+    """Solve and recover level n, run `checks` on it and, when `h1`, take
+    its row of the convergence table. The level is dropped on return;
+    returns {check: (lines, failures)}, with the row under "h1"."""
+    level = verify.solve_level(problem, args.degree, n, args.quad_exactness,
+                               args.threads)
+    done = {name: _LEVEL_CHECKS[name](args, problem, out, n, level)
+            for name in checks}
+    if h1:
+        done["h1"] = verify.level_errors(problem, level)
+    return done
 
 
 def run(args, check):
     """Run `check` (`all`: each in turn) on the parsed arguments, whose
-    `levels` holds the run's mesh levels; returns a process exit status."""
+    `levels` holds the run's mesh levels; returns a process exit status.
+
+    One pass visits each distinct level once, those of `levels` first,
+    then the rest of the convergence ladder, and drops it after its last
+    check, so the run holds one level at a time. The lce lines print as
+    their levels finish, in the order of `levels`; the conservation and
+    convergence lines print after the pass."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     problem = load_example(args.example)
+    checks = [name for name in _LEVEL_CHECKS if check in (name, "all")]
+    levels = args.levels if checks else []
+    ladder = []
+    if check in ("convergence", "all"):
+        ladder = args.levels
+        if len(set(ladder)) < 3:
+            ladder = default_ladder(args.example, args.degree)
 
-    # Every distinct level is solved and recovered once, on first use.
-    @functools.cache
-    def level(n):
-        return verify.solve_level(problem, args.degree, n,
-                                  args.quad_exactness, args.threads)
+    done, shown = {}, 0
+    for n in dict.fromkeys(levels + ladder):
+        done[n] = _run_level(args, problem, out, n,
+                             checks if n in levels else (), n in ladder)
+        while ("lce" in checks and shown < len(levels)
+               and levels[shown] in done):
+            print(*done[levels[shown]]["lce"][0], sep="\n")
+            shown += 1
 
     failures = []
-    for name in _CHECKS if check == "all" else (check,):
-        failures += _CHECKS[name](args, problem, out, level)
+    for name in checks:
+        for n in levels:
+            lines, failed = done[n][name]
+            if name != "lce":
+                print(*lines, sep="\n")
+            failures += failed
+    if ladder:
+        failures += _check_convergence(
+            args, out, verify.ConvergenceTable.from_rows(
+                args.degree, ladder, [done[n]["h1"] for n in ladder]))
     if failures:
         print(f"{len(failures)} check(s) failed:")
         for msg in failures:

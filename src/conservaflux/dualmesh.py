@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import basis
-from ._table import coords, labels, numbers, write_table
+from ._table import coords, element_rows, ids, labels, numbers, write_table
 from .quadrature import _checked_exactness, segment_rule
 
 CLASS_CONTROL_VOLUME = "cv"
@@ -254,10 +254,15 @@ def export_dual_csv(partitions, path):
     if tiny.size:
         t = int(tiny[0])
         raise ValueError(f"triangle {t} is degenerate (|det J| = {det[t]:g})")
-    start, end, owner, cls = partitions._segments(slice(None))
-    nt, m = start.shape[:2]
-    ends = [coords(p[..., a].ravel()) for p in (start, end) for a in (0, 1)]
-    write_table(path, "x0,y0,x1,y1,class,element,local_dof", nt * m,
-                ends + [labels(cls, np.tile(np.arange(m), nt)),
-                        numbers(np.repeat(np.arange(nt), m)),
-                        numbers(np.tile(owner, nt))])
+    m = len(partitions.ref.seg_owner)
+    xy, owners = coords(), numbers(partitions.ref.seg_owner)
+
+    def block(rows):
+        t, e, i = element_rows(rows, m)
+        start, end, _, cls = partitions._segments(t)
+        start, end = start[e, i], end[e, i]
+        return [xy(start[:, 0]), xy(start[:, 1]), xy(end[:, 0]),
+                xy(end[:, 1]), labels(cls, i), labels(ids(t), e),
+                labels(owners, i)]
+    write_table(path, "x0,y0,x1,y1,class,element,local_dof",
+                partitions.mesh.n_triangles * m, block)

@@ -162,7 +162,7 @@ class TriMesh:
         del head, last
         # The triangle across facet m is the other one of its edge, t ^ a ^ b
         # for the edge's triangles a, b, one of them t (-1 stays -1).
-        pair = self.edge_tris[self.tri_edges]
+        pair = self.edge_tris.take(self.tri_edges, axis=0)
         self.tri_neighbors = pair[..., 0] ^ pair[..., 1]
         self.tri_neighbors ^= np.arange(len(tri), dtype=np.int32)[:, None]
         self.boundary_edges = np.flatnonzero(
@@ -195,8 +195,9 @@ class TriMesh:
     def signed_areas(self):
         v = self.vertices
         t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
+        v0 = v.take(t[:, 0], axis=0)
+        d1 = v.take(t[:, 1], axis=0) - v0
+        d2 = v.take(t[:, 2], axis=0) - v0
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def element_maps(self):
@@ -216,10 +217,10 @@ class TriMesh:
         if self._geom is None:
             v = self.vertices
             t = self.triangles
-            v0 = v[t[:, 0]]
+            v0 = v.take(t[:, 0], axis=0)
             jac = np.empty((len(t), 2, 2))
-            jac[:, :, 0] = v[t[:, 1]] - v0
-            jac[:, :, 1] = v[t[:, 2]] - v0
+            jac[:, :, 0] = v.take(t[:, 1], axis=0) - v0
+            jac[:, :, 1] = v.take(t[:, 2], axis=0) - v0
             det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
             for a in (v0, jac, det):
                 a.setflags(write=False)

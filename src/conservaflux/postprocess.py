@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, dualmesh, solver
-from ._table import coords, numbers, write_table
+from ._table import (coords, element_rows, ids, labels, numbers,
+                     write_table)
 from .mesh import _GEO_TOL, _inv_jac
 from .quadrature import segment_rule
 from .solver import FemField, blocks, default_segment_points, sample
@@ -65,8 +66,8 @@ def _traces(disc, u_values, elems):
     rounding depends on its row count, and a chunk's must not."""
     rseg = disc.rseg
     nb, ns = rseg.bd_pts.shape[:2]
-    pair = (u_values[disc.cell_dofs[elems]][:, None] @ rseg.bd_flux).reshape(
-        -1, 3, nb * ns)
+    pair = (u_values.take(disc.cell_dofs[elems])[:, None]
+            @ rseg.bd_flux).reshape(-1, 3, nb * ns)
     q = (disc.det_m[elems, None] @ pair).reshape(-1, nb, ns)
     q *= solver._positive_kappa(disc.problem, basis.map_points(
         disc.v0[elems], disc.jac[elems], rseg.bd_pts))
@@ -113,7 +114,7 @@ def _boundary_flux_terms(disc, u_values, t0, t1):
 def _elemental_blocks(disc, u_values, t0, t1):
     """Matrices, right-hand sides, defects, and boundary data for a chunk."""
     sl = slice(t0, t1)
-    u_loc = u_values[disc.cell_dofs[sl]]
+    u_loc = u_values.take(disc.cell_dofs[sl])
     gauge = u_loc.mean(axis=1)
     # k_loc annihilates constants: centred, its rounding ignores |u_h|.
     a_term = (disc.k_loc[sl] @ (u_loc - gauge[:, None])[:, :, None])[:, :, 0]
@@ -243,7 +244,7 @@ def postprocess_all(mesh, dofmap, partitions, u_h, problem, threads=None):
 
     # The caller works too: a pool of `threads` workers beside an idle
     # caller holds one more malloc arena. Even so, two threads peak higher
-    # than one (p1-structured: 77.5-77.8 MiB of RSS against 74.7-74.9).
+    # than one (p1-structured: 74.3-74.6 MiB of RSS against 72.8-73.3).
     helpers = [threading.Thread(target=drain) for _ in range(nthreads - 1)]
     for h in helpers:
         h.start()
@@ -346,10 +347,13 @@ def _edge_crossings(p, d, edges):
 def export_postprocessed_csv(field, path):
     """Write the corrected coefficients as "element,local_dof,x,y,alpha"."""
     v0, jac, _ = field.mesh._maps()
-    pts = basis.ref_nodes(field.degree) @ jac.transpose(0, 2, 1) + v0[:, None]
+    nodes = basis.ref_nodes(field.degree)
     nt, n = field.coeffs.shape
-    write_table(path, "element,local_dof,x,y,alpha", nt * n,
-                [numbers(np.repeat(np.arange(nt), n)),
-                 numbers(np.tile(np.arange(n), nt)),
-                 coords(pts[..., 0].ravel()), coords(pts[..., 1].ravel()),
-                 numbers(field.coeffs.ravel())])
+    xy, local = coords(), numbers(np.arange(n))
+
+    def block(rows):
+        t, e, i = element_rows(rows, n)
+        pts = (nodes @ jac[t].transpose(0, 2, 1) + v0[t, None])[e, i]
+        return [labels(ids(t), e), labels(local, i), xy(pts[:, 0]),
+                xy(pts[:, 1]), numbers(field.coeffs.reshape(-1)[rows])]
+    write_table(path, "element,local_dof,x,y,alpha", nt * n, block)

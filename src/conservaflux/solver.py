@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import basis, dualmesh
-from ._table import coords, numbers, write_table
+from ._table import coords, ids, numbers, write_table
 from .mesh import _check_count, _expand, _inv_jac
 from .quadrature import _checked_exactness, segment_rule, triangle_rule
 
@@ -127,7 +127,7 @@ def build_dof_map(mesh, degree):
     # An edge node on facet m of edge (lo, hi) has slot (index at hi) - 1.
     m = np.argmax(basis.node_facets(k)[edge], axis=1)
     eid = mesh.tri_edges[:, m]
-    at_hi = np.where(tri[:, m] == mesh.edges[eid, 1], a[edge, m],
+    at_hi = np.where(tri[:, m] == mesh.edges[:, 1].take(eid), a[edge, m],
                      a[edge, (m + 1) % 3])
     cell_dofs[:, edge] = nv + (k - 1) * eid + at_hi - 1
     cell_dofs[:, inner] = np.arange(nc, n_dofs).reshape(len(tri), len(inner))
@@ -179,7 +179,7 @@ class FemField:
         return self.dofmap.discretization
 
     def local_coeffs(self, t):
-        return self.values[self.dofmap.cell_dofs[t]]
+        return self.values.take(self.dofmap.cell_dofs[t])
 
     def grad_on(self, t, ref_points):
         """Physical gradient at reference points of element t, shape (P, 2)."""
@@ -336,8 +336,13 @@ class Discretization:
             self.det_m[sl] = np.column_stack([b * b + d * d, a * a + c * c,
                                               -(a * b + c * d)])
             self.det_m[sl] /= self.det_jac[sl, None]
-            self._kappa_blocks(sl, rseg.q_pts, rseg.stiff, self.k_loc[sl],
-                               phys_buf, prod_buf)
+            k_c = self.k_loc[sl]
+            self._kappa_blocks(sl, rseg.q_pts, rseg.stiff, k_c, phys_buf,
+                               prod_buf)
+            # (K + K^T) / 2: the table's products round unlike their
+            # transposes, and A must be symmetric to the bit.
+            np.add(k_c, k_c.transpose(0, 2, 1), out=k_c)
+            k_c *= 0.5
             src[:, sl], self.f_abs[sl] = self._sources(sl, phys_buf, abs_buf)
         self.b_loc, self.f_sub = src
 
@@ -807,6 +812,8 @@ def solve_problem(mesh, degree, problem, exactness=None):
 def export_solution_csv(field, path):
     """Write the solution as "dof_index,x,y,value" rows."""
     dm = field.dofmap
+    xy = coords()
     write_table(path, "dof_index,x,y,value", dm.n_dofs,
-                [numbers(np.arange(dm.n_dofs)), coords(dm.coords[:, 0]),
-                 coords(dm.coords[:, 1]), numbers(field.values)])
+                lambda rows: [ids(rows), xy(dm.coords[rows, 0]),
+                              xy(dm.coords[rows, 1]),
+                              numbers(field.values[rows])])

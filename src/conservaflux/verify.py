@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, dualmesh, solver
-from ._table import coords, labels, numbers, write_table
+from ._table import coords, ids, labels, numbers, write_table
 from .mesh import _inv_jac
 from .postprocess import local_coefficients, postprocess_all
 from .quadrature import triangle_rule
@@ -244,6 +244,13 @@ class ConvergenceTable:
     def slope_diff(self):
         return self._slope(self.err_diff)
 
+    @classmethod
+    def from_rows(cls, degree, ns, rows):
+        """The table of the levels `ns` and their `level_errors` rows."""
+        hs, err_uh, err_tilde, err_diff = map(np.array, zip(*rows))
+        return cls(degree=degree, ns=np.array(ns), hs=hs, err_uh=err_uh,
+                   err_tilde=err_tilde, err_diff=err_diff)
+
     @property
     def exact(self):
         """True when every error column sits at rounding level."""
@@ -266,26 +273,27 @@ def solve_level(problem, degree, n, exactness=None, threads=None):
     return mesh, u_h, parts, tilde
 
 
+def level_errors(problem, level):
+    """The row (h, |u - u_h|_1, |u - tilde|_1, |u_h - tilde|_1) of a
+    convergence table on `level`, a mesh level as solve_level returns it."""
+    mesh, u_h, _, tilde = level
+    return (mesh.h, h1_seminorm_error(mesh, u_h, problem.exact_grad),
+            h1_seminorm_error(mesh, tilde, problem.exact_grad),
+            h1_seminorm_diff(mesh, u_h, tilde))
+
+
 def convergence_table(problem, degree, levels, level):
     """H1 errors over a mesh ladder, where `level(n)` returns mesh level n
-    solved and recovered as by solve_level."""
+    solved and recovered as by solve_level; each level is dropped before
+    the next is solved."""
     levels = [int(n) for n in levels]
     if len(set(levels)) < 3:  # else the rate fit is rank-deficient
         raise ValueError(f"a convergence study needs at least 3 distinct "
                          f"mesh levels, got {levels}")
     if problem.exact_grad is None:
         raise ValueError("convergence study requires the exact gradient")
-    hs, err_uh, err_tilde, err_diff = [], [], [], []
-    for n in levels:
-        mesh, u_h, _, tilde = level(n)
-        hs.append(mesh.h)
-        err_uh.append(h1_seminorm_error(mesh, u_h, problem.exact_grad))
-        err_tilde.append(h1_seminorm_error(mesh, tilde, problem.exact_grad))
-        err_diff.append(h1_seminorm_diff(mesh, u_h, tilde))
-    return ConvergenceTable(degree=degree, ns=np.array(levels),
-                            hs=np.array(hs), err_uh=np.array(err_uh),
-                            err_tilde=np.array(err_tilde),
-                            err_diff=np.array(err_diff))
+    return ConvergenceTable.from_rows(
+        degree, levels, [level_errors(problem, level(n)) for n in levels])
 
 
 def convergence_study(problem, degree, levels):
@@ -297,23 +305,26 @@ def convergence_study(problem, degree, levels):
 def write_lce_csv(report, path):
     """Rows "dof_index,class,x,y,lce"."""
     names = [solver.DOF_KIND_NAMES[c] for c in range(3)]
+    xy = coords()
     write_table(path, "dof_index,class,x,y,lce", len(report.dof_ids),
-                [numbers(report.dof_ids), labels(names, report.kinds),
-                 coords(report.coords[:, 0]), coords(report.coords[:, 1]),
-                 numbers(report.values)])
+                lambda rows: [numbers(report.dof_ids[rows]),
+                              labels(names, report.kinds[rows]),
+                              xy(report.coords[rows, 0]),
+                              xy(report.coords[rows, 1]),
+                              numbers(report.values[rows])])
 
 
 def write_conservation_csv(report, path):
     """Rows "element,residual,scale", with LF line endings."""
-    n = len(report.residuals)
-    write_table(path, "element,residual,scale", n,
-                [numbers(np.arange(n)), numbers(report.residuals),
-                 numbers(report.scales)], term="\n")
+    write_table(path, "element,residual,scale", len(report.residuals),
+                lambda rows: [ids(rows), numbers(report.residuals[rows]),
+                              numbers(report.scales[rows])], term="\n")
 
 
 def write_convergence_csv(table, path):
     """Rows "n,h,err_uh,err_tilde,err_diff"."""
-    write_table(path, "n,h,err_uh,err_tilde,err_diff", len(table.ns),
-                [numbers(np.asarray(table.ns, dtype=np.int64))]
-                + [numbers(e) for e in (table.hs, table.err_uh,
-                                        table.err_tilde, table.err_diff)])
+    ns = np.asarray(table.ns, dtype=np.int64)
+    write_table(path, "n,h,err_uh,err_tilde,err_diff", len(ns),
+                lambda rows: [numbers(e[rows]) for e in (
+                    ns, table.hs, table.err_uh, table.err_tilde,
+                    table.err_diff)])

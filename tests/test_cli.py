@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -191,6 +193,33 @@ def test_check_all_solves_each_level_once(tmp_path, monkeypatch):
     for name in names:
         assert ((tmp_path / "all" / name).read_bytes()
                 == (tmp_path / "each" / name).read_bytes()), name
+
+
+def test_each_level_is_released_before_the_next_is_solved(tmp_path,
+                                                         monkeypatch):
+    # `--check all` on 8,4 runs the fallback ladder 4,8,16,32: one pass over
+    # 8, 4, 16, 32. With the garbage collector off, a level is freed when
+    # its last reference goes, so no mesh of an earlier level may be alive
+    # when a level is solved.
+    from conservaflux import verify
+    real = verify.solve_level
+    meshes = {}
+
+    def solve_level(problem, degree, n, *args, **kwargs):
+        held = [m for m, ref in meshes.items() if ref() is not None]
+        assert not held, f"levels {held} held while solving level {n}"
+        level = real(problem, degree, n, *args, **kwargs)
+        meshes[n] = weakref.ref(level[0])
+        return level
+
+    monkeypatch.setattr(verify, "solve_level", solve_level)
+    gc.disable()
+    try:
+        assert main(["solve", "--example", "2", "--degree", "2", "--levels",
+                     "8,4", "--check", "all", "--out", str(tmp_path)]) == 0
+    finally:
+        gc.enable()
+    assert list(meshes) == [8, 4, 16, 32]
 
 
 def test_quad_exactness_sets_every_level_rule(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ record, one repr(float(...)) per value, one element at a time.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,35 @@ def test_writers_match_row_oracles(k, mesh_kind, jittered_mesh, tmp_path):
          for f in (u, tilde)]
     for writer, oracle, obj in cases:
         assert same_bytes(tmp_path, writer, oracle, obj), writer.__name__
+
+
+def test_writers_memory_does_not_grow_with_the_mesh(jittered_mesh,
+                                                   tmp_path):
+    # The writers form each block of rows from its slice: ids, local
+    # indices and mapped node coordinates, formatted through a bounded
+    # cache. Their traced peak is the same on 512 and 8,192 jittered k = 3
+    # elements (about 0.5 MiB; the whole-column writers took 0.5-7 MiB on
+    # the first and 7-110 MiB on the second).
+    prob = load_example(2)
+    peaks = {}
+    for n in (16, 64):
+        mesh = jittered_mesh(n, seed=1)
+        u = solve_problem(mesh, 3, prob)
+        parts = build_partitions(mesh, 3)
+        tilde = postprocess_all(mesh, u.dofmap, parts, u, prob)
+        report = compute_lce(mesh, build_cv_index(mesh, u.dofmap, parts),
+                             parts, tilde, prob)
+        for writer, obj in ((export_postprocessed_csv, tilde),
+                            (export_solution_csv, u),
+                            (write_lce_csv, report), (export_dual_csv, parts)):
+            tracemalloc.start()
+            try:
+                writer(obj, tmp_path / "out.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks[writer.__name__, n] = round(peak / 2 ** 20, 3)
+    assert max(peaks.values()) <= 1.0, peaks
 
 
 def test_rows_crossing_block_boundaries(tmp_path):
